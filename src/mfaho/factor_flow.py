@@ -5,12 +5,14 @@ vertex into an out-copy (row) and an in-copy (column): a perfect matching in
 that bipartite graph is exactly a successor function, i.e. a spanning set of
 disjoint cycles.  The one-path variant adds a source row and a sink column.
 Costs are swapped (0 <-> 1) first, so a minimum-cost assignment corresponds
-to a maximum-cost factor.
+to a maximum-cost factor.  Missing arcs are +inf cells, and the assignment
+itself is scipy's linear_sum_assignment behind min_cost_assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -68,97 +70,70 @@ def symmetric_01(d: Digraph) -> CostDigraph:
     return CostDigraph(Digraph(d.n, frozenset(arcs)), cost)
 
 
+def arc_index(arcs) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of a collection of arcs, for one fancy-index fill."""
+    flat = np.fromiter(chain.from_iterable(arcs), dtype=np.intp, count=2 * len(arcs))
+    return flat[0::2], flat[1::2]
+
+
 def min_cost_assignment(
     cost_matrix: np.ndarray, forbidden: np.ndarray | None = None
 ) -> list[int] | None:
     """Minimum-cost perfect matching on a square matrix with forbidden cells.
 
     Returns cols such that cols[row] is the matched column, or None when no
-    perfect matching avoids the forbidden cells.  Shortest-augmenting-path
-    method with row/column potentials, O(n^3) with vectorized inner loops.
+    perfect matching avoids the forbidden cells.  Cells equal to +inf count as
+    forbidden; NaN and -inf cells are rejected.  The matching is scipy's
+    linear_sum_assignment, imported on first use so that importing mfaho
+    does not load scipy.optimize.
     """
-    c = np.asarray(cost_matrix, dtype=float).copy()
+    from scipy.optimize import linear_sum_assignment
+
+    c = np.asarray(cost_matrix, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise InputError("cost matrix must be square")
+    if np.isnan(c).any() or np.isneginf(c).any():
+        raise InputError("cost matrix has NaN or -inf entries")
     if forbidden is not None:
-        c[np.asarray(forbidden, dtype=bool)] = np.inf
-    n = c.shape[0]
-    if n == 0:
+        c = np.where(np.asarray(forbidden, dtype=bool), np.inf, c)
+    if c.shape[0] == 0:
         return []
-
-    u = np.zeros(n)          # row potentials
-    v = np.zeros(n + 1)      # column potentials; column n is the virtual root
-    match_col = np.full(n + 1, -1, dtype=int)
-
-    for row in range(n):
-        match_col[n] = row
-        j_cur = n
-        min_to = np.full(n, np.inf)
-        prev_col = np.full(n, -1, dtype=int)
-        in_tree = np.zeros(n + 1, dtype=bool)
-        while match_col[j_cur] != -1:
-            in_tree[j_cur] = True
-            r = match_col[j_cur]
-            avail = ~in_tree[:n]
-            reduced = c[r] - u[r] - v[:n]
-            better = avail & (reduced < min_to)
-            min_to[better] = reduced[better]
-            prev_col[better] = j_cur
-            masked = np.where(avail, min_to, np.inf)
-            j_next = int(masked.argmin())
-            delta = masked[j_next]
-            if not np.isfinite(delta):
-                return None
-            tree_cols = in_tree[:n]
-            u[match_col[:n][tree_cols]] += delta
-            v[:n][tree_cols] -= delta
-            u[row] += delta
-            v[n] -= delta
-            min_to[avail] -= delta
-            j_cur = j_next
-        while j_cur != n:
-            j_prev = prev_col[j_cur]
-            match_col[j_cur] = match_col[j_prev]
-            j_cur = j_prev
-
-    cols = [-1] * n
-    for col in range(n):
-        cols[match_col[col]] = col
-    return cols
+    try:
+        _, cols = linear_sum_assignment(c)
+    except ValueError as exc:
+        if "infeasible" not in str(exc):
+            raise
+        return None
+    return cols.tolist()
 
 
-def _solve_swapped(h: CostDigraph, with_path: bool) -> dict[int, int] | None:
-    """Successor map of an optimal factor, via the swapped-cost assignment.
+def _solve_swapped(h: CostDigraph, with_path: bool) -> list[int] | None:
+    """Successor list of an optimal factor, via the swapped-cost assignment.
 
     Rows are out-copies, columns in-copies; with_path adds source row n and
     sink column n, with the (source, sink) cell forbidden so the path is
-    nonempty.  Returns successor[v] over 0..n-1 plus, when with_path, n -> v
-    for the path start and v -> n for the path end.
+    nonempty.  Returns succ with succ[v] over 0..n-1 plus, when with_path,
+    succ[n] for the path start and succ[v] == n for the path end.
     """
     n = h.n
     size = n + 1 if with_path else n
-    big = np.inf
-    c = np.full((size, size), big)
-    for (a, b), w in h.cost.items():
-        c[a, b] = 1 - w
+    c = np.full((size, size), np.inf)
+    m = len(h.cost)
+    c[arc_index(h.cost)] = 1 - np.fromiter(h.cost.values(), dtype=float, count=m)
     if with_path:
         c[n, :n] = 0.0
         c[:n, n] = 0.0
         # the source-to-sink cell stays forbidden
-    cols = min_cost_assignment(c)
-    if cols is None:
+    succ = min_cost_assignment(c)
+    if succ is None:
         return None
-    succ = {}
-    for row, col in enumerate(cols):
-        succ[row] = col
     # a matched forbidden cell can only appear if no feasible matching exists
-    for row, col in succ.items():
-        if not np.isfinite(c[row][col]):
-            return None
+    if not np.isfinite(c[np.arange(size), succ]).all():
+        return None
     return succ
 
 
-def _decompose(succ: dict[int, int], n: int, with_path: bool) -> SpanningFactor:
+def _decompose(succ: list[int], n: int, with_path: bool) -> SpanningFactor:
     path: tuple[int, ...] | None = None
     seen = [False] * n
     if with_path:

@@ -27,6 +27,7 @@ from .digraph import (
 from .errors import InputError, InternalVerificationError
 from .factor_flow import (
     SpanningFactor,
+    arc_index,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
     min_cost_assignment,
@@ -741,8 +742,7 @@ def _cycle_factor_of(d: Digraph) -> SpanningFactor | None:
     """Any cycle factor using only arcs of d, or None."""
     n = d.n
     c = np.full((n, n), np.inf)
-    for u, v in d.arcs:
-        c[u, v] = 0.0
+    c[arc_index(d.arcs)] = 0.0
     cols = min_cost_assignment(c)
     if cols is None:
         return None

@@ -1,13 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfaho
 from mfaho.digraph import build_digraph
 from mfaho.errors import InputError
 from mfaho.factor_flow import (
     CostDigraph,
+    arc_index,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
     min_cost_assignment,
@@ -34,6 +40,18 @@ def test_symmetric01_triangle():
     assert sorted(h.cost.values()) == [0, 0, 0, 1, 1, 1]
     # twice the number of underlying edges
     assert h.base.m == 6
+
+
+def test_arc_index_fill_matches_loop():
+    d, _ = gen_smd((3, 4, 2), seed=5, digon_prob=0.3)
+    h = symmetric_01(d)
+    loop = np.full((d.n, d.n), np.inf)
+    for (a, b), w in h.cost.items():
+        loop[a, b] = 1 - w
+    filled = np.full((d.n, d.n), np.inf)
+    m = len(h.cost)
+    filled[arc_index(h.cost)] = 1 - np.fromiter(h.cost.values(), dtype=float, count=m)
+    assert np.array_equal(loop, filled)
 
 
 def test_assignment_all_zero():
@@ -67,6 +85,68 @@ def test_assignment_matches_exhaustive_minimum(seed):
     got = sum(c[i, cols[i]] for i in range(5))
     best = min(sum(c[i, p[i]] for i in range(5)) for p in permutations(range(5)))
     assert got == best
+    # random forbidden masks, dense enough that some leave no feasible matching
+    infeasible = set()
+    for density in (0.3, 0.5, 0.7):
+        for _ in range(10):
+            mask = rng.random((5, 5)) < density
+            feasible = [
+                sum(c[i, p[i]] for i in range(5))
+                for p in permutations(range(5))
+                if not any(mask[i, p[i]] for i in range(5))
+            ]
+            cols = min_cost_assignment(c, mask)
+            infeasible.add(not feasible)
+            if not feasible:
+                assert cols is None
+            else:
+                assert sorted(cols) == list(range(5))
+                assert not any(mask[i, cols[i]] for i in range(5))
+                assert sum(c[i, cols[i]] for i in range(5)) == min(feasible)
+    assert infeasible == {True, False}
+
+
+def test_assignment_infinite_cells_are_forbidden():
+    c = np.array([[np.inf, 1.0], [np.inf, 2.0]])
+    assert min_cost_assignment(c) is None
+    c = np.array([[np.inf, 1.0], [3.0, np.inf]])
+    assert min_cost_assignment(c) == [1, 0]
+
+
+def test_assignment_empty_matrix():
+    assert min_cost_assignment(np.zeros((0, 0))) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_assignment_rejects_invalid_entries(bad):
+    c = np.zeros((3, 3))
+    c[1, 2] = bad
+    with pytest.raises(InputError):
+        min_cost_assignment(c)
+    # an invalid cell is an error even when a forbidden mask covers it
+    with pytest.raises(InputError):
+        min_cost_assignment(c, np.eye(3, dtype=bool) | (c != 0))
+
+
+def test_assignment_leaves_input_unchanged():
+    c = np.zeros((2, 2))
+    min_cost_assignment(c, np.eye(2, dtype=bool))
+    assert (c == 0).all()
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is imported on the first assignment, not with the package
+    src = str(Path(mfaho.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, mfaho; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cycle_factor_triangle():
@@ -114,9 +194,19 @@ def test_factor_optima_match_oracle_on_random_smd(seed):
     rng = random.Random(seed)
     sizes = rng.choice([(2, 2), (3, 2), (2, 2, 1), (3, 2, 2), (2, 2, 2), (1, 1, 1, 1)])
     d, _ = gen_smd(sizes, seed=seed * 31 + 7, digon_prob=rng.choice([0.0, 0.3]))
-    if d.n > 7:
-        return
-    h = symmetric_01(d)
+    # bias 1.0 without digons is acyclic, so every cycle factor costs below n;
+    # the generator then ignores its seed, so relabel the vertices instead
+    acyclic, _ = gen_smd(sizes, seed=0, digon_prob=0.0, bias=1.0)
+    perm = list(range(acyclic.n))
+    rng.shuffle(perm)
+    acyclic = build_digraph(acyclic.n, [(perm[u], perm[v]) for u, v in acyclic.arcs])
+    for graph in (d, acyclic):
+        _check_factor_optima(symmetric_01(graph))
+    f = max_cost_cycle_factor(symmetric_01(acyclic))
+    assert f is None or f.cost < acyclic.n
+
+
+def _check_factor_optima(h):
     for kind, solver in (
         ("cycle-factor", max_cost_cycle_factor),
         ("1pcf", max_cost_one_path_cycle_factor),
