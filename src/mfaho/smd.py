@@ -2,18 +2,22 @@
 
 The maximum-forward-arc optima come from optimal factors of the symmetric
 (0,1)-digraph; certificates are assembled constructively.  The ordered-factor
-machinery merges cycle pairs that fail the weak-domination test by splicing
-(or, at desk scale, exhaustively), and the distinct-ends Hamilton path is
-built by absorbing the ordered cycles into the broken cycle one at a time,
-to the right of the path and then to the left.  Every absorption step checks
-the arcs it uses directly, and desk-scale exhaustive fallbacks keep the
-operations total on small instances even where the splice heuristics stall;
-solver outputs are always re-validated before being returned.
+machinery keeps the weak-domination relation of all cycle pairs in one t x t
+witness matrix, built by a single numpy pass over the arc arrays per merge
+round; it merges pairs unwitnessed in both directions by splicing (or, at
+desk scale, exhaustively) and reads the dominance order off the matrix.  The
+distinct-ends Hamilton path is built by absorbing the ordered cycles into the
+broken cycle one at a time, to the right of the path and then to the left.
+Every absorption step checks the arcs it uses directly, and desk-scale
+exhaustive fallbacks keep the operations total on small instances even where
+the splice heuristics stall; solver outputs are always re-validated before
+being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -107,26 +111,49 @@ def weakly_dominates(
     _check_cycle(d, c2)
     if set(c1) & set(c2):
         raise InputError("cycles overlap")
-    return _witness(d, parts, c1, c2)
+    w = int(_witness_matrix(arc_index(d.arcs), parts, (c1, c2))[0, 1])
+    return None if w < 0 else w
 
 
-def _witness(d, parts, c1, c2) -> int | None:
-    pos1 = {v: i for i, v in enumerate(c1)}
-    witness = None
-    for i, u in enumerate(c2):
-        u_succ = c2[(i + 1) % len(c2)]
-        for v in d.out_neighbors(u):
-            j = pos1.get(v)
-            if j is None:
-                continue
-            w = parts.part_of(u_succ)
-            if w != parts.part_of(c1[j - 1]):
-                return None
-            if witness is None:
-                witness = w
-            elif witness != w:
-                return None
-    return 0 if witness is None else witness
+def _witness_matrix(arcs, parts: PartiteStructure, cycles) -> np.ndarray:
+    """All weak-domination witnesses among disjoint cycles, as a t x t matrix.
+
+    arcs is the (tails, heads) pair of index arrays of the digraph's arcs;
+    the cycles need not cover its vertices.  Entry [i, j] is the witness for
+    cycles[i] weakly dominating cycles[j]: -1 when there is none, 0 when no
+    arc runs from cycles[j] to cycles[i] (and on the diagonal), otherwise
+    the partite set that part(successor of the tail) and part(predecessor
+    of the head) share on every such arc.
+    """
+    part = np.asarray(parts.part_index, dtype=np.intp)
+    t = len(cycles)
+    lens = np.fromiter(map(len, cycles), dtype=np.intp, count=t)
+    flat = np.fromiter(chain.from_iterable(cycles), dtype=np.intp, count=int(lens.sum()))
+    first = np.cumsum(lens) - lens
+    last = first + lens - 1
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[last] = first
+    prv = np.arange(-1, len(flat) - 1)
+    prv[first] = last
+    cyc = np.full(len(part), -1, dtype=np.intp)
+    cyc[flat] = np.repeat(np.arange(t), lens)
+    succ = np.empty_like(cyc)
+    succ[flat] = flat[nxt]
+    pred = np.empty_like(cyc)
+    pred[flat] = flat[prv]
+
+    tails, heads = arcs
+    cu, cv = cyc[tails], cyc[heads]
+    cross = (cu >= 0) & (cv >= 0) & (cu != cv)
+    u, v = tails[cross], heads[cross]
+    key = cv[cross] * t + cu[cross]
+    a, b = part[succ[u]], part[pred[v]]
+    no_arc = parts.p  # above every part index
+    wit = np.full(t * t, no_arc, dtype=np.intp)
+    np.minimum.at(wit, key, a)
+    wit[key[(a != b) | (a != wit[key])]] = -1
+    wit[wit == no_arc] = 0
+    return wit.reshape(t, t)
 
 
 @dataclass(frozen=True)
@@ -186,50 +213,34 @@ def irreducible_ordered_cycle_factor(
 ):
     """Either a Hamilton cycle of d or an OrderedCycleFactor.
 
-    Cycle pairs with no weak-domination witness in either direction get
-    merged: first by looking for a splice arc (u,v) across the pair with
-    predecessor(v) -> successor(u) present, then by exhaustive search for a
-    single cycle on the pair's union at desk scale.  Once every pair is
-    witnessed in some direction a dominant-first linear order is extracted;
-    a domination cycle triggers further merging, and as a last resort the
-    whole instance is searched for an orderable factor.
+    Each round sorts the cycles by their smallest vertex and builds the
+    weak-domination witness matrix of all cycle pairs in one pass over the
+    arcs (_witness_matrix).  Pairs with no witness in either direction are
+    tried in lexicographic order until one merges: first by looking for a
+    splice arc (u,v) across the pair with predecessor(v) -> successor(u)
+    present, then by exhaustive search for a single cycle on the pair's
+    union at desk scale.  Once every pair is witnessed in some direction a
+    dominant-first linear order is read off the matrix; a domination cycle
+    triggers further merging, and as a last resort the whole instance is
+    searched for an orderable factor.
     """
     _check_cycle_factor(d, factor)
     cycles = sorted((tuple(c) for c in factor.cycles), key=min)
-    while True:
-        if len(cycles) == 1:
-            return _rotate(cycles[0], min(cycles[0]))
-        t = len(cycles)
-        wit = {
-            (a, b): _witness(d, parts, cycles[a], cycles[b])
-            for a in range(t)
-            for b in range(t)
-            if a != b
-        }
-        unwitnessed = [
-            (a, b)
-            for a in range(t)
-            for b in range(a + 1, t)
-            if wit[(a, b)] is None and wit[(b, a)] is None
-        ]
-        if unwitnessed:
-            merged = _merge_first(d, cycles, unwitnessed)
+    arcs = arc_index(d.arcs) if len(cycles) > 1 else None  # a lone cycle needs none
+    while len(cycles) > 1:
+        wit = _witness_matrix(arcs, parts, cycles)
+        unwitnessed = np.triu((wit < 0) & (wit.T < 0))
+        if unwitnessed.any():
+            merged = _merge_first(d, cycles, zip(*np.nonzero(unwitnessed)))
             if merged is not None:
                 cycles = merged
                 continue
         else:
-            order = _dominance_order(wit, t)
+            order = _dominance_order(wit)
             if order is not None:
-                ordered = tuple(cycles[i] for i in order)
-                witness_parts = {
-                    (a, b): wit[(order[a], order[b])]
-                    for a in range(t)
-                    for b in range(a + 1, t)
-                }
-                return OrderedCycleFactor(ordered, witness_parts)
+                return _ordered_factor(cycles, wit, order)
             # domination is cyclic; merging any pair can break the cycle
-            all_pairs = [(a, b) for a in range(t) for b in range(a + 1, t)]
-            merged = _merge_first(d, cycles, all_pairs)
+            merged = _merge_first(d, cycles, combinations(range(len(cycles)), 2))
             if merged is not None:
                 cycles = merged
                 continue
@@ -240,9 +251,11 @@ def irreducible_ordered_cycle_factor(
         raise InternalVerificationError(
             "cycle factor could neither be merged further nor ordered"
         )
+    return _rotate(cycles[0], min(cycles[0]))
 
 
 def _merge_first(d, cycles, pairs):
+    """Merge the first of the (lazily generated) index pairs that merges."""
     for a, b in pairs:
         merged = _merge_pair(d, cycles[a], cycles[b])
         if merged is not None:
@@ -271,20 +284,34 @@ def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
     return None
 
 
-def _dominance_order(wit, t) -> list[int] | None:
-    remaining = set(range(t))
+def _dominance_order(wit: np.ndarray) -> list[int] | None:
+    """Dominant-first order of a witness matrix, or None if domination is cyclic.
+
+    Repeatedly takes the smallest remaining index whose row is witnessed
+    against every other remaining index.
+    """
+    missing = wit < 0
+    blocked = missing.sum(axis=1)  # unwitnessed entries among remaining columns
+    remaining = np.ones(len(wit), dtype=bool)
     order: list[int] = []
-    while remaining:
-        cand = sorted(
-            c
-            for c in remaining
-            if all(wit[(c, o)] is not None for o in remaining if o != c)
-        )
-        if not cand:
+    for _ in range(len(wit)):
+        free = np.flatnonzero(remaining & (blocked == 0))
+        if free.size == 0:
             return None
-        order.append(cand[0])
-        remaining.remove(cand[0])
+        c = int(free[0])
+        order.append(c)
+        remaining[c] = False
+        blocked -= missing[:, c]
     return order
+
+
+def _ordered_factor(cycles, wit: np.ndarray, order: list[int]) -> OrderedCycleFactor:
+    sub = wit[np.ix_(order, order)].tolist()
+    t = len(order)
+    return OrderedCycleFactor(
+        tuple(cycles[i] for i in order),
+        {(a, b): sub[a][b] for a in range(t) for b in range(a + 1, t)},
+    )
 
 
 def _exact_ham_cycle_on_subset(d: Digraph, vertices: list[int]):
@@ -387,6 +414,7 @@ def _global_orderable_factor(d: Digraph, parts: PartiteStructure):
     """Desk-scale enumeration of cycle factors until one is a Hamilton cycle
     or admits the dominance order.  Returns None when d has no such factor."""
     n = d.n
+    arcs = arc_index(d.arcs)
     out_sorted = [sorted(d.out_neighbors(v)) for v in range(n)]
     used = [False] * n
     succ = [-1] * n
@@ -406,23 +434,9 @@ def _global_orderable_factor(d: Digraph, parts: PartiteStructure):
             cycles.append(tuple(cyc))
         if len(cycles) == 1:
             return _rotate(cycles[0], min(cycles[0]))
-        t = len(cycles)
-        wit = {
-            (a, b): _witness(d, parts, cycles[a], cycles[b])
-            for a in range(t)
-            for b in range(t)
-            if a != b
-        }
-        order = _dominance_order(wit, t)
-        if order is None:
-            return None
-        ordered = tuple(cycles[i] for i in order)
-        witness_parts = {
-            (a, b): wit[(order[a], order[b])]
-            for a in range(t)
-            for b in range(a + 1, t)
-        }
-        return OrderedCycleFactor(ordered, witness_parts)
+        wit = _witness_matrix(arcs, parts, cycles)
+        order = _dominance_order(wit)
+        return None if order is None else _ordered_factor(cycles, wit, order)
 
     def rec(v):
         if v == n:

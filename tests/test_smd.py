@@ -1,19 +1,30 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
 from mfaho.digraph import (
+    Digraph,
+    PartiteStructure,
     WalkKind,
     build_digraph,
     recognize_smd,
     validate_walk,
 )
 from mfaho.errors import InputError
-from mfaho.factor_flow import SpanningFactor, symmetric_01, max_cost_cycle_factor
+from mfaho.factor_flow import (
+    SpanningFactor,
+    arc_index,
+    max_cost_cycle_factor,
+    symmetric_01,
+)
 from mfaho.generate import gen_smd
 from mfaho.oracle import oracle_ham_cycle, oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
     OrderedCycleFactor,
+    _dominance_order,
+    _witness_matrix,
     ham_path_distinct_ends,
     has_ham_oriented_cycle_smd,
     has_ham_oriented_path_smd,
@@ -50,8 +61,6 @@ def test_existence_tests_delegate():
 
 def test_existence_tests_reject_wrong_parts():
     tri = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
-    from mfaho.digraph import PartiteStructure
-
     bad = PartiteStructure.from_parts(3, [{0, 1}, {2}])
     with pytest.raises(InputError):
         has_ham_oriented_path_smd(tri, bad)
@@ -100,6 +109,144 @@ def test_weak_domination_failure_direction():
     d, parts, c1, c2, _ = figure_cycles_digraph()
     # forward arcs from the first cycle break the reversed relation
     assert weakly_dominates(d, parts, c2, c1) is None
+
+
+def test_witness_needs_one_common_part():
+    # arcs 4->1 and 5->3 run from c2 to c1; each pairs successor(tail) with
+    # predecessor(head) in one part, but in part 1 for the first and part 2
+    # for the second
+    c1, c2 = (0, 1, 2, 3), (4, 5)
+    parts = PartiteStructure.from_parts(6, [{1, 3}, {0, 5}, {2, 4}])
+    cycle_arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 4)]
+    for across, expected in (([(4, 1)], 1), ([(5, 3)], 2), ([(4, 1), (5, 3)], None)):
+        d = build_digraph(6, cycle_arcs + across)
+        wit = _witness_matrix(arc_index(d.arcs), parts, [c1, c2])
+        assert wit[0, 1] == (-1 if expected is None else expected)
+        assert wit[1, 0] == 0  # no arc from c1 to c2
+        assert weakly_dominates(d, parts, c1, c2) == expected
+
+
+def _reference_witness(d, parts, c1, c2):
+    """Weak domination of c2 by c1 read off the definition, pair by pair.
+
+    Returns ("vacuous", 0) without arcs from c2 to c1, ("witness", w) when
+    every such arc pairs successor(tail) and predecessor(head) in part w,
+    and ("none", None) otherwise.
+    """
+    found = set()
+    for i, u in enumerate(c2):
+        for j, v in enumerate(c1):
+            if not d.has_arc(u, v):
+                continue
+            after_tail = parts.part_of(c2[(i + 1) % len(c2)])
+            before_head = parts.part_of(c1[j - 1])
+            found.add(after_tail if after_tail == before_head else None)
+    if not found:
+        return "vacuous", 0
+    if len(found) == 1 and None not in found:
+        return "witness", found.pop()
+    return "none", None
+
+
+def _random_cycle_factor(rng, n):
+    """Random disjoint cycles covering 0..n-1, about a third of them 2-cycles."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cycles = []
+    while order:
+        k = len(order) if len(order) <= 3 else rng.choice((2, 2, 3, 4, 5))
+        if len(order) - k == 1:
+            k += 1
+        cycles.append(tuple(order[:k]))
+        del order[:k]
+    return cycles
+
+
+def test_witness_matrix_matches_definition():
+    rng = random.Random(2024)
+    seen = {"vacuous": 0, "witness": 0, "none": 0}
+    two_cycles = 0
+    for trial in range(60):
+        p = rng.randint(2, 5)
+        sizes = [rng.randint(1, 8) for _ in range(p)]
+        digon_prob = (0.0, 0.3)[trial % 2]
+        bias = rng.choice((0.5, 0.9, 1.0))
+        d, parts = gen_smd(sizes, rng.randrange(10**6), digon_prob, bias)
+        if d.n > 40 or d.n < 4:
+            continue
+        cycles = _random_cycle_factor(rng, d.n)
+        if len(cycles) < 2:
+            continue
+        two_cycles += sum(len(c) == 2 for c in cycles)
+        # the solver orders factors of d plus the factor's own arcs
+        steps = {(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))}
+        df = Digraph(d.n, d.arcs | steps)
+        arcs = arc_index(df.arcs)
+        wit = _witness_matrix(arcs, parts, cycles)
+        t = len(cycles)
+        assert wit.shape == (t, t)
+        for i in range(t):
+            assert wit[i, i] == 0
+            for j in range(t):
+                if i == j:
+                    continue
+                kind, expected = _reference_witness(df, parts, cycles[i], cycles[j])
+                seen[kind] += 1
+                assert wit[i, j] == (-1 if expected is None else expected)
+        # a subset of the cycles that leaves vertices uncovered
+        sub = rng.sample(cycles, rng.randint(2, min(t, 4)))
+        sub_wit = _witness_matrix(arcs, parts, sub)
+        for i, c1 in enumerate(sub):
+            for j, c2 in enumerate(sub):
+                if i != j:
+                    _, expected = _reference_witness(df, parts, c1, c2)
+                    assert sub_wit[i, j] == (-1 if expected is None else expected)
+                    assert weakly_dominates(df, parts, c1, c2) == expected
+    assert two_cycles > 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_dominance_order_linear():
+    # cycle order[k] is witnessed against every later one, never an earlier one
+    order = [2, 0, 3, 1]
+    t = len(order)
+    wit = np.full((t, t), -1)
+    for a in range(t):
+        wit[order[a], order[a]] = 0
+        for b in range(a + 1, t):
+            wit[order[a], order[b]] = 1
+    assert _dominance_order(wit) == order
+
+
+def test_dominance_order_smallest_index_wins_ties():
+    assert _dominance_order(np.zeros((4, 4), dtype=int)) == [0, 1, 2, 3]
+    # 3 dominates everything; 0 and 1 witness each other both ways
+    wit = np.array(
+        [
+            [0, 2, 0, -1],
+            [1, 0, 0, -1],
+            [-1, -1, 0, -1],
+            [0, 0, 0, 0],
+        ]
+    )
+    assert _dominance_order(wit) == [3, 0, 1, 2]
+
+
+def test_dominance_order_cyclic_domination_is_none():
+    # 0 over 1, 1 over 2, 2 over 0: every pair witnessed, no linear order
+    wit = np.array(
+        [
+            [0, 1, -1],
+            [-1, 0, 1],
+            [1, -1, 0],
+        ]
+    )
+    assert _dominance_order(wit) is None
+    # a dominant cycle first does not rescue the cyclic rest
+    wit4 = np.zeros((4, 4), dtype=int)
+    wit4[1:, 1:] = wit
+    wit4[1:, 0] = -1
+    assert _dominance_order(wit4) is None
 
 
 # --- ordered factor --------------------------------------------------------
@@ -176,8 +323,6 @@ def test_distinct_ends_returns_lone_path():
 
 
 def test_distinct_ends_hand_instance():
-    from mfaho.digraph import PartiteStructure
-
     arcs = [(0, 1), (2, 3), (3, 4), (4, 2), (0, 2), (0, 4), (1, 2), (1, 3)]
     d = build_digraph(5, arcs)
     parts = PartiteStructure.from_parts(5, [{0, 3}, {1, 4}, {2}])
@@ -349,3 +494,15 @@ def test_monotone_under_digon_completion():
                 assert up_c[0] >= base_c[0]
             if base_p is not None:
                 assert up_p[0] >= base_p[0]
+
+
+def test_mfahoc_acyclic_150_150_scale():
+    # 150 2-cycles in the optimal factor, so ordering merges 149 times
+    d, parts = gen_smd((150, 150), 1, digon_prob=0.0, bias=1.0)
+    start = time.perf_counter()
+    sigma, walk, branch = mfahoc_smd(d, parts)
+    elapsed = time.perf_counter() - start
+    assert branch == "cycle-below-max"
+    assert sigma == max_cost_cycle_factor(symmetric_01(d)).cost
+    assert walk.sigma_plus == sigma
+    assert elapsed < 5.0, f"mfahoc_smd took {elapsed:.2f} s"
