@@ -2,16 +2,28 @@
 
 Vertices are dense integers 0..n-1.  A digon is the ordered pair (u,v) together
 with (v,u); self-loops and parallel copies of the same ordered pair are never
-stored.  All types are immutable after construction, so instances can be shared
-freely between concurrent callers.
+stored.  A digraph never changes after construction.  The facts derived from
+it (local semicompleteness, the strong components, the arc index arrays) are
+computed on first use and kept on the object; each is a pure function of the
+arcs, so concurrent callers can at worst compute one twice.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import or_
+
+import numpy as np
 
 from .errors import InputError, NotAWalkError
+
+_bit = (1).__lshift__
+
+# Cap, in bytes, on the unpacked bit rows or gathered words that one block of
+# the bit-row scans holds, so their peak memory is independent of n.
+_BLOCK_BYTES = 1 << 20
 
 
 class Digraph:
@@ -22,25 +34,28 @@ class Digraph:
     tests work on those masks.
     """
 
-    __slots__ = ("n", "arcs", "_out", "_in", "out_mask", "in_mask", "adj_mask")
+    __slots__ = (
+        "n", "arcs", "_out", "_in", "out_mask", "in_mask", "adj_mask",
+        "_lsd", "_components", "_arc_arrays",
+    )
 
     def __init__(self, n: int, arcs: frozenset[tuple[int, int]]):
         self.n = n
         self.arcs = arcs
-        out: list[set[int]] = [set() for _ in range(n)]
-        inn: list[set[int]] = [set() for _ in range(n)]
-        out_mask = [0] * n
-        in_mask = [0] * n
+        out: list[list[int]] = [[] for _ in range(n)]
+        inn: list[list[int]] = [[] for _ in range(n)]
         for u, v in arcs:
-            out[u].add(v)
-            inn[v].add(u)
-            out_mask[u] |= 1 << v
-            in_mask[v] |= 1 << u
-        self._out = tuple(frozenset(s) for s in out)
-        self._in = tuple(frozenset(s) for s in inn)
-        self.out_mask = tuple(out_mask)
-        self.in_mask = tuple(in_mask)
-        self.adj_mask = tuple(o | i for o, i in zip(out_mask, in_mask))
+            out[u].append(v)
+            inn[v].append(u)
+        self._out = tuple(map(frozenset, out))
+        self._in = tuple(map(frozenset, inn))
+        # arcs holds no pair twice, so summing the bits of a row is OR-ing them
+        self.out_mask = tuple(sum(map(_bit, row)) for row in out)
+        self.in_mask = tuple(sum(map(_bit, row)) for row in inn)
+        self.adj_mask = tuple(map(or_, self.out_mask, self.in_mask))
+        self._lsd: bool | None = None
+        self._components: ComponentDecomposition | None = None
+        self._arc_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
@@ -82,15 +97,72 @@ class Digraph:
         """Induced subdigraph on V minus `removed`, relabelled densely.
 
         Returns the subdigraph and the list mapping new labels to old ones.
+        Reads the out-rows of the kept vertices cut down to the kept columns,
+        so the cost follows the arcs kept, not all m arcs.
         """
         keep = [v for v in range(self.n) if v not in removed]
-        new_id = {v: i for i, v in enumerate(keep)}
-        arcs = frozenset(
-            (new_id[u], new_id[v])
-            for (u, v) in self.arcs
-            if u not in removed and v not in removed
-        )
-        return Digraph(len(keep), arcs), keep
+        kept = sum(map(_bit, keep))
+        rows = [self.out_mask[v] & kept for v in keep]
+        label = np.full(self.n, -1, dtype=np.intp)
+        label[keep] = np.arange(len(keep))
+        arcs: list[tuple[int, int]] = []
+        for lo, hi in _row_blocks([row.bit_count() for row in rows], self.n, len(keep)):
+            tails, heads = _row_bits(_packed(rows[lo:hi], self.n))
+            arcs += zip((tails + lo).tolist(), label[heads].tolist())
+        return Digraph(len(keep), frozenset(arcs)), keep
+
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) index arrays of all arcs, ordered by tail then head.
+
+        Read from the packed out-rows and kept on the digraph.
+        """
+        if self._arc_arrays is None:
+            tails, heads = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+            for lo, hi in _row_blocks(list(map(len, self._out)), self.n, self.n):
+                t, h = _row_bits(_packed(self.out_mask[lo:hi], self.n))
+                tails.append(t + lo)
+                heads.append(h)
+            self._arc_arrays = (np.concatenate(tails), np.concatenate(heads))
+        return self._arc_arrays
+
+
+def _packed(masks, n: int) -> np.ndarray:
+    """Bitmask rows as a (rows, ceil(n/64)) uint64 array; bit v of a row is
+    bit v % 64 of word v // 64."""
+    words = (n + 63) // 64
+    buf = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
+
+
+def _row_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) index arrays of the set bits of packed rows, row-major.
+
+    Only the nonzero words are unpacked, so sparse rows cost about as much
+    as their set bits, not their length.
+    """
+    r, w = np.nonzero(rows)
+    bits = np.unpackbits(rows[r, w].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    i, b = np.nonzero(bits)
+    return r[i], 64 * w[i] + b
+
+
+def _row_blocks(degrees: list[int], n: int, first: int):
+    """Consecutive row ranges [lo, hi) for a bit-row scan.
+
+    Range lengths double from `first`.  A range of more than one row holds
+    no more set bits (by `degrees`) than fit in _BLOCK_BYTES at 64 bytes of
+    unpacked word plus one gathered n-bit row per bit.
+    """
+    cap = max(1, _BLOCK_BYTES // (64 + 8 * ((n + 63) // 64)))
+    lo, size = 0, max(1, first)
+    while lo < len(degrees):
+        hi, total = lo + 1, degrees[lo]
+        stop = min(len(degrees), lo + size)
+        while hi < stop and total + degrees[hi] <= cap:
+            total += degrees[hi]
+            hi += 1
+        yield lo, hi
+        lo, size = hi, 2 * size
 
 
 def build_digraph(n: int, arcs) -> Digraph:
@@ -216,32 +288,19 @@ def validate_walk(d: Digraph, seq, kind: WalkKind) -> OrientedHamWalk:
 
 
 def strong_components(d: Digraph) -> ComponentDecomposition:
-    """Strong components, ordered so that all inter-component arcs go forward."""
-    sccs = _tarjan(d)
-    comp_of = [0] * d.n
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-    # Kahn's algorithm on the condensation gives the acyclic ordering.
-    k = len(sccs)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
-    for u, v in d.arcs:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv and cv not in succ[cu]:
-            succ[cu].add(cv)
-            indeg[cv] += 1
-    ready = sorted(i for i in range(k) if indeg[i] == 0)
-    order: list[int] = []
-    while ready:
-        c = ready.pop(0)
-        order.append(c)
-        for nxt in succ[c]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-        ready.sort()
-    components = tuple(tuple(sorted(sccs[c])) for c in order)
+    """Strong components, ordered so that all inter-component arcs go forward.
+
+    Computed once per digraph; later calls return the stored decomposition.
+    """
+    if d._components is None:
+        d._components = _ordered_components(d)
+    return d._components
+
+
+def _ordered_components(d: Digraph) -> ComponentDecomposition:
+    # Tarjan emits a component only after every component it reaches, so the
+    # reversed emission order sends every inter-component arc forward.
+    components = tuple(tuple(sorted(comp)) for comp in reversed(_tarjan(d)))
     cn = [0] * d.n
     for i, comp in enumerate(components):
         for v in comp:
@@ -277,14 +336,15 @@ def _tarjan(d: Digraph) -> list[list[int]]:
                     work.append((w, iter(sorted(d.out_neighbors(w)))))
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
             if low[v] == index[v]:
                 comp = []
                 while True:
@@ -298,7 +358,7 @@ def _tarjan(d: Digraph) -> list[list[int]]:
 
 
 def is_strong(d: Digraph) -> bool:
-    return d.n <= 1 or len(_tarjan(d)) == 1
+    return d.n <= 1 or strong_components(d).count == 1
 
 
 def _reach_mask(adj: tuple[int, ...], start_mask: int, allowed: int) -> int:
@@ -325,18 +385,42 @@ def underlying_is_connected(d: Digraph) -> bool:
 
 
 def underlying_is_2connected(d: Digraph) -> bool:
-    """True iff U(d) is connected and has no cut vertex.  Requires n >= 3."""
+    """True iff U(d) is connected and has no cut vertex.  Requires n >= 3.
+
+    One iterative depth-first search from vertex 0 with Hopcroft-Tarjan low
+    points: a non-root vertex p is a cut vertex iff some child v of p has
+    low[v] >= disc[p], and the root iff it has two or more children.
+    """
     if d.n < 3:
         raise InputError("2-connectivity test needs at least 3 vertices")
-    full = (1 << d.n) - 1
-    if _reach_mask(d.adj_mask, 1, full) != full:
-        return False
-    for v in range(d.n):
-        allowed = full & ~(1 << v)
-        start = allowed & -allowed
-        if _reach_mask(d.adj_mask, start, allowed) != allowed:
-            return False
-    return True
+    disc = [-1] * d.n
+    low = [0] * d.n
+    disc[0] = 0
+    counter = 1
+    root_children = 0
+    work = [(0, chain(d._out[0], d._in[0]))]
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if disc[w] == -1:
+                disc[w] = low[w] = counter
+                counter += 1
+                work.append((w, chain(d._out[w], d._in[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            work.pop()
+            if not work:
+                break
+            p = work[-1][0]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if p == 0:
+                root_children += 1
+            elif low[v] >= disc[p]:
+                return False
+    return counter == d.n and root_children == 1
 
 
 def recognize_smd(d: Digraph) -> PartiteStructure | None:
@@ -374,13 +458,38 @@ def recognize_smd(d: Digraph) -> PartiteStructure | None:
 
 
 def recognize_lsd(d: Digraph) -> bool:
-    """True iff every out- and in-neighbourhood induces a semicomplete digraph."""
-    for v in range(d.n):
-        for mask in (d.out_mask[v], d.in_mask[v]):
-            for u in _mask_bits(mask):
-                rest = mask & ~(1 << u)
-                if rest & ~d.adj_mask[u]:
-                    return False
+    """True iff every out- and in-neighbourhood induces a semicomplete digraph.
+
+    Computed once per digraph; later calls return the stored flag.
+    """
+    if d._lsd is None:
+        d._lsd = _locally_semicomplete(d)
+    return d._lsd
+
+
+def _locally_semicomplete(d: Digraph) -> bool:
+    """Check on packed uint64 rows: N+(v) is semicomplete iff
+    out_mask[v] & ~(adj_mask[u] | bit u) == 0 for every arc v->u, and N-(v)
+    likewise with in_mask[v] for every arc u->v.
+
+    Vertex 0 goes first, on Python ints: most non-LSD inputs already fail
+    there, and they skip the packing, which costs a few hundred microseconds
+    even at n=120.  Then all rows are checked in blocks that double from 16
+    rows, each gathering a bounded number of arcs, so peak memory stays a
+    small multiple of the bitmask rows.
+    """
+    for mask in (d.out_mask[0], d.in_mask[0]) if d.n else ():
+        for u in _mask_bits(mask):
+            if mask & ~(d.adj_mask[u] | 1 << u):
+                return False
+    closed = _packed([a | (1 << v) for v, a in enumerate(d.adj_mask)], d.n)
+    degrees = [len(o) + len(i) for o, i in zip(d._out, d._in)]
+    for lo, hi in _row_blocks(degrees, d.n, 16):
+        # the block's out-rows and in-rows, checked in one pass
+        rows = _packed(d.out_mask[lo:hi] + d.in_mask[lo:hi], d.n)
+        v, u = _row_bits(rows)
+        if (rows[v] & ~closed[u]).any():
+            return False
     return True
 
 

@@ -226,7 +226,7 @@ def solve(
         branch=branch,
         elapsed_ms=elapsed,
     )
-    problems = verify_report(d, report)
+    problems = verify_certificate(d, report)
     if problems:
         raise InternalVerificationError(
             "solver emitted an invalid certificate: " + "; ".join(problems)
@@ -235,18 +235,25 @@ def solve(
 
 
 def verify_report(d: Digraph, report: SolveReport) -> list[str]:
-    """Recompute the certificate from scratch; returns failure descriptions.
-
-    An empty list means the report verifies.  Nothing from the solvers is
-    reused: the forward mask and sigma are rebuilt from the walk alone.
-    """
+    """Check the report's digest against d, then its certificate from scratch;
+    returns failure descriptions, and an empty list means the report verifies."""
     problems: list[str] = []
     if report.digest != instance_digest(d):
         problems.append("digest does not match the instance")
+    return problems + verify_certificate(d, report)
+
+
+def verify_certificate(d: Digraph, report: SolveReport) -> list[str]:
+    """Recompute the certificate from scratch; returns failure descriptions.
+
+    Nothing from the solvers is reused: the forward mask and sigma are
+    rebuilt from the walk alone.  The digest is not looked at, so solve(),
+    which has just computed it, runs this part of verify_report alone.
+    """
     if report.status == "none":
         if report.walk is not None or report.forward_mask is not None:
-            problems.append("a 'none' report must not carry a walk")
-        return problems
+            return ["a 'none' report must not carry a walk"]
+        return []
     if report.walk is None or report.sigma is None:
         return ["an 'ok' report needs a walk and a sigma"]
     kind = WalkKind.CYCLE if report.problem == "mfahoc" else WalkKind.PATH
@@ -256,6 +263,7 @@ def verify_report(d: Digraph, report: SolveReport) -> list[str]:
         return [f"walk is invalid: consecutive nonadjacent pair {exc.pair}"]
     except InputError as exc:
         return [f"walk is invalid: {exc}"]
+    problems: list[str] = []
     if walk.sigma_plus != report.sigma:
         problems.append(
             f"sigma mismatch: walk has {walk.sigma_plus} forward arcs, "

@@ -12,8 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, PartiteStructure, build_digraph
+from .digraph import Digraph, PartiteStructure
 from .errors import InputError
+
+# Largest vertex count a parser accepts.  The bitmask rows of a digraph take
+# n * n bits (1.25 GB at this size), so a larger header is refused before
+# anything is allocated per vertex.
+MAX_VERTICES = 100_000
 
 
 class ParseError(InputError):
@@ -52,26 +57,31 @@ def serialize_instance(
             payload["parts"] = [sorted(p) for p in parts.parts]
         return json.dumps(payload) + "\n"
     if fmt == "text":
-        lines = [f"{d.n} {d.m}"]
-        lines += [f"{u} {v}" for u, v in sorted(d.arcs)]
+        labels = [str(v) for v in range(d.n)]
+        chunks = [f"{d.n} {d.m}\n"]
+        for u, label in enumerate(labels):
+            heads = sorted(d.out_neighbors(u))
+            if heads:
+                # the lines "u v" of u's arcs, in increasing v, as one join
+                sep = "\n" + label + " "
+                chunks.append(label + " " + sep.join([labels[v] for v in heads]) + "\n")
         if parts is not None:
-            lines += ["part " + " ".join(str(v) for v in sorted(p)) for p in parts.parts]
-        return "\n".join(lines) + "\n"
+            chunks += ["part " + " ".join(str(v) for v in sorted(p)) + "\n" for p in parts.parts]
+        return "".join(chunks)
     raise InputError(f"unknown format {fmt!r}")
 
 
 def _parse_text(text: str) -> ParsedInstance:
     header: tuple[int, int] | None = None
-    arcs: list[tuple[int, int]] = []
+    arc_lines = 0
     part_rows: list[list[int]] = []
     warnings: list[str] = []
     seen: set[tuple[int, int]] = set()
     declared_m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if header is None:
             if len(fields) != 2:
                 raise ParseError("header must be 'n m'", lineno)
@@ -81,6 +91,10 @@ def _parse_text(text: str) -> ParsedInstance:
                 raise ParseError("header must contain two integers", lineno) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno
+                )
             header = (n, declared_m)
             continue
         if fields[0] == "part":
@@ -89,31 +103,32 @@ def _parse_text(text: str) -> ParsedInstance:
             except ValueError:
                 raise ParseError("part line must list integers", lineno) from None
             continue
-        if len(part_rows):
+        if part_rows:
             raise ParseError("arc lines cannot follow part lines", lineno)
         if len(fields) != 2:
-            raise ParseError(f"expected an arc line 'u v', got {line!r}", lineno)
+            raise ParseError(f"expected an arc line 'u v', got {raw.strip()!r}", lineno)
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise ParseError("arc endpoints must be integers", lineno) from None
-        n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u}, {v}) endpoint out of range 0..{n - 1}", lineno)
         if u == v:
             raise ParseError(f"self-loop ({u}, {v})", lineno)
-        if (u, v) in seen:
+        arc = (u, v)
+        if arc in seen:
             warnings.append(f"line {lineno}: duplicate arc ({u}, {v})")
-        seen.add((u, v))
-        arcs.append((u, v))
+        seen.add(arc)
+        arc_lines += 1
     if header is None:
         raise ParseError("empty instance: missing 'n m' header")
     n, declared_m = header
-    if len(seen) != declared_m and len(arcs) != declared_m:
+    if len(seen) != declared_m and arc_lines != declared_m:
         warnings.append(
-            f"header declares {declared_m} arcs, found {len(arcs)} ({len(seen)} distinct)"
+            f"header declares {declared_m} arcs, found {arc_lines} ({len(seen)} distinct)"
         )
-    d = build_digraph(n, arcs)
+    # every arc in seen is already range- and self-loop-checked
+    d = Digraph(n, frozenset(seen))
     parts = _build_parts(n, part_rows) if part_rows else None
     return ParsedInstance(d, parts, warnings)
 
@@ -128,6 +143,10 @@ def _parse_json(text: str) -> ParsedInstance:
     n = payload["n"]
     if not isinstance(n, int):
         raise ParseError("'n' must be an integer")
+    if n < 0:
+        raise ParseError(f"vertex count must be nonnegative, got {n}")
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     arcs = []
     for i, pair in enumerate(payload["arcs"]):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
@@ -140,7 +159,7 @@ def _parse_json(text: str) -> ParsedInstance:
         if u == v:
             raise ParseError(f"arc #{i} is a self-loop ({u}, {v})")
         arcs.append((u, v))
-    d = build_digraph(n, arcs)
+    d = Digraph(n, frozenset(arcs))
     parts = None
     if payload.get("parts") is not None:
         parts = _build_parts(n, payload["parts"])

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digraph import (
     ComponentDecomposition,
     Digraph,
@@ -48,10 +50,15 @@ class LsdDecomposition:
         return self.ordering.cn
 
 
+def _mask_of(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _dominates(d: Digraph, source, target) -> bool:
-    tmask = 0
-    for v in target:
-        tmask |= 1 << v
+    tmask = _mask_of(target)
     return all(d.out_mask[u] & tmask == tmask for u in source)
 
 
@@ -76,15 +83,16 @@ def lsd_decomposition(d: Digraph) -> LsdDecomposition:
                 f"component {i} does not dominate component {i + 1}"
             )
     for comp in comps:
-        sub, _ = _induced(d, comp)
-        if not is_semicomplete(sub):
+        cmask = _mask_of(comp)
+        if any(d.adj_mask[v] & cmask != cmask & ~(1 << v) for v in comp):
             raise InternalVerificationError("a strong component is not semicomplete")
-    arc_between = [[False] * len(comps) for _ in comps]
-    for u, v in d.arcs:
-        arc_between[dec.cn[u]][dec.cn[v]] = True
+    cn = np.asarray(dec.cn, dtype=np.intp)
+    tails, heads = d.arc_arrays()
+    arc_between = np.zeros((len(comps), len(comps)), dtype=bool)
+    arc_between[cn[tails], cn[heads]] = True
     for i in range(len(comps)):
         for k in range(i + 1, len(comps)):
-            if not arc_between[i][k]:
+            if not arc_between[i, k]:
                 continue
             for j in range(i + 1, k + 1):
                 if not _dominates(d, comps[i], comps[j]):

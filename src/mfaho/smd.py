@@ -31,7 +31,6 @@ from .digraph import (
 from .errors import InputError, InternalVerificationError
 from .factor_flow import (
     SpanningFactor,
-    arc_index,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
     min_cost_assignment,
@@ -111,7 +110,7 @@ def weakly_dominates(
     _check_cycle(d, c2)
     if set(c1) & set(c2):
         raise InputError("cycles overlap")
-    w = int(_witness_matrix(arc_index(d.arcs), parts, (c1, c2))[0, 1])
+    w = int(_witness_matrix(d.arc_arrays(), parts, (c1, c2))[0, 1])
     return None if w < 0 else w
 
 
@@ -226,9 +225,8 @@ def irreducible_ordered_cycle_factor(
     """
     _check_cycle_factor(d, factor)
     cycles = sorted((tuple(c) for c in factor.cycles), key=min)
-    arcs = arc_index(d.arcs) if len(cycles) > 1 else None  # a lone cycle needs none
     while len(cycles) > 1:
-        wit = _witness_matrix(arcs, parts, cycles)
+        wit = _witness_matrix(d.arc_arrays(), parts, cycles)
         unwitnessed = np.triu((wit < 0) & (wit.T < 0))
         if unwitnessed.any():
             merged = _merge_first(d, cycles, zip(*np.nonzero(unwitnessed)))
@@ -414,7 +412,6 @@ def _global_orderable_factor(d: Digraph, parts: PartiteStructure):
     """Desk-scale enumeration of cycle factors until one is a Hamilton cycle
     or admits the dominance order.  Returns None when d has no such factor."""
     n = d.n
-    arcs = arc_index(d.arcs)
     out_sorted = [sorted(d.out_neighbors(v)) for v in range(n)]
     used = [False] * n
     succ = [-1] * n
@@ -434,7 +431,7 @@ def _global_orderable_factor(d: Digraph, parts: PartiteStructure):
             cycles.append(tuple(cyc))
         if len(cycles) == 1:
             return _rotate(cycles[0], min(cycles[0]))
-        wit = _witness_matrix(arcs, parts, cycles)
+        wit = _witness_matrix(d.arc_arrays(), parts, cycles)
         order = _dominance_order(wit)
         return None if order is None else _ordered_factor(cycles, wit, order)
 
@@ -756,7 +753,7 @@ def _cycle_factor_of(d: Digraph) -> SpanningFactor | None:
     """Any cycle factor using only arcs of d, or None."""
     n = d.n
     c = np.full((n, n), np.inf)
-    c[arc_index(d.arcs)] = 0.0
+    c[d.arc_arrays()] = 0.0
     cols = min_cost_assignment(c)
     if cols is None:
         return None

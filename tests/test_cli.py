@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,7 +7,7 @@ from mfaho.cli import main
 from mfaho.digraph import build_digraph
 from mfaho.generate import gen_smd
 from mfaho.harness import SolveReport, classify, solve, verify_report
-from mfaho.instance_io import ParseError, parse_instance, serialize_instance
+from mfaho.instance_io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
 
 
 def test_parse_text_triangle():
@@ -28,6 +29,16 @@ def test_parse_out_of_range_names_line():
 def test_parse_self_loop_is_error():
     with pytest.raises(ParseError, match="self-loop"):
         parse_instance("3 1\n1 1\n")
+
+
+def test_parse_vertex_limit():
+    assert parse_instance(f"{MAX_VERTICES} 0\n").digraph.n == MAX_VERTICES
+    with pytest.raises(ParseError, match="line 2"):
+        parse_instance(f"# comment\n{MAX_VERTICES + 1} 0\n")
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_instance(f'{{"n": {MAX_VERTICES + 1}, "arcs": []}}')
+    with pytest.raises(ParseError, match="nonnegative"):
+        parse_instance('{"n": -1, "arcs": []}')
 
 
 def test_parse_duplicate_arc_is_warning():
@@ -208,6 +219,16 @@ def test_cli_verify_fail_exits_4(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(inst), str(rep))
     assert code == 4
     assert json.loads(out)["verified"] is False
+
+
+def test_cli_hostile_header_exits_3_quickly(tmp_path, capsys):
+    inst = tmp_path / "huge.dg"
+    inst.write_text("1000000000 0\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "classify", str(inst))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "line 1" in err
 
 
 def test_cli_oracle_subcommand(tmp_path, capsys):

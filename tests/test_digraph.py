@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfaho import digraph
 from mfaho.digraph import (
+    Digraph,
     WalkKind,
     build_digraph,
     is_semicomplete,
@@ -13,6 +17,7 @@ from mfaho.digraph import (
     validate_walk,
 )
 from mfaho.errors import InputError, NotAWalkError
+from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -246,3 +251,123 @@ def test_sigma_plus_matches_direct_recount(dw):
 def test_semicomplete_recognizer():
     assert is_semicomplete(build_digraph(3, TRIANGLE))
     assert not is_semicomplete(build_digraph(3, [(0, 1), (1, 2)]))
+
+
+# --- bit-row readers against definitions written pair by pair ---------------
+
+
+def lsd_by_definition(d):
+    """Every out- and in-neighbourhood has all of its pairs adjacent."""
+    for v in range(d.n):
+        for nbhd in (d.out_neighbors(v), d.in_neighbors(v)):
+            for a in nbhd:
+                for b in nbhd:
+                    if a < b and not d.adjacent(a, b):
+                        return False
+    return True
+
+
+def random_digraph(rng, max_n, min_n=0):
+    n = rng.randint(min_n, max_n)
+    p = rng.random()
+    return build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+
+
+def near_miss_lsds(rng, count):
+    """Generated LSDs with one arc removed or one new arc added."""
+    for _ in range(count):
+        if rng.random() < 0.5:
+            d = gen_lsd_strong(rng.randint(3, 20), seed=rng.randrange(10**6), spread=rng.randint(1, 5))
+        else:
+            sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 5))]
+            d = gen_lsd_nonstrong(sizes, seed=rng.randrange(10**6))
+        arcs = set(d.arcs)
+        if rng.random() < 0.5:
+            arcs.discard(rng.choice(sorted(arcs)))
+        else:
+            missing = [(u, v) for u in range(d.n) for v in range(d.n) if u != v and (u, v) not in arcs]
+            if missing:
+                arcs.add(rng.choice(missing))
+        yield build_digraph(d.n, arcs)
+
+
+@pytest.mark.parametrize("block_bytes", [digraph._BLOCK_BYTES, 64])
+def test_recognize_lsd_matches_definition(block_bytes, monkeypatch):
+    # 64 bytes leaves room for one set bit per block, so every block is one row
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(41)
+    cases = [random_digraph(rng, 14) for _ in range(1000)]
+    cases += list(near_miss_lsds(rng, 300))
+    outcomes = [recognize_lsd(d) for d in cases]
+    assert outcomes == [lsd_by_definition(d) for d in cases]
+    assert sum(outcomes) > 200 and len(outcomes) - sum(outcomes) > 200
+
+
+def test_recognize_lsd_answers_from_the_stored_flag(monkeypatch):
+    d = build_digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    calls = []
+    full_check = digraph._locally_semicomplete
+    monkeypatch.setattr(digraph, "_locally_semicomplete", lambda g: calls.append(g) or full_check(g))
+    assert recognize_lsd(d) and recognize_lsd(d)
+    assert calls == [d]
+
+
+@pytest.mark.parametrize("block_bytes", [digraph._BLOCK_BYTES, 16])
+def test_without_vertices_and_arc_arrays_match_arc_filter(block_bytes, monkeypatch):
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(43)
+    for _ in range(300):
+        d = random_digraph(rng, 20)
+        tails, heads = d.arc_arrays()
+        assert list(zip(tails.tolist(), heads.tolist())) == sorted(d.arcs)
+        removed = {v for v in range(d.n) if rng.random() < rng.random()}
+        keep = [v for v in range(d.n) if v not in removed]
+        new_id = {v: i for i, v in enumerate(keep)}
+        expected = Digraph(
+            len(keep),
+            frozenset((new_id[u], new_id[v]) for u, v in d.arcs if u not in removed and v not in removed),
+        )
+        sub, back = d.without_vertices(removed)
+        assert back == keep
+        assert sub == expected
+        assert (sub.out_mask, sub.in_mask) == (expected.out_mask, expected.in_mask)
+
+
+def two_connected_by_definition(d):
+    """U(d) is connected and stays connected after deleting any one vertex."""
+
+    def connected(vertices):
+        if not vertices:
+            return True
+        start = min(vertices)
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for w in d.out_neighbors(v) | d.in_neighbors(v):
+                if w in vertices and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen == vertices
+
+    everything = set(range(d.n))
+    return connected(everything) and all(connected(everything - {v}) for v in range(d.n))
+
+
+def test_2connected_matches_vertex_deletion_definition():
+    rng = random.Random(47)
+    outcomes = []
+    for _ in range(600):
+        n = rng.randint(3, 16)
+        if rng.random() < 0.5:
+            d = random_digraph(rng, n, min_n=3)
+        else:
+            # two random blocks glued at one vertex: a cut vertex, unless
+            # extra arcs across the blocks repair it
+            k = rng.randint(2, n - 1)
+            arcs = [(u, v) for u in range(k) for v in range(k) if u != v and rng.random() < 0.5]
+            arcs += [(u, v) for u in range(k - 1, n) for v in range(k - 1, n) if u != v and rng.random() < 0.5]
+            arcs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+            d = build_digraph(n, [(u, v) for u, v in arcs if u != v])
+        outcomes.append(underlying_is_2connected(d))
+        assert outcomes[-1] == two_connected_by_definition(d)
+    assert 100 < sum(outcomes) < len(outcomes) - 100

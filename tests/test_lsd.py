@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
+from mfaho import digraph, harness
 from mfaho.digraph import (
+    Digraph,
     WalkKind,
     build_digraph,
     is_strong,
@@ -257,3 +260,30 @@ def test_lower_bound_on_oriented_component_paths():
         for s in first:
             extend([s], 0)
     assert checked >= 15
+
+
+@pytest.mark.parametrize(
+    "problem, branch", [("mfahoc", "lsd-nonstrong-2connected"), ("mfahop", "lsd-path")]
+)
+def test_solve_classifies_a_nonstrong_lsd_once(problem, branch, monkeypatch):
+    g = gen_lsd_nonstrong((4, 5, 3, 4), seed=1, reach_prob=0.2)
+    d = Digraph(g.n, g.arcs)  # the generator's recognizer calls filled g's caches
+    calls = Counter()
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key(args)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(digraph, "_tarjan", lambda args: "tarjan on d" if args[0] is d else "tarjan on a subdigraph")
+    counted(digraph, "_locally_semicomplete", lambda args: "lsd check")
+    counted(harness, "instance_digest", lambda args: "digest")
+    report = harness.solve(d, problem)
+    assert (report.detected_class, report.branch) == ("lsd", branch)
+    assert calls["tarjan on d"] == 1
+    assert calls["lsd check"] == 1
+    assert calls["digest"] == 1
