@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from operator import or_
 
@@ -21,8 +22,8 @@ from .errors import InputError, NotAWalkError
 
 _bit = (1).__lshift__
 
-# Cap, in bytes, on the unpacked bit rows or gathered words that one block of
-# the bit-row scans holds, so their peak memory is independent of n.
+# Cap, in bytes, on the packed rows and unpacked words charged to one block
+# of a bit-row scan (see _row_blocks).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -49,9 +50,9 @@ class Digraph:
             inn[v].append(u)
         self._out = tuple(map(frozenset, out))
         self._in = tuple(map(frozenset, inn))
-        # arcs holds no pair twice, so summing the bits of a row is OR-ing them
-        self.out_mask = tuple(sum(map(_bit, row)) for row in out)
-        self.in_mask = tuple(sum(map(_bit, row)) for row in inn)
+        # arcs holds no pair twice, so every row lists distinct vertices
+        self.out_mask = tuple(map(_mask_of, out))
+        self.in_mask = tuple(map(_mask_of, inn))
         self.adj_mask = tuple(map(or_, self.out_mask, self.in_mask))
         self._lsd: bool | None = None
         self._components: ComponentDecomposition | None = None
@@ -101,14 +102,14 @@ class Digraph:
         so the cost follows the arcs kept, not all m arcs.
         """
         keep = [v for v in range(self.n) if v not in removed]
-        kept = sum(map(_bit, keep))
-        rows = [self.out_mask[v] & kept for v in keep]
+        kept = _mask_of(keep)
         label = np.full(self.n, -1, dtype=np.intp)
         label[keep] = np.arange(len(keep))
         arcs: list[tuple[int, int]] = []
-        for lo, hi in _row_blocks([row.bit_count() for row in rows], self.n, len(keep)):
-            tails, heads = _row_bits(_packed(rows[lo:hi], self.n))
-            arcs += zip((tails + lo).tolist(), label[heads].tolist())
+        rows = (self.out_mask[v] & kept for v in keep)
+        for index, block in _row_blocks(rows, self.n):
+            r, heads = _row_bits(block)
+            arcs += zip(index[r].tolist(), label[heads].tolist())
         return Digraph(len(keep), frozenset(arcs)), keep
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,20 +119,27 @@ class Digraph:
         """
         if self._arc_arrays is None:
             tails, heads = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-            for lo, hi in _row_blocks(list(map(len, self._out)), self.n, self.n):
-                t, h = _row_bits(_packed(self.out_mask[lo:hi], self.n))
-                tails.append(t + lo)
+            for index, block in _row_blocks(self.out_mask, self.n):
+                r, h = _row_bits(block)
+                tails.append(index[r])
                 heads.append(h)
             self._arc_arrays = (np.concatenate(tails), np.concatenate(heads))
         return self._arc_arrays
 
 
-def _packed(masks, n: int) -> np.ndarray:
+def _mask_of(vertices) -> int:
+    """Bitmask of distinct vertices (summing distinct bits is OR-ing them)."""
+    return sum(map(_bit, vertices))
+
+
+def _packed(masks: list[int], n: int) -> np.ndarray:
     """Bitmask rows as a (rows, ceil(n/64)) uint64 array; bit v of a row is
     bit v % 64 of word v // 64."""
-    words = (n + 63) // 64
-    buf = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
+    width = 8 * ((n + 63) // 64)
+    buf = bytearray(width * len(masks))
+    for i, mask in enumerate(masks):
+        buf[i * width:(i + 1) * width] = mask.to_bytes(width, "little")
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), width // 8)
 
 
 def _row_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,23 +154,32 @@ def _row_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r[i], 64 * w[i] + b
 
 
-def _row_blocks(degrees: list[int], n: int, first: int):
-    """Consecutive row ranges [lo, hi) for a bit-row scan.
+def _row_blocks(masks, n: int):
+    """Pack the nonzero bitmask rows of an iterable in consecutive blocks.
 
-    Range lengths double from `first`.  A range of more than one row holds
-    no more set bits (by `degrees`) than fit in _BLOCK_BYTES at 64 bytes of
-    unpacked word plus one gathered n-bit row per bit.
+    Yields (index, rows): the positions of the block's rows in `masks` and
+    the rows packed by _packed.  Zero rows are skipped.  Each row is charged
+    its packed width plus 128 bytes per set bit (the unpacked word and the
+    index arrays _row_bits builds), and a block of more than one row holds
+    no more than _BLOCK_BYTES, so a scan's working memory beyond the bits it
+    reports does not grow with n.
     """
-    cap = max(1, _BLOCK_BYTES // (64 + 8 * ((n + 63) // 64)))
-    lo, size = 0, max(1, first)
-    while lo < len(degrees):
-        hi, total = lo + 1, degrees[lo]
-        stop = min(len(degrees), lo + size)
-        while hi < stop and total + degrees[hi] <= cap:
-            total += degrees[hi]
-            hi += 1
-        yield lo, hi
-        lo, size = hi, 2 * size
+    row_bytes = 8 * ((n + 63) // 64)
+    index: list[int] = []
+    block: list[int] = []
+    used = 0
+    for i, mask in enumerate(masks):
+        if not mask:
+            continue
+        cost = row_bytes + 128 * mask.bit_count()
+        if block and used + cost > _BLOCK_BYTES:
+            yield np.array(index, dtype=np.intp), _packed(block, n)
+            index, block, used = [], [], 0
+        index.append(i)
+        block.append(mask)
+        used += cost
+    if block:
+        yield np.array(index, dtype=np.intp), _packed(block, n)
 
 
 def build_digraph(n: int, arcs) -> Digraph:
@@ -290,6 +307,8 @@ def validate_walk(d: Digraph, seq, kind: WalkKind) -> OrientedHamWalk:
 def strong_components(d: Digraph) -> ComponentDecomposition:
     """Strong components, ordered so that all inter-component arcs go forward.
 
+    Where several such orders exist (only when the condensation is not a
+    path, so never for a connected LSD), which one comes back is unspecified.
     Computed once per digraph; later calls return the stored decomposition.
     """
     if d._components is None:
@@ -468,27 +487,21 @@ def recognize_lsd(d: Digraph) -> bool:
 
 
 def _locally_semicomplete(d: Digraph) -> bool:
-    """Check on packed uint64 rows: N+(v) is semicomplete iff
-    out_mask[v] & ~(adj_mask[u] | bit u) == 0 for every arc v->u, and N-(v)
-    likewise with in_mask[v] for every arc u->v.
+    """Check on the bitmask rows, one vertex u at a time.
 
-    Vertex 0 goes first, on Python ints: most non-LSD inputs already fail
-    there, and they skip the packing, which costs a few hundred microseconds
-    even at n=120.  Then all rows are checked in blocks that double from 16
-    rows, each gathering a bounded number of arcs, so peak memory stays a
-    small multiple of the bitmask rows.
+    N+(v) is semicomplete iff out_mask[v] & ~(adj_mask[u] | bit u) == 0 for
+    every arc v->u.  Grouping those arcs by their head u, that is: the union
+    of out_mask[v] over v in N-(u) lies inside adj_mask[u] | bit u; and N-(v)
+    likewise with the union of in_mask[v] over v in N+(u).  The unions take
+    m whole-row ORs in all, the check holds no more than two rows at a time,
+    and it stops at the first head whose union reaches outside.
     """
-    for mask in (d.out_mask[0], d.in_mask[0]) if d.n else ():
-        for u in _mask_bits(mask):
-            if mask & ~(d.adj_mask[u] | 1 << u):
-                return False
-    closed = _packed([a | (1 << v) for v, a in enumerate(d.adj_mask)], d.n)
-    degrees = [len(o) + len(i) for o, i in zip(d._out, d._in)]
-    for lo, hi in _row_blocks(degrees, d.n, 16):
-        # the block's out-rows and in-rows, checked in one pass
-        rows = _packed(d.out_mask[lo:hi] + d.in_mask[lo:hi], d.n)
-        v, u = _row_bits(rows)
-        if (rows[v] & ~closed[u]).any():
+    out_mask, in_mask = d.out_mask, d.in_mask
+    for u in range(d.n):
+        outside = ~(d.adj_mask[u] | 1 << u)
+        if reduce(or_, map(out_mask.__getitem__, d._in[u]), 0) & outside:
+            return False
+        if reduce(or_, map(in_mask.__getitem__, d._out[u]), 0) & outside:
             return False
     return True
 

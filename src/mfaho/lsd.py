@@ -16,6 +16,7 @@ from .digraph import (
     ComponentDecomposition,
     Digraph,
     WalkKind,
+    _mask_of,
     is_semicomplete,
     is_strong,
     recognize_lsd,
@@ -48,13 +49,6 @@ class LsdDecomposition:
     @property
     def cn(self):
         return self.ordering.cn
-
-
-def _mask_of(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _dominates(d: Digraph, source, target) -> bool:

@@ -1,5 +1,7 @@
 import json
-import time
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +34,8 @@ def test_parse_self_loop_is_error():
 
 
 def test_parse_vertex_limit():
+    # checked first: the boundary case below builds a digraph of that size
+    assert MAX_VERTICES == 100_000
     assert parse_instance(f"{MAX_VERTICES} 0\n").digraph.n == MAX_VERTICES
     with pytest.raises(ParseError, match="line 2"):
         parse_instance(f"# comment\n{MAX_VERTICES + 1} 0\n")
@@ -221,14 +225,31 @@ def test_cli_verify_fail_exits_4(tmp_path, capsys):
     assert json.loads(out)["verified"] is False
 
 
-def test_cli_hostile_header_exits_3_quickly(tmp_path, capsys):
+# Runs `main` in a child process capped at 4 GB of address space, so a parser
+# that did allocate per vertex fails this test instead of exhausting memory.
+# The child prints how long `main` took.
+_CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from mfaho.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def test_cli_hostile_header_exits_3_quickly(tmp_path):
     inst = tmp_path / "huge.dg"
     inst.write_text("1000000000 0\n")
-    start = time.perf_counter()
-    code, _, err = run_cli(capsys, "classify", str(inst))
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert "line 1" in err
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "classify", str(inst)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "line 1" in proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1.0
 
 
 def test_cli_oracle_subcommand(tmp_path, capsys):

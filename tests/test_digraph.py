@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from mfaho.digraph import (
 )
 from mfaho.errors import InputError, NotAWalkError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
+from mfaho.instance_io import MAX_VERTICES
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -291,10 +293,7 @@ def near_miss_lsds(rng, count):
         yield build_digraph(d.n, arcs)
 
 
-@pytest.mark.parametrize("block_bytes", [digraph._BLOCK_BYTES, 64])
-def test_recognize_lsd_matches_definition(block_bytes, monkeypatch):
-    # 64 bytes leaves room for one set bit per block, so every block is one row
-    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block_bytes)
+def test_recognize_lsd_matches_definition():
     rng = random.Random(41)
     cases = [random_digraph(rng, 14) for _ in range(1000)]
     cases += list(near_miss_lsds(rng, 300))
@@ -312,7 +311,9 @@ def test_recognize_lsd_answers_from_the_stored_flag(monkeypatch):
     assert calls == [d]
 
 
-@pytest.mark.parametrize("block_bytes", [digraph._BLOCK_BYTES, 16])
+# the default cap packs all rows of these small digraphs in one block, 400
+# bytes a few rows, and 1 byte one row per block
+@pytest.mark.parametrize("block_bytes", [digraph._BLOCK_BYTES, 400, 1])
 def test_without_vertices_and_arc_arrays_match_arc_filter(block_bytes, monkeypatch):
     monkeypatch.setattr(digraph, "_BLOCK_BYTES", block_bytes)
     rng = random.Random(43)
@@ -331,6 +332,62 @@ def test_without_vertices_and_arc_arrays_match_arc_filter(block_bytes, monkeypat
         assert back == keep
         assert sub == expected
         assert (sub.out_mask, sub.in_mask) == (expected.out_mask, expected.in_mask)
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while fn runs, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def mask_row_bytes(d):
+    return sum((mask.bit_length() + 7) // 8 for rows in (d.out_mask, d.in_mask, d.adj_mask) for mask in rows)
+
+
+def edgeless_max():
+    return Digraph(MAX_VERTICES, frozenset())
+
+
+def long_path():
+    return Digraph(3000, frozenset((v, v + 1) for v in range(2999)))
+
+
+def in_star():
+    return Digraph(3000, frozenset((v, 0) for v in range(1, 3000)))
+
+
+def out_star():
+    return Digraph(3000, frozenset((0, v) for v in range(1, 3000)))
+
+
+def lone_digon():
+    return Digraph(3000, frozenset({(0, 1), (1, 0)}))
+
+
+@pytest.mark.parametrize(
+    "make, is_lsd",
+    [(edgeless_max, True), (long_path, True), (in_star, False), (out_star, False), (lone_digon, True)],
+)
+def test_bit_row_readers_stay_within_the_mask_rows(make, is_lsd, monkeypatch):
+    # Packing every row at its full width would take n*n/8 bytes: 1.25 GB
+    # for the edgeless digraph, and 1.1 MB at n=3000, where the stars and
+    # the digon have almost only empty or one-bit rows.
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", 4096)
+    d = make()
+    budget = 2 * mask_row_bytes(d) + 4 * digraph._BLOCK_BYTES + 64 * d.n + 32 * d.m
+    assert traced_peak(lambda: recognize_lsd(d)) < budget
+    assert traced_peak(d.arc_arrays) < budget
+    assert recognize_lsd(d) == is_lsd
+    assert list(zip(*(a.tolist() for a in d.arc_arrays()))) == sorted(d.arcs)
+    if d.n <= 3000:
+        sub, _ = d.without_vertices({1})
+        rebuild = traced_peak(lambda: Digraph(sub.n, frozenset(sub.arcs)))
+        assert traced_peak(lambda: d.without_vertices({1})) < rebuild + budget + 128 * d.m
 
 
 def two_connected_by_definition(d):
