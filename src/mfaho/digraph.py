@@ -2,10 +2,12 @@
 
 Vertices are dense integers 0..n-1.  A digon is the ordered pair (u,v) together
 with (v,u); self-loops and parallel copies of the same ordered pair are never
-stored.  A digraph never changes after construction.  The facts derived from
-it (local semicompleteness, the strong components, the arc index arrays) are
-computed on first use and kept on the object; each is a pure function of the
-arcs, so concurrent callers can at worst compute one twice.
+stored.  A digraph is stored once, as integer bitmask rows, and never changes
+after construction; arc queries, the arc set and the neighbour lists are read
+from the rows.  The facts derived from it (local semicompleteness, the strong
+components, the arc index arrays) are computed on first use and kept on the
+object; each is a pure function of the rows, so concurrent callers can at
+worst compute one twice.
 """
 
 from __future__ import annotations
@@ -28,71 +30,73 @@ _BLOCK_BYTES = 1 << 20
 
 
 class Digraph:
-    """A digraph on vertices 0..n-1 with O(1) adjacency queries.
+    """A digraph on vertices 0..n-1, stored as bitmask rows.
 
-    Besides out/in neighbour sets, every vertex carries integer bitmasks of its
-    out-, in- and undirected neighbourhoods; the recognizers and connectivity
-    tests work on those masks.
+    Bit v of out_mask[u] is set iff u->v is an arc; in_mask is the reverse
+    and adj_mask[u] = out_mask[u] | in_mask[u] is the neighbourhood of u in
+    the underlying graph.  Everything else is derived from these rows.
     """
 
-    __slots__ = (
-        "n", "arcs", "_out", "_in", "out_mask", "in_mask", "adj_mask",
-        "_lsd", "_components", "_arc_arrays",
-    )
+    __slots__ = ("n", "out_mask", "in_mask", "adj_mask", "_lsd", "_components", "_arc_arrays")
 
-    def __init__(self, n: int, arcs: frozenset[tuple[int, int]]):
-        self.n = n
-        self.arcs = arcs
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arcs:
-            out[u].append(v)
-            inn[v].append(u)
-        self._out = tuple(map(frozenset, out))
-        self._in = tuple(map(frozenset, inn))
-        # arcs holds no pair twice, so every row lists distinct vertices
-        self.out_mask = tuple(map(_mask_of, out))
-        self.in_mask = tuple(map(_mask_of, inn))
-        self.adj_mask = tuple(map(or_, self.out_mask, self.in_mask))
-        self._lsd: bool | None = None
-        self._components: ComponentDecomposition | None = None
-        self._arc_arrays: tuple[np.ndarray, np.ndarray] | None = None
+    def __init__(self, n: int, arcs):
+        """Build from ordered pairs of vertices 0..n-1, no self-loops; a
+        repeated pair is stored once."""
+        _set_rows(self, n, [0] * n, [0] * n, arcs)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return self.out_mask[u] >> v & 1 == 1
 
     def adjacent(self, u: int, v: int) -> bool:
         """True iff u and v are joined in the underlying graph."""
-        return (u, v) in self.arcs or (v, u) in self.arcs
+        return self.adj_mask[u] >> v & 1 == 1
 
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return self._out[v]
+    def out_neighbors(self, v: int) -> list[int]:
+        """The out-neighbours of v in increasing order, read from its row."""
+        return _mask_bits(self.out_mask[v])
 
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return self._in[v]
+    def in_neighbors(self, v: int) -> list[int]:
+        """The in-neighbours of v in increasing order, read from its row."""
+        return _mask_bits(self.in_mask[v])
+
+    def out_lists(self):
+        """Iterator over the sorted out-neighbour lists of 0..n-1."""
+        tails, heads = self.arc_arrays()
+        return _grouped(tails, heads, self.n)
+
+    def in_lists(self):
+        """Iterator over the sorted in-neighbour lists of 0..n-1."""
+        tails, heads = self.arc_arrays()
+        return _grouped(heads, tails[np.argsort(heads, kind="stable")], self.n)
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """All arcs as (tail, head) pairs, built from the arc arrays on each access."""
+        tails, heads = self.arc_arrays()
+        return frozenset(zip(tails.tolist(), heads.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.arcs)
+        return sum(map(int.bit_count, self.out_mask))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
+        return isinstance(other, Digraph) and self.n == other.n and self.out_mask == other.out_mask
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.out_mask))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
 
-    def with_arc(self, u: int, v: int) -> "Digraph":
-        """A copy with arc (u,v) added (no-op if already present)."""
-        if (u, v) in self.arcs:
-            return self
-        return Digraph(self.n, self.arcs | {(u, v)})
+    def with_arcs(self, pairs) -> "Digraph":
+        """A copy with the given arcs added, made by OR-ing their bits into
+        copied rows; it inherits none of this digraph's stored facts.  A pair
+        naming a vertex >= n adds the vertices up to it."""
+        pairs = list(pairs)
+        grow = [0] * (max(self.n, 1 + max(map(max, pairs), default=-1)) - self.n)
+        d = Digraph.__new__(Digraph)
+        _set_rows(d, self.n + len(grow), [*self.out_mask, *grow], [*self.in_mask, *grow], pairs)
+        return d
 
     def without_vertices(self, removed: set[int]) -> tuple["Digraph", list[int]]:
         """Induced subdigraph on V minus `removed`, relabelled densely.
@@ -110,7 +114,7 @@ class Digraph:
         for index, block in _row_blocks(rows, self.n):
             r, heads = _row_bits(block)
             arcs += zip(index[r].tolist(), label[heads].tolist())
-        return Digraph(len(keep), frozenset(arcs)), keep
+        return Digraph(len(keep), arcs), keep
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads) index arrays of all arcs, ordered by tail then head.
@@ -125,6 +129,25 @@ class Digraph:
                 heads.append(h)
             self._arc_arrays = (np.concatenate(tails), np.concatenate(heads))
         return self._arc_arrays
+
+
+def _set_rows(d: Digraph, n: int, out: list[int], inn: list[int], arcs) -> None:
+    """Store the rows out and inn, with the bits of arcs added, on d."""
+    for u, v in arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    d.n = n
+    d.out_mask, d.in_mask = tuple(out), tuple(inn)
+    d.adj_mask = tuple(map(or_, out, inn))
+    d._lsd = d._components = d._arc_arrays = None
+
+
+def _grouped(keys: np.ndarray, values: np.ndarray, n: int):
+    """The list of values paired with each key 0..n-1 (values ordered by
+    key), cut one at a time so that only one list is held at once."""
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    for a, b in zip([0, *ends], ends):
+        yield values[a:b].tolist()
 
 
 def _mask_of(vertices) -> int:
@@ -198,7 +221,7 @@ def build_digraph(n: int, arcs) -> Digraph:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
         clean.add((u, v))
-    return Digraph(n, frozenset(clean))
+    return Digraph(n, clean)
 
 
 @dataclass(frozen=True)
@@ -335,10 +358,11 @@ def _tarjan(d: Digraph) -> list[list[int]]:
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
+    out = list(d.out_lists())
     for root in range(d.n):
         if index[root] != -1:
             continue
-        work = [(root, iter(sorted(d.out_neighbors(root))))]
+        work = [(root, iter(out[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -352,7 +376,7 @@ def _tarjan(d: Digraph) -> list[list[int]]:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(sorted(d.out_neighbors(w)))))
+                    work.append((w, iter(out[w])))
                     advanced = True
                     break
                 if on_stack[w] and index[w] < low[v]:
@@ -417,14 +441,15 @@ def underlying_is_2connected(d: Digraph) -> bool:
     disc[0] = 0
     counter = 1
     root_children = 0
-    work = [(0, chain(d._out[0], d._in[0]))]
+    out, inn = list(d.out_lists()), list(d.in_lists())
+    work = [(0, chain(out[0], inn[0]))]
     while work:
         v, it = work[-1]
         for w in it:
             if disc[w] == -1:
                 disc[w] = low[w] = counter
                 counter += 1
-                work.append((w, chain(d._out[w], d._in[w])))
+                work.append((w, chain(out[w], inn[w])))
                 break
             if disc[w] < low[v]:
                 low[v] = disc[w]
@@ -492,17 +517,13 @@ def _locally_semicomplete(d: Digraph) -> bool:
     N+(v) is semicomplete iff out_mask[v] & ~(adj_mask[u] | bit u) == 0 for
     every arc v->u.  Grouping those arcs by their head u, that is: the union
     of out_mask[v] over v in N-(u) lies inside adj_mask[u] | bit u; and N-(v)
-    likewise with the union of in_mask[v] over v in N+(u).  The unions take
-    m whole-row ORs in all, the check holds no more than two rows at a time,
-    and it stops at the first head whose union reaches outside.
+    likewise with the union of in_mask[v] over v in N+(u).  That is m
+    whole-row ORs, and the check stops at the first union reaching outside.
     """
-    out_mask, in_mask = d.out_mask, d.in_mask
-    for u in range(d.n):
-        outside = ~(d.adj_mask[u] | 1 << u)
-        if reduce(or_, map(out_mask.__getitem__, d._in[u]), 0) & outside:
-            return False
-        if reduce(or_, map(in_mask.__getitem__, d._out[u]), 0) & outside:
-            return False
+    for rows, lists in ((d.in_mask, d.out_lists), (d.out_mask, d.in_lists)):
+        for u, nbrs in enumerate(lists()):
+            if reduce(or_, map(rows.__getitem__, nbrs), 0) & ~(d.adj_mask[u] | 1 << u):
+                return False
     return True
 
 

@@ -1,18 +1,21 @@
-"""Symmetric (0,1)-digraph construction and optimal factor computation.
+"""The symmetric (0,1)-digraph and optimal factor computation.
 
-Both factor problems reduce to a square assignment after splitting every
-vertex into an out-copy (row) and an in-copy (column): a perfect matching in
-that bipartite graph is exactly a successor function, i.e. a spanning set of
-disjoint cycles.  The one-path variant adds a source row and a sink column.
-Costs are swapped (0 <-> 1) first, so a minimum-cost assignment corresponds
-to a maximum-cost factor.  Missing arcs are +inf cells, and the assignment
-itself is scipy's linear_sum_assignment behind min_cost_assignment.
+The symmetric (0,1)-digraph of d costs 1 on every arc of d and 0 on the
+reverse of every one-way arc.  It is fully determined by d, so it is a view
+of d: costs are read from d's bitmask rows and the assignment matrix from
+d's arc arrays.  Both factor problems reduce to a square assignment after
+splitting every vertex into an out-copy (row) and an in-copy (column): a
+perfect matching in that bipartite graph is exactly a successor function,
+i.e. a spanning set of disjoint cycles.  The one-path variant adds a source
+row and a sink column.  Costs are swapped (0 <-> 1) first, so a minimum-cost
+assignment corresponds to a maximum-cost factor.  Missing arcs are +inf
+cells, and the assignment itself is scipy's linear_sum_assignment behind
+min_cost_assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -22,14 +25,22 @@ from .errors import InputError, InternalVerificationError
 
 @dataclass(frozen=True)
 class CostDigraph:
-    """A digraph together with per-arc costs in {0, 1}."""
+    """The symmetric (0,1)-digraph of base, read off base itself."""
 
     base: Digraph
-    cost: dict[tuple[int, int], int]
 
     @property
     def n(self) -> int:
         return self.base.n
+
+    def cost(self, u: int, v: int) -> int | None:
+        """1 for an arc u->v of base, 0 when only v->u is one, None when u
+        and v are not adjacent (no arc)."""
+        if self.base.has_arc(u, v):
+            return 1
+        if self.base.has_arc(v, u):
+            return 0
+        return None
 
 
 @dataclass(frozen=True)
@@ -44,10 +55,6 @@ class SpanningFactor:
     cycles: tuple[tuple[int, ...], ...]
     cost: int
 
-    @property
-    def is_cycle_factor(self) -> bool:
-        return self.path is None
-
     def arcs(self):
         if self.path is not None:
             for i in range(len(self.path) - 1):
@@ -59,33 +66,17 @@ class SpanningFactor:
 
 def symmetric_01(d: Digraph) -> CostDigraph:
     """Cost 1 on every arc of d, plus a cost-0 reverse for each one-way arc."""
-    cost: dict[tuple[int, int], int] = {}
-    arcs = set()
-    for u, v in d.arcs:
-        arcs.add((u, v))
-        cost[(u, v)] = 1
-        if (v, u) not in d.arcs:
-            arcs.add((v, u))
-            cost[(v, u)] = 0
-    return CostDigraph(Digraph(d.n, frozenset(arcs)), cost)
+    return CostDigraph(d)
 
 
-def arc_index(arcs) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of a collection of arcs, for one fancy-index fill."""
-    flat = np.fromiter(chain.from_iterable(arcs), dtype=np.intp, count=2 * len(arcs))
-    return flat[0::2], flat[1::2]
-
-
-def min_cost_assignment(
-    cost_matrix: np.ndarray, forbidden: np.ndarray | None = None
-) -> list[int] | None:
-    """Minimum-cost perfect matching on a square matrix with forbidden cells.
+def min_cost_assignment(cost_matrix: np.ndarray) -> list[int] | None:
+    """Minimum-cost perfect matching on a square matrix.
 
     Returns cols such that cols[row] is the matched column, or None when no
-    perfect matching avoids the forbidden cells.  Cells equal to +inf count as
-    forbidden; NaN and -inf cells are rejected.  The matching is scipy's
-    linear_sum_assignment, imported on first use so that importing mfaho
-    does not load scipy.optimize.
+    perfect matching avoids the +inf cells, which count as forbidden; NaN and
+    -inf cells are rejected.  The matching is scipy's linear_sum_assignment,
+    imported on first use so that importing mfaho does not load
+    scipy.optimize.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -94,8 +85,6 @@ def min_cost_assignment(
         raise InputError("cost matrix must be square")
     if np.isnan(c).any() or np.isneginf(c).any():
         raise InputError("cost matrix has NaN or -inf entries")
-    if forbidden is not None:
-        c = np.where(np.asarray(forbidden, dtype=bool), np.inf, c)
     if c.shape[0] == 0:
         return []
     try:
@@ -110,16 +99,18 @@ def min_cost_assignment(
 def _solve_swapped(h: CostDigraph, with_path: bool) -> list[int] | None:
     """Successor list of an optimal factor, via the swapped-cost assignment.
 
-    Rows are out-copies, columns in-copies; with_path adds source row n and
-    sink column n, with the (source, sink) cell forbidden so the path is
-    nonempty.  Returns succ with succ[v] over 0..n-1 plus, when with_path,
-    succ[n] for the path start and succ[v] == n for the path end.
+    Rows are out-copies, columns in-copies, and the swapped cost of an arc
+    is 1 minus its cost; with_path adds source row n and sink column n, with
+    the (source, sink) cell forbidden so the path is nonempty.  Returns succ
+    with succ[v] over 0..n-1 plus, when with_path, succ[n] for the path start
+    and succ[v] == n for the path end.
     """
     n = h.n
     size = n + 1 if with_path else n
+    tails, heads = h.base.arc_arrays()
     c = np.full((size, size), np.inf)
-    m = len(h.cost)
-    c[arc_index(h.cost)] = 1 - np.fromiter(h.cost.values(), dtype=float, count=m)
+    c[heads, tails] = 1.0  # reverse arcs; a digon's is overwritten next
+    c[tails, heads] = 0.0
     if with_path:
         c[n, :n] = 0.0
         c[:n, n] = 0.0
@@ -159,7 +150,7 @@ def _decompose(succ: list[int], n: int, with_path: bool) -> SpanningFactor:
 
 
 def _with_cost(h: CostDigraph, f: SpanningFactor) -> SpanningFactor:
-    total = sum(h.cost[a] for a in f.arcs())
+    total = sum(h.cost(u, v) for u, v in f.arcs())
     return SpanningFactor(f.path, f.cycles, total)
 
 
@@ -174,9 +165,10 @@ def verify_factor(h: CostDigraph, f: SpanningFactor) -> None:
         raise InternalVerificationError("factor does not partition the vertex set")
     total = 0
     for a in f.arcs():
-        if a not in h.cost:
+        cost = h.cost(*a)
+        if cost is None:
             raise InternalVerificationError(f"factor uses missing arc {a}")
-        total += h.cost[a]
+        total += cost
     if total != f.cost:
         raise InternalVerificationError("factor cost does not re-sum")
 

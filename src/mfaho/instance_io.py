@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .digraph import Digraph, PartiteStructure
 from .errors import InputError
 
@@ -52,15 +54,14 @@ def serialize_instance(
     d: Digraph, parts: PartiteStructure | None = None, fmt: str = "text"
 ) -> str:
     if fmt == "json":
-        payload: dict = {"n": d.n, "arcs": [list(a) for a in sorted(d.arcs)]}
+        payload: dict = {"n": d.n, "arcs": np.column_stack(d.arc_arrays()).tolist()}
         if parts is not None:
             payload["parts"] = [sorted(p) for p in parts.parts]
         return json.dumps(payload) + "\n"
     if fmt == "text":
         labels = [str(v) for v in range(d.n)]
         chunks = [f"{d.n} {d.m}\n"]
-        for u, label in enumerate(labels):
-            heads = sorted(d.out_neighbors(u))
+        for label, heads in zip(labels, d.out_lists()):
             if heads:
                 # the lines "u v" of u's arcs, in increasing v, as one join
                 sep = "\n" + label + " "
@@ -128,7 +129,7 @@ def _parse_text(text: str) -> ParsedInstance:
             f"header declares {declared_m} arcs, found {arc_lines} ({len(seen)} distinct)"
         )
     # every arc in seen is already range- and self-loop-checked
-    d = Digraph(n, frozenset(seen))
+    d = Digraph(n, seen)
     parts = _build_parts(n, part_rows) if part_rows else None
     return ParsedInstance(d, parts, warnings)
 
@@ -159,7 +160,7 @@ def _parse_json(text: str) -> ParsedInstance:
         if u == v:
             raise ParseError(f"arc #{i} is a self-loop ({u}, {v})")
         arcs.append((u, v))
-    d = Digraph(n, frozenset(arcs))
+    d = Digraph(n, arcs)
     parts = None
     if payload.get("parts") is not None:
         parts = _build_parts(n, payload["parts"])

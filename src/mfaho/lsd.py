@@ -16,6 +16,7 @@ from .digraph import (
     ComponentDecomposition,
     Digraph,
     WalkKind,
+    _mask_bits,
     _mask_of,
     is_semicomplete,
     is_strong,
@@ -54,11 +55,6 @@ class LsdDecomposition:
 def _dominates(d: Digraph, source, target) -> bool:
     tmask = _mask_of(target)
     return all(d.out_mask[u] & tmask == tmask for u in source)
-
-
-def _induced(d: Digraph, vertices) -> tuple[Digraph, list[int]]:
-    removed = set(range(d.n)) - set(vertices)
-    return d.without_vertices(removed)
 
 
 def lsd_decomposition(d: Digraph) -> LsdDecomposition:
@@ -110,13 +106,17 @@ def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:
         raise InputError("digraph is not semicomplete")
     if not is_strong(d):
         raise InputError("digraph is not strong")
-    if d.n == 2:
-        return (0, 1)
-    cycle = _short_cycle_semicomplete(d)
-    in_cycle = 0
-    for v in cycle:
-        in_cycle |= 1 << v
-    outside = sorted(set(range(d.n)) - set(cycle))
+    return _ham_cycle_semicomplete(d, tuple(range(d.n)))
+
+
+def _ham_cycle_semicomplete(d: Digraph, comp: tuple[int, ...]) -> tuple[int, ...]:
+    """The same on the strong semicomplete subdigraph induced by comp, an
+    increasing tuple of at least 2 vertices, without copying it."""
+    if len(comp) == 2:
+        return comp
+    cycle = _short_cycle_semicomplete(d, comp)
+    in_cycle = _mask_of(cycle)
+    outside = [v for v in comp if not in_cycle >> v & 1]
     while outside:
         pick = None
         for v in outside:
@@ -141,14 +141,12 @@ def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:
         # every outside vertex is one-sided; strongness forces an arc from the
         # dominated side to the dominating side
         receivers = [v for v in outside if not d.out_mask[v] & in_cycle]
-        senders = {v for v in outside if not d.in_mask[v] & in_cycle}
+        senders = _mask_of(v for v in outside if not d.in_mask[v] & in_cycle)
         pair = None
         for x in receivers:
-            for y in sorted(d.out_neighbors(x)):
-                if y in senders:
-                    pair = (x, y)
-                    break
-            if pair:
+            hits = d.out_mask[x] & senders
+            if hits:
+                pair = (x, (hits & -hits).bit_length() - 1)
                 break
         if pair is None:
             raise InternalVerificationError("outside classes admit no linking arc")
@@ -160,16 +158,20 @@ def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:
     return tuple(cycle)
 
 
-def _short_cycle_semicomplete(d: Digraph) -> list[int]:
-    for u, v in sorted(d.arcs):
-        if u < v and d.has_arc(v, u):
-            return [u, v]
-    for v in range(d.n):
-        ins = d.in_neighbors(v)
-        for a in sorted(d.out_neighbors(v)):
-            back = sorted(d.out_neighbors(a) & ins)
+def _short_cycle_semicomplete(d: Digraph, comp: tuple[int, ...]) -> list[int]:
+    """The first digon inside comp in (tail, head) order, else the first
+    3-cycle (v, a, b) in (v, a) order."""
+    inside = _mask_of(comp)
+    for u in comp:
+        above = (d.out_mask[u] & d.in_mask[u] & inside) >> (u + 1)
+        if above:
+            return [u, u + (above & -above).bit_length()]
+    for v in comp:
+        ins = d.in_mask[v] & inside
+        for a in _mask_bits(d.out_mask[v] & inside):
+            back = d.out_mask[a] & ins
             if back:
-                return [v, a, back[0]]
+                return [v, a, (back & -back).bit_length() - 1]
     raise InternalVerificationError("strong semicomplete digraph without a short cycle")
 
 
@@ -202,8 +204,7 @@ def _component_path(d, comps, first_vertex=None, last_vertex=None) -> tuple[int,
         if len(comp) == 1:
             seg = list(comp)
         else:
-            sub, back = _induced(d, comp)
-            cyc = [back[v] for v in ham_cycle_strong_semicomplete(sub)]
+            cyc = list(_ham_cycle_semicomplete(d, comp))
             if i == 0 and first_vertex is not None:
                 j = cyc.index(first_vertex)
             elif i == len(comps) - 1 and last_vertex is not None:
@@ -245,12 +246,13 @@ def ham_cycle_strong_lsd(d: Digraph) -> tuple[int, ...]:
 
 def _initial_cycle_strong(d: Digraph) -> list[int]:
     """A shortest directed cycle through vertex 0."""
+    out = list(d.out_lists())
     parent = {0: -1}
     frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
-            for w in sorted(d.out_neighbors(u)):
+            for w in out[u]:
                 if w == 0:
                     seq = [u]
                     while seq[-1] != 0:
@@ -265,9 +267,7 @@ def _initial_cycle_strong(d: Digraph) -> list[int]:
 
 def _shortest_returning_interior(d: Digraph, cycle: list[int]) -> list[int]:
     """Interior of a shortest cycle-leaving, cycle-returning path."""
-    in_cycle = 0
-    for v in cycle:
-        in_cycle |= 1 << v
+    in_cycle = _mask_of(cycle)
     full = (1 << d.n) - 1
     outside = full & ~in_cycle
     start = 0
@@ -333,6 +333,7 @@ def _component_distance(d: Digraph, dec: LsdDecomposition) -> int:
     stays outside both end components."""
     comps = dec.components
     first, last = set(comps[0]), set(comps[-1])
+    out = list(d.out_lists())
     frontier = first
     seen = set(first)
     dist = 0
@@ -340,7 +341,7 @@ def _component_distance(d: Digraph, dec: LsdDecomposition) -> int:
         dist += 1
         nxt = set()
         for u in frontier:
-            for w in d.out_neighbors(u):
+            for w in out[u]:
                 if w in last:
                     return dist
                 if w not in seen and w not in first:

@@ -143,10 +143,11 @@ def oracle_factor_cost(
         best_cycles: list[tuple[int, ...]] = []
         for perm in permutations(vertices):
             succ = dict(zip(vertices, perm))
-            if any(u == s or (u, s) not in h.cost for u, s in succ.items()):
+            costs = [h.cost(u, s) for u, s in succ.items()]
+            if None in costs:
                 continue
             count += 1
-            cost = sum(h.cost[(u, s)] for u, s in succ.items())
+            cost = sum(costs)
             if cost > best_c:
                 best_c = cost
                 best_cycles = _cycles_of(succ)
@@ -162,17 +163,15 @@ def oracle_factor_cost(
     else:
         for k in range(1, n + 1):
             for path in permutations(range(n), k):
-                if not all(
-                    (path[i], path[i + 1]) in h.cost for i in range(k - 1)
-                ):
+                steps = [h.cost(path[i], path[i + 1]) for i in range(k - 1)]
+                if None in steps:
                     continue
                 rest = [v for v in range(n) if v not in path]
                 res = cycle_part_best(rest)
                 if res is None:
                     continue
                 count += 1
-                path_cost = sum(h.cost[(path[i], path[i + 1])] for i in range(k - 1))
-                total = path_cost + res[0]
+                total = sum(steps) + res[0]
                 if total > best:
                     best = total
                     witness = (path, tuple(res[1]))

@@ -25,6 +25,8 @@ from .digraph import (
     Digraph,
     PartiteStructure,
     WalkKind,
+    _mask_bits,
+    _mask_of,
     is_strong,
     validate_walk,
 )
@@ -64,9 +66,7 @@ def check_smd(d: Digraph, parts: PartiteStructure) -> None:
         raise InputError("partite sets do not cover the vertex set")
     full = (1 << d.n) - 1
     for part in parts.parts:
-        pmask = 0
-        for v in part:
-            pmask |= 1 << v
+        pmask = _mask_of(part)
         for v in part:
             if d.adj_mask[v] & pmask:
                 raise InputError(f"vertex {v} is adjacent inside its partite set")
@@ -267,12 +267,11 @@ def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
     """One cycle on the union of two disjoint cycles, or None."""
     for ca, cb in ((x, y), (y, x)):
         pos_b = {v: i for i, v in enumerate(cb)}
+        on_b = _mask_of(cb)
         for i, u in enumerate(ca):
             u_succ = ca[(i + 1) % len(ca)]
-            for v in sorted(d.out_neighbors(u)):
-                j = pos_b.get(v)
-                if j is None:
-                    continue
+            for v in _mask_bits(d.out_mask[u] & on_b):
+                j = pos_b[v]
                 if d.has_arc(cb[j - 1], u_succ):
                     # v .. v_pred around cb, then u_succ .. u around ca, close u -> v
                     return tuple(cb[j:] + cb[:j] + ca[i + 1 :] + ca[: i + 1])
@@ -312,18 +311,19 @@ def _ordered_factor(cycles, wit: np.ndarray, order: list[int]) -> OrderedCycleFa
     )
 
 
+def _sub_rows(d: Digraph, vertices: list[int]) -> list[int]:
+    """Out-rows of the subdigraph induced by vertices, labelled by position."""
+    idx = {v: i for i, v in enumerate(vertices)}
+    inside = _mask_of(vertices)
+    return [_mask_of(idx[w] for w in _mask_bits(d.out_mask[v] & inside)) for v in vertices]
+
+
 def _exact_ham_cycle_on_subset(d: Digraph, vertices: list[int]):
     """Directed Hamilton cycle on the induced subset by bitmask DP, or None."""
     k = len(vertices)
     if k < 2:
         return None
-    idx = {v: i for i, v in enumerate(vertices)}
-    nbr = [0] * k
-    for i, v in enumerate(vertices):
-        for w in d.out_neighbors(v):
-            j = idx.get(w)
-            if j is not None:
-                nbr[i] |= 1 << j
+    nbr = _sub_rows(d, vertices)
     parent: dict[tuple[int, int], int] = {(1, 0): -1}
     frontier = [(1, 0)]
     full = (1 << k) - 1
@@ -367,13 +367,7 @@ def _exact_ham_path_on_subset(
         return None
     if k == 1:
         return (vertices[0],) if parts is None else None
-    idx = {v: i for i, v in enumerate(vertices)}
-    nbr = [0] * k
-    for i, v in enumerate(vertices):
-        for w in d.out_neighbors(v):
-            j = idx.get(w)
-            if j is not None:
-                nbr[i] |= 1 << j
+    nbr = _sub_rows(d, vertices)
     full = (1 << k) - 1
     for start in range(k):
         parent: dict[tuple[int, int], int] = {(1 << start, start): -1}
@@ -412,7 +406,7 @@ def _global_orderable_factor(d: Digraph, parts: PartiteStructure):
     """Desk-scale enumeration of cycle factors until one is a Hamilton cycle
     or admits the dominance order.  Returns None when d has no such factor."""
     n = d.n
-    out_sorted = [sorted(d.out_neighbors(v)) for v in range(n)]
+    out_sorted = list(d.out_lists())
     used = [False] * n
     succ = [-1] * n
 
@@ -475,7 +469,7 @@ def ham_path_distinct_ends(
         return _finish_path(d, parts, path)
     p1, pl = path[0], path[-1]
     added = not d.has_arc(pl, p1)
-    d2 = d.with_arc(pl, p1)
+    d2 = d.with_arcs([(pl, p1)]) if added else d
     cyc_factor = SpanningFactor(None, tuple(factor.cycles) + (path,), 0)
     res = irreducible_ordered_cycle_factor(d2, parts, cyc_factor)
     if not isinstance(res, OrderedCycleFactor):
@@ -698,11 +692,7 @@ def _apex_ham_path(
     """
     n = d.n
     x = n
-    arcs = set(d.arcs)
-    for v in range(n):
-        arcs.add((x, v))
-        arcs.add((v, x))
-    d_plus = Digraph(n + 1, frozenset(arcs))
+    d_plus = d.with_arcs(chain.from_iterable(((x, v), (v, x)) for v in range(n)))
     parts_plus = PartiteStructure.from_parts(
         n + 1, [*(set(p) for p in parts.parts), {x}]
     )
@@ -739,7 +729,7 @@ def mfahop_smd(d: Digraph, parts: PartiteStructure):
             "majority inequality holds but no 1-path-cycle factor was found"
         )
     sigma = factor.cost
-    df = Digraph(d.n, d.arcs | set(factor.arcs()))
+    df = d.with_arcs(factor.arcs())
     seq = _assemble_ham_path(df, parts, factor)
     walk = validate_walk(d, seq, WalkKind.PATH)
     if walk.sigma_plus != sigma:
@@ -839,7 +829,7 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
             sigma = n
             branch = f"cycle-hamiltonian-{how}"
         else:
-            arc = next(_factor_steps(factor))
+            arc = next(factor.arcs())
             seq = _certificate_from_broken_factor(d, parts, factor, arc)
             walk = validate_walk(d, seq, WalkKind.CYCLE)
             sigma = n - 1
@@ -851,15 +841,9 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
     return sigma, walk, branch
 
 
-def _factor_steps(factor: SpanningFactor):
-    for cyc in factor.cycles:
-        for i in range(len(cyc)):
-            yield cyc[i], cyc[(i + 1) % len(cyc)]
-
-
 def _first_zero_cost_arc(dhat, factor):
-    for a in _factor_steps(factor):
-        if dhat.cost[a] == 0:
+    for a in factor.arcs():
+        if dhat.cost(*a) == 0:
             return a
     raise InternalVerificationError("expected a zero-cost arc in the factor")
 
@@ -880,8 +864,8 @@ def _certificate_from_broken_factor(d, parts, factor, arc):
             rest.append(cyc)
     if path is None:
         raise InternalVerificationError("arc to delete is not a factor step")
-    remaining_arcs = set(_factor_steps(factor))
+    remaining_arcs = set(factor.arcs())
     remaining_arcs.discard(arc)
-    d2 = Digraph(d.n, d.arcs | remaining_arcs)
+    d2 = d.with_arcs(remaining_arcs)
     f2 = SpanningFactor(path, tuple(rest), 0)
     return ham_path_distinct_ends(d2, parts, f2)

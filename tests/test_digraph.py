@@ -334,6 +334,57 @@ def test_without_vertices_and_arc_arrays_match_arc_filter(block_bytes, monkeypat
         assert (sub.out_mask, sub.in_mask) == (expected.out_mask, expected.in_mask)
 
 
+def test_queries_read_from_the_rows_agree_with_the_pairs():
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        pairs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+        d = Digraph(n, pairs)
+        assert d.arcs == pairs and d.m == len(pairs)
+        same = Digraph(n, sorted(pairs))
+        assert d == same and hash(d) == hash(same)
+        assert d != Digraph(n + 1, pairs)
+        if pairs:
+            assert d != Digraph(n, pairs - {min(pairs)})
+        for u in range(n):
+            for v in range(n):
+                # `is` also checks that the answers are bools
+                assert d.has_arc(u, v) is ((u, v) in pairs)
+                assert d.adjacent(u, v) is ((u, v) in pairs or (v, u) in pairs)
+        outs = [sorted(v for u, v in pairs if u == w) for w in range(n)]
+        ins = [sorted(u for u, v in pairs if v == w) for w in range(n)]
+        assert list(d.out_lists()) == outs == [d.out_neighbors(w) for w in range(n)]
+        assert list(d.in_lists()) == ins == [d.in_neighbors(w) for w in range(n)]
+
+
+def test_with_arcs_equals_a_fresh_build():
+    rng = random.Random(59)
+    changed = {"lsd": 0, "components": 0}
+    for trial in range(300):
+        d = random_digraph(rng, 12, min_n=1)
+        # a pair naming vertex n grows the copy by one vertex
+        top = d.n + (trial % 5 == 0)
+        extra = [(rng.randrange(top), rng.randrange(top)) for _ in range(rng.randint(0, 4))]
+        extra = [(u, v) for u, v in extra if u != v]
+        filled = trial % 2 == 1
+        if filled:
+            # stored facts of d must not carry over to the copy
+            recognize_lsd(d), strong_components(d), d.arc_arrays()
+        got = d.with_arcs(extra)
+        expected = Digraph(max([d.n] + [max(a) + 1 for a in extra]), d.arcs | set(extra))
+        assert (got.n, got.out_mask, got.in_mask, got.adj_mask) == (
+            expected.n, expected.out_mask, expected.in_mask, expected.adj_mask,
+        )
+        assert [a.tolist() for a in got.arc_arrays()] == [a.tolist() for a in expected.arc_arrays()]
+        assert recognize_lsd(got) == lsd_by_definition(expected)
+        assert strong_components(got) == strong_components(expected)
+        if filled and got.n == d.n:
+            changed["lsd"] += recognize_lsd(got) != recognize_lsd(d)
+            changed["components"] += strong_components(got) != strong_components(d)
+    assert min(changed.values()) > 10
+
+
 def traced_peak(fn):
     """Peak bytes allocated while fn runs, above what was allocated before."""
     tracemalloc.start()
@@ -400,7 +451,7 @@ def two_connected_by_definition(d):
         seen, stack = {start}, [start]
         while stack:
             v = stack.pop()
-            for w in d.out_neighbors(v) | d.in_neighbors(v):
+            for w in d.out_neighbors(v) + d.in_neighbors(v):
                 if w in vertices and w not in seen:
                     seen.add(w)
                     stack.append(w)

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import mfaho
+from mfaho import factor_flow
 from mfaho.digraph import build_digraph
 from mfaho.errors import InputError
 from mfaho.factor_flow import (
-    CostDigraph,
-    arc_index,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
     min_cost_assignment,
@@ -24,34 +23,62 @@ from mfaho.generate import gen_smd
 from mfaho.oracle import oracle_factor_cost
 
 
+def costs_of(h):
+    """Every arc of the cost digraph with its cost, read through the view."""
+    pairs = ((u, v) for u in range(h.n) for v in range(h.n))
+    return {(u, v): h.cost(u, v) for u, v in pairs if h.cost(u, v) is not None}
+
+
 def test_symmetric01_single_arc():
     h = symmetric_01(build_digraph(2, [(0, 1)]))
-    assert h.cost == {(0, 1): 1, (1, 0): 0}
+    assert costs_of(h) == {(0, 1): 1, (1, 0): 0}
 
 
 def test_symmetric01_digon_keeps_both_at_cost_one():
     h = symmetric_01(build_digraph(2, [(0, 1), (1, 0)]))
-    assert h.cost == {(0, 1): 1, (1, 0): 1}
+    assert costs_of(h) == {(0, 1): 1, (1, 0): 1}
 
 
 def test_symmetric01_triangle():
     h = symmetric_01(build_digraph(3, [(0, 1), (1, 2), (2, 0)]))
-    assert len(h.cost) == 6
-    assert sorted(h.cost.values()) == [0, 0, 0, 1, 1, 1]
+    costs = costs_of(h)
     # twice the number of underlying edges
-    assert h.base.m == 6
+    assert len(costs) == 6
+    assert sorted(costs.values()) == [0, 0, 0, 1, 1, 1]
 
 
-def test_arc_index_fill_matches_loop():
-    d, _ = gen_smd((3, 4, 2), seed=5, digon_prob=0.3)
+def test_symmetric01_is_a_view_of_its_input():
+    # 0->1 one-way, 1<->2 a digon, 0 and 2 not adjacent
+    d = build_digraph(3, [(0, 1), (1, 2), (2, 1)])
     h = symmetric_01(d)
-    loop = np.full((d.n, d.n), np.inf)
-    for (a, b), w in h.cost.items():
-        loop[a, b] = 1 - w
-    filled = np.full((d.n, d.n), np.inf)
-    m = len(h.cost)
-    filled[arc_index(h.cost)] = 1 - np.fromiter(h.cost.values(), dtype=float, count=m)
-    assert np.array_equal(loop, filled)
+    assert h.base is d and h.n == 3
+    assert (h.cost(0, 1), h.cost(1, 0)) == (1, 0)
+    assert (h.cost(1, 2), h.cost(2, 1)) == (1, 1)
+    assert h.cost(0, 2) is None and h.cost(2, 0) is None
+    assert h.cost(1, 1) is None
+
+
+def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
+    d, _ = gen_smd((3, 4, 2), seed=5, digon_prob=0.3)
+    arcs = d.arcs
+    assert any((v, u) in arcs for u, v in arcs), "the digon case must be covered"
+    # swapped cost 1 - cost: 0 on every arc, 1 on the reverse of a one-way arc
+    expected = np.full((d.n + 1, d.n + 1), np.inf)
+    for u, v in arcs:
+        expected[u, v] = 0.0
+        if (v, u) not in arcs:
+            expected[v, u] = 1.0
+    expected[d.n, : d.n] = 0.0  # source row and sink column of the path variant
+    expected[: d.n, d.n] = 0.0
+    matrices = []
+    solve = factor_flow.min_cost_assignment
+    monkeypatch.setattr(factor_flow, "min_cost_assignment", lambda c: matrices.append(c.copy()) or solve(c))
+    h = symmetric_01(d)
+    max_cost_cycle_factor(h)
+    max_cost_one_path_cycle_factor(h)
+    assert len(matrices) == 2
+    assert np.array_equal(matrices[0], expected[: d.n, : d.n])
+    assert np.array_equal(matrices[1], expected)
 
 
 def test_assignment_all_zero():
@@ -61,15 +88,15 @@ def test_assignment_all_zero():
 
 def test_assignment_forbidden_diagonal():
     c = np.ones((2, 2))
-    forbidden = np.eye(2, dtype=bool)
-    cols = min_cost_assignment(c, forbidden)
+    np.fill_diagonal(c, np.inf)
+    cols = min_cost_assignment(c)
     assert cols == [1, 0]
 
 
 def test_assignment_infeasible():
     c = np.zeros((2, 2))
-    forbidden = np.array([[True, True], [False, False]])
-    assert min_cost_assignment(c, forbidden) is None
+    c[0] = np.inf
+    assert min_cost_assignment(c) is None
 
 
 def test_assignment_rejects_non_square():
@@ -85,7 +112,8 @@ def test_assignment_matches_exhaustive_minimum(seed):
     got = sum(c[i, cols[i]] for i in range(5))
     best = min(sum(c[i, p[i]] for i in range(5)) for p in permutations(range(5)))
     assert got == best
-    # random forbidden masks, dense enough that some leave no feasible matching
+    # random masks of +inf cells, dense enough that some leave no feasible
+    # matching
     infeasible = set()
     for density in (0.3, 0.5, 0.7):
         for _ in range(10):
@@ -95,7 +123,7 @@ def test_assignment_matches_exhaustive_minimum(seed):
                 for p in permutations(range(5))
                 if not any(mask[i, p[i]] for i in range(5))
             ]
-            cols = min_cost_assignment(c, mask)
+            cols = min_cost_assignment(np.where(mask, np.inf, c))
             infeasible.add(not feasible)
             if not feasible:
                 assert cols is None
@@ -123,15 +151,13 @@ def test_assignment_rejects_invalid_entries(bad):
     c[1, 2] = bad
     with pytest.raises(InputError):
         min_cost_assignment(c)
-    # an invalid cell is an error even when a forbidden mask covers it
-    with pytest.raises(InputError):
-        min_cost_assignment(c, np.eye(3, dtype=bool) | (c != 0))
 
 
 def test_assignment_leaves_input_unchanged():
-    c = np.zeros((2, 2))
-    min_cost_assignment(c, np.eye(2, dtype=bool))
-    assert (c == 0).all()
+    c = np.array([[np.inf, 0.0], [0.0, np.inf]])
+    before = c.copy()
+    min_cost_assignment(c)
+    assert np.array_equal(c, before)
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -229,10 +255,11 @@ def test_returned_factor_reverifies():
     verify_factor(h, g)
 
 
-def _all_cycle_factor_costs(h):
-    """Costs of every cycle factor of h, by successor-map enumeration."""
-    n = h.n
-    out = [sorted(v for (u, v) in h.cost if u == w) for w in range(n)]
+def _all_cycle_factor_costs(n, cost):
+    """Costs of every cycle factor of the digraph whose arcs are the pairs
+    with a cost (cost(u, v) is None for the others), by successor-map
+    enumeration."""
+    out = [[v for v in range(n) if cost(w, v) is not None] for w in range(n)]
     used = [False] * n
     succ = [0] * n
     costs = []
@@ -245,7 +272,7 @@ def _all_cycle_factor_costs(h):
             if not used[w]:
                 used[w] = True
                 succ[v] = w
-                rec(v + 1, acc + h.cost[(v, w)])
+                rec(v + 1, acc + cost(v, w))
                 used[w] = False
 
     rec(0, 0)
@@ -256,18 +283,28 @@ def _all_cycle_factor_costs(h):
 def test_swap_duality(seed):
     # every cycle factor has exactly n arcs, so swapping costs 0 <-> 1 makes
     # the solver's maximum-cost factor a minimum-cost factor of the swapped
-    # digraph, and vice versa
+    # costs, and vice versa: the solver's matrix for the swapped costs is
+    # the matrix of the costs themselves, whose minimum assignment is a
+    # minimum-cost factor
     d, _ = gen_smd((2, 2), seed=seed, digon_prob=0.3)
     h = symmetric_01(d)
-    swapped = CostDigraph(h.base, {a: 1 - c for a, c in h.cost.items()})
-    costs = _all_cycle_factor_costs(h)
+    n = h.n
+
+    def swapped(u, v):
+        c = h.cost(u, v)
+        return None if c is None else 1 - c
+
+    costs = _all_cycle_factor_costs(n, h.cost)
     assert costs, "these dense instances always have a cycle factor"
     f_max = max_cost_cycle_factor(h)
     assert f_max.cost == max(costs)
-    swapped_cost = sum(swapped.cost[a] for a in f_max.arcs())
-    assert swapped_cost == min(_all_cycle_factor_costs(swapped))
-    g = max_cost_cycle_factor(swapped)
-    assert sum(h.cost[a] for a in g.arcs()) == min(costs)
+    swapped_cost = sum(swapped(*a) for a in f_max.arcs())
+    assert swapped_cost == min(_all_cycle_factor_costs(n, swapped))
+    c = np.full((n, n), np.inf)
+    for (u, v), cost in costs_of(h).items():
+        c[u, v] = cost
+    g = min_cost_assignment(c)
+    assert sum(h.cost(v, g[v]) for v in range(n)) == min(costs)
 
 
 def test_one_path_factor_at_least_hamilton_path():
@@ -279,6 +316,7 @@ def test_one_path_factor_at_least_hamilton_path():
         n = d.n
         top = -1
         for p in permutations(range(n)):
-            if all((p[i], p[i + 1]) in h.cost for i in range(n - 1)):
-                top = max(top, sum(h.cost[(p[i], p[i + 1])] for i in range(n - 1)))
+            steps = [h.cost(p[i], p[i + 1]) for i in range(n - 1)]
+            if None not in steps:
+                top = max(top, sum(steps))
         assert best >= top

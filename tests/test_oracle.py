@@ -16,6 +16,12 @@ ACYCLIC_PATH = build_digraph(3, [(0, 1), (1, 2)])
 TRANSITIVE = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
+def test_ham_cycle_answer_is_a_bool():
+    digon, one_way = build_digraph(2, [(0, 1), (1, 0)]), build_digraph(2, [(0, 1)])
+    for d, expected in ((digon, True), (one_way, False), (TRIANGLE, True), (ACYCLIC_PATH, False)):
+        assert oracle_ham_cycle(d) is expected
+
+
 def test_mfahoc_triangle():
     res = oracle_mfahoc(TRIANGLE)
     assert res.value == 3

@@ -176,6 +176,13 @@ def test_exact_cycle_search_matches_brute_force():
         assert (got is not None) == exists
         if got is not None:
             assert validate_walk(d, got, WalkKind.CYCLE).sigma_minus == 0
+        # the same search on the vertices of a larger digraph
+        big, subset = _embedded(rng, d)
+        got = _exact_ham_cycle_on_subset(big, subset)
+        assert (got is not None) == exists
+        if got is not None:
+            assert sorted(got) == subset
+            assert all(big.has_arc(got[i], got[(i + 1) % n]) for i in range(n))
 
 
 def test_exact_path_search_matches_brute_force():
@@ -196,6 +203,59 @@ def test_exact_path_search_matches_brute_force():
         assert (got is not None) == exists
         if got is not None and n > 1:
             assert validate_walk(d, got, WalkKind.PATH).sigma_minus == 0
+        big, subset = _embedded(rng, d)
+        got = _exact_ham_path_on_subset(big, subset, None)
+        assert (got is not None) == exists
+        if got is not None:
+            assert sorted(got) == subset
+            assert all(big.has_arc(got[i], got[i + 1]) for i in range(n - 1))
+
+
+def _embedded(rng, d):
+    """d placed on a sorted random subset of a larger digraph, whose other
+    vertices get random arcs to, from and among themselves."""
+    size = d.n + rng.randint(1, 4)
+    subset = sorted(rng.sample(range(size), d.n))
+    arcs = {(subset[u], subset[v]) for u, v in d.arcs}
+    others = [v for v in range(size) if v not in subset]
+    for x in others:
+        arcs |= {(x, v) for v in range(size) if v != x and rng.random() < 0.5}
+        arcs |= {(v, x) for v in range(size) if v != x and rng.random() < 0.5}
+    return build_digraph(size, arcs), subset
+
+
+def _first_splice(d, x, y):
+    """The splice _merge_pair documents, read pair by pair: the first u on
+    one cycle (x before y) and then the smallest v on the other with u -> v
+    and predecessor(v) -> successor(u)."""
+    for ca, cb in ((x, y), (y, x)):
+        for i, u in enumerate(ca):
+            u_succ = ca[(i + 1) % len(ca)]
+            for v in sorted(cb):
+                j = cb.index(v)
+                if d.has_arc(u, v) and d.has_arc(cb[j - 1], u_succ):
+                    return tuple(cb[j:] + cb[:j] + ca[i + 1 :] + ca[: i + 1])
+    return None
+
+
+def test_merge_pair_takes_the_first_splice():
+    rng = random.Random(79)
+    spliced = 0
+    for _ in range(200):
+        n = rng.randint(4, 16)
+        order = list(range(n))
+        rng.shuffle(order)
+        k = rng.randint(2, n - 2)
+        x, y = tuple(order[:k]), tuple(order[k:])
+        arcs = {(c[i], c[(i + 1) % len(c)]) for c in (x, y) for i in range(len(c))}
+        p = rng.random()
+        arcs |= {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+        d = build_digraph(n, arcs)
+        expected = _first_splice(d, x, y)
+        if expected is not None:
+            assert _merge_pair(d, x, y) == expected
+            spliced += 1
+    assert spliced > 100
 
 
 def test_global_orderable_factor_contract():

@@ -15,7 +15,6 @@ from mfaho.digraph import (
 from mfaho.errors import InputError
 from mfaho.factor_flow import (
     SpanningFactor,
-    arc_index,
     max_cost_cycle_factor,
     symmetric_01,
 )
@@ -120,7 +119,7 @@ def test_witness_needs_one_common_part():
     cycle_arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 4)]
     for across, expected in (([(4, 1)], 1), ([(5, 3)], 2), ([(4, 1), (5, 3)], None)):
         d = build_digraph(6, cycle_arcs + across)
-        wit = _witness_matrix(arc_index(d.arcs), parts, [c1, c2])
+        wit = _witness_matrix(d.arc_arrays(), parts, [c1, c2])
         assert wit[0, 1] == (-1 if expected is None else expected)
         assert wit[1, 0] == 0  # no arc from c1 to c2
         assert weakly_dominates(d, parts, c1, c2) == expected
@@ -181,7 +180,7 @@ def test_witness_matrix_matches_definition():
         # the solver orders factors of d plus the factor's own arcs
         steps = {(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))}
         df = Digraph(d.n, d.arcs | steps)
-        arcs = arc_index(df.arcs)
+        arcs = df.arc_arrays()
         wit = _witness_matrix(arcs, parts, cycles)
         t = len(cycles)
         assert wit.shape == (t, t)
