@@ -98,23 +98,13 @@ class Digraph:
         _set_rows(d, self.n + len(grow), [*self.out_mask, *grow], [*self.in_mask, *grow], pairs)
         return d
 
-    def without_vertices(self, removed: set[int]) -> tuple["Digraph", list[int]]:
-        """Induced subdigraph on V minus `removed`, relabelled densely.
-
-        Returns the subdigraph and the list mapping new labels to old ones.
-        Reads the out-rows of the kept vertices cut down to the kept columns,
-        so the cost follows the arcs kept, not all m arcs.
-        """
-        keep = [v for v in range(self.n) if v not in removed]
-        kept = _mask_of(keep)
-        label = np.full(self.n, -1, dtype=np.intp)
-        label[keep] = np.arange(len(keep))
-        arcs: list[tuple[int, int]] = []
-        rows = (self.out_mask[v] & kept for v in keep)
-        for index, block in _row_blocks(rows, self.n):
-            r, heads = _row_bits(block)
-            arcs += zip(index[r].tolist(), label[heads].tolist())
-        return Digraph(len(keep), arcs), keep
+    def reversed(self) -> "Digraph":
+        """The digraph with every arc reversed: the same rows with out- and
+        in-rows swapped, carrying none of this digraph's stored facts."""
+        d = Digraph.__new__(Digraph)
+        d.n, d.out_mask, d.in_mask, d.adj_mask = self.n, self.in_mask, self.out_mask, self.adj_mask
+        d._lsd = d._components = d._arc_arrays = None
+        return d
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads) index arrays of all arcs, ordered by tail then head.
@@ -350,16 +340,27 @@ def _ordered_components(d: Digraph) -> ComponentDecomposition:
     return ComponentDecomposition(components, tuple(cn))
 
 
+def induced_components(d: Digraph, keep: int) -> tuple[tuple[int, ...], ...]:
+    """Strong components of d restricted to the vertex mask keep, ordered
+    as strong_components orders those of the induced subdigraph; not stored."""
+    out = {v: _mask_bits(d.out_mask[v] & keep) for v in _mask_bits(keep)}
+    return tuple(tuple(sorted(comp)) for comp in reversed(_sccs(d.n, out, out)))
+
+
 def _tarjan(d: Digraph) -> list[list[int]]:
-    """Iterative Tarjan; safe for deep graphs."""
-    index = [-1] * d.n
-    low = [0] * d.n
-    on_stack = [False] * d.n
+    """Iterative Tarjan on all of d; safe for deep graphs."""
+    return _sccs(d.n, range(d.n), list(d.out_lists()))
+
+
+def _sccs(n: int, roots, out) -> list[list[int]]:
+    """Tarjan from roots in order, following the out-lists out[v]."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
-    out = list(d.out_lists())
-    for root in range(d.n):
+    for root in roots:
         if index[root] != -1:
             continue
         work = [(root, iter(out[root]))]

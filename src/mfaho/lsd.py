@@ -18,6 +18,8 @@ from .digraph import (
     WalkKind,
     _mask_bits,
     _mask_of,
+    _reach_mask,
+    induced_components,
     is_semicomplete,
     is_strong,
     recognize_lsd,
@@ -377,16 +379,12 @@ def mfahoc_lsd(d: Digraph):
     dist = len(p) - 1
     if dist != _component_distance(d, dec):
         raise InternalVerificationError("greedy path is not a shortest one")
-    interior = set(p[1:-1])
-    sub, back = d.without_vertices(interior)
-    if not underlying_is_connected(sub):
+    keep = (1 << d.n) - 1 - _mask_of(p[1:-1])
+    if _reach_mask(d.adj_mask, keep & -keep, keep) != keep:
         raise InternalVerificationError("interior removal disconnected the digraph")
-    fwd = {old: new for new, old in enumerate(back)}
-    sub_comps = strong_components(sub).components
-    q_sub = _component_path(
-        sub, sub_comps, first_vertex=fwd[p[0]], last_vertex=fwd[p[-1]]
+    q = _component_path(
+        d, induced_components(d, keep), first_vertex=p[0], last_vertex=p[-1]
     )
-    q = [back[v] for v in q_sub]
     if q[0] != p[0] or q[-1] != p[-1]:
         raise InternalVerificationError("forward path misses the anchor vertices")
     seq = tuple(q) + tuple(p[i] for i in range(dist - 1, 0, -1))

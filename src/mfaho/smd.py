@@ -4,14 +4,15 @@ The maximum-forward-arc optima come from optimal factors of the symmetric
 (0,1)-digraph; certificates are assembled constructively.  The ordered-factor
 machinery keeps the weak-domination relation of all cycle pairs in one t x t
 witness matrix, built by a single numpy pass over the arc arrays per merge
-round; it merges pairs unwitnessed in both directions by splicing (or, at
-desk scale, exhaustively) and reads the dominance order off the matrix.  The
+round; it merges pairs unwitnessed in both directions into one cycle (Yeo's
+lemma says their union is hamiltonian; _merge_pair builds the cycle in
+polynomial time) and reads the dominance order off the matrix.  The
 distinct-ends Hamilton path is built by absorbing the ordered cycles into the
-broken cycle one at a time, to the right of the path and then to the left.
-Every absorption step checks the arcs it uses directly, and desk-scale
-exhaustive fallbacks keep the operations total on small instances even where
-the splice heuristics stall; solver outputs are always re-validated before
-being returned.
+broken cycle one at a time, to the right of the path and then to the left;
+any other Hamilton path comes from generic absorption or, failing that, from
+merging with a universal apex vertex.  No step depends on the size of the
+input except the exact Hamiltonicity search of _hamilton_cycle_search, which
+is bounded; solver outputs are always re-validated before being returned.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .factor_flow import (
     symmetric_01,
 )
 
-# exhaustive-search ceilings; all are desk-scale escape hatches, never the
-# primary path
-MERGE_EXHAUSTIVE_BOUND = 12
-ORDERED_FACTOR_GLOBAL_BOUND = 9
+# ceiling of the exact Hamiltonicity search, which decides a full-cost cycle
+# factor that merging leaves ordered
 HAMILTONICITY_EXACT_BOUND = 16
 
 
@@ -214,14 +213,13 @@ def irreducible_ordered_cycle_factor(
 
     Each round sorts the cycles by their smallest vertex and builds the
     weak-domination witness matrix of all cycle pairs in one pass over the
-    arcs (_witness_matrix).  Pairs with no witness in either direction are
-    tried in lexicographic order until one merges: first by looking for a
-    splice arc (u,v) across the pair with predecessor(v) -> successor(u)
-    present, then by exhaustive search for a single cycle on the pair's
-    union at desk scale.  Once every pair is witnessed in some direction a
-    dominant-first linear order is read off the matrix; a domination cycle
-    triggers further merging, and as a last resort the whole instance is
-    searched for an orderable factor.
+    arcs (_witness_matrix).  The lexicographically first pair with no
+    witness in either direction is merged into one cycle (_merge_pair; by
+    Yeo's lemma such a pair always has a hamiltonian union).  Once every
+    pair is witnessed in some direction a dominant-first linear order is
+    read off the matrix; a domination cycle triggers further merging of the
+    first pair that merges.  Every round removes a cycle, so a factor of t
+    cycles takes fewer than t rounds.
     """
     _check_cycle_factor(d, factor)
     cycles = sorted((tuple(c) for c in factor.cycles), key=min)
@@ -242,10 +240,6 @@ def irreducible_ordered_cycle_factor(
             if merged is not None:
                 cycles = merged
                 continue
-        if d.n <= ORDERED_FACTOR_GLOBAL_BOUND:
-            res = _global_orderable_factor(d, parts)
-            if res is not None:
-                return res
         raise InternalVerificationError(
             "cycle factor could neither be merged further nor ordered"
         )
@@ -264,7 +258,23 @@ def _merge_first(d, cycles, pairs):
 
 
 def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
-    """One cycle on the union of two disjoint cycles, or None."""
+    """One cycle on the union of two disjoint cycles, or None.
+
+    Yeo's lemma (A. Yeo, "One-diregular subgraphs in semicomplete
+    multipartite digraphs", JGT 24, 1997) says that the union of two disjoint
+    cycles of an SMD, neither weakly dominating the other, has a Hamilton
+    cycle.  It is built here from the two cycles' own arcs and the arcs
+    between them, in two steps.  First the splice: the first u on one cycle
+    (x before y) and v on the other, in increasing order, with u -> v and
+    predecessor(v) -> successor(u).  Otherwise one cycle is opened at one of
+    its arcs and cut into blocks, each fitting a gap c[i] -> c[i+1] of the
+    other cycle c (c[i] -> first vertex, last vertex -> c[i+1]), and the
+    blocks are inserted (_insert_blocks).  That such blocks exist for every
+    pair with no witness in either direction is checked by a seeded test,
+    not proven here; a pair with a witness may return None.  With
+    s = |x| + |y| the splice costs O(s^2) arc tests and the blocks O(s^2)
+    operations on s-bit masks.
+    """
     for ca, cb in ((x, y), (y, x)):
         pos_b = {v: i for i, v in enumerate(cb)}
         on_b = _mask_of(cb)
@@ -275,9 +285,47 @@ def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
                 if d.has_arc(cb[j - 1], u_succ):
                     # v .. v_pred around cb, then u_succ .. u around ca, close u -> v
                     return tuple(cb[j:] + cb[:j] + ca[i + 1 :] + ca[: i + 1])
-    union = sorted(x + y)
-    if len(union) <= MERGE_EXHAUSTIVE_BOUND:
-        return _exact_ham_cycle_on_subset(d, union)
+    for c, other in ((x, y), (y, x)):
+        merged = _insert_blocks(d, c, other)
+        if merged is not None:
+            return merged
+    return None
+
+
+def _insert_blocks(d: Digraph, c: tuple[int, ...], other: tuple[int, ...]):
+    """A cycle on c and other, keeping c's order, or None.
+
+    Gap i of c is its arc c[i] -> c[i+1]; a run of vertices fits gap i when
+    c[i] -> first and last -> c[i+1].  For each arc of `other` at which it
+    can be opened, a left-to-right scan decides whether the opened path cuts
+    into runs (blocks) that each fit some gap.  The first opening that cuts
+    is cut from the right, each block starting as early as the scan allows;
+    then no two blocks fit a common gap (if an earlier block's first vertex
+    and a later block's last vertex fitted gap i, the later block could have
+    started where the earlier one does), so every block goes into a gap of
+    its own: the multi-insertion of a path into a cycle.
+    """
+    # bit i of into[v]: c[i] -> v; bit i of out_of[v]: v -> c[i+1]
+    into = {v: sum(1 << i for i, u in enumerate(c) if d.has_arc(u, v)) for v in other}
+    out_of = {v: sum(1 << i for i, u in enumerate(c[1:] + c[:1]) if d.has_arc(v, u)) for v in other}
+    for b in range(len(other)):
+        path = other[b:] + other[:b]
+        cut = [True]  # cut[e]: path[:e] splits into fitting blocks
+        gaps = 0  # gaps that the first vertex of a block starting at a cut fits
+        for e, v in enumerate(path):
+            if cut[e]:
+                gaps |= into[v]
+            cut.append(bool(gaps & out_of[v]))
+        if not cut[-1]:
+            continue
+        placed: dict[int, tuple[int, ...]] = {}
+        e = len(path)
+        while e:
+            s = next(s for s in range(e) if cut[s] and into[path[s]] & out_of[path[e - 1]])
+            fit = into[path[s]] & out_of[path[e - 1]]
+            placed[(fit & -fit).bit_length() - 1] = path[s:e]
+            e = s
+        return tuple(chain.from_iterable((u, *placed.get(i, ())) for i, u in enumerate(c)))
     return None
 
 
@@ -311,19 +359,15 @@ def _ordered_factor(cycles, wit: np.ndarray, order: list[int]) -> OrderedCycleFa
     )
 
 
-def _sub_rows(d: Digraph, vertices: list[int]) -> list[int]:
-    """Out-rows of the subdigraph induced by vertices, labelled by position."""
-    idx = {v: i for i, v in enumerate(vertices)}
-    inside = _mask_of(vertices)
-    return [_mask_of(idx[w] for w in _mask_bits(d.out_mask[v] & inside)) for v in vertices]
-
-
 def _exact_ham_cycle_on_subset(d: Digraph, vertices: list[int]):
     """Directed Hamilton cycle on the induced subset by bitmask DP, or None."""
     k = len(vertices)
     if k < 2:
         return None
-    nbr = _sub_rows(d, vertices)
+    idx = {v: i for i, v in enumerate(vertices)}
+    inside = _mask_of(vertices)
+    # out-rows of the induced subdigraph, labelled by position
+    nbr = [_mask_of(idx[w] for w in _mask_bits(d.out_mask[v] & inside)) for v in vertices]
     parent: dict[tuple[int, int], int] = {(1, 0): -1}
     frontier = [(1, 0)]
     full = (1 << k) - 1
@@ -352,98 +396,6 @@ def _exact_ham_cycle_on_subset(d: Digraph, vertices: list[int]):
             seq.reverse()
             return tuple(seq)
     return None
-
-
-def _exact_ham_path_on_subset(
-    d: Digraph, vertices: list[int], parts: PartiteStructure | None
-):
-    """Directed Hamilton path on the induced subset, or None.
-
-    When parts is given, only paths whose endpoints lie in different partite
-    sets qualify.
-    """
-    k = len(vertices)
-    if k == 0:
-        return None
-    if k == 1:
-        return (vertices[0],) if parts is None else None
-    nbr = _sub_rows(d, vertices)
-    full = (1 << k) - 1
-    for start in range(k):
-        parent: dict[tuple[int, int], int] = {(1 << start, start): -1}
-        frontier = [(1 << start, start)]
-        while frontier:
-            nxt_frontier = []
-            for mask, last in frontier:
-                targets = nbr[last] & ~mask
-                while targets:
-                    low = targets & -targets
-                    targets ^= low
-                    j = low.bit_length() - 1
-                    key = (mask | low, j)
-                    if key not in parent:
-                        parent[key] = last
-                        nxt_frontier.append(key)
-            frontier = nxt_frontier
-        for last in range(k):
-            if (full, last) not in parent:
-                continue
-            if parts is not None and parts.same_part(vertices[start], vertices[last]):
-                continue
-            seq = []
-            mask, cur = full, last
-            while cur != -1:
-                seq.append(vertices[cur])
-                prev = parent[(mask, cur)]
-                mask ^= 1 << cur
-                cur = prev
-            seq.reverse()
-            return tuple(seq)
-    return None
-
-
-def _global_orderable_factor(d: Digraph, parts: PartiteStructure):
-    """Desk-scale enumeration of cycle factors until one is a Hamilton cycle
-    or admits the dominance order.  Returns None when d has no such factor."""
-    n = d.n
-    out_sorted = list(d.out_lists())
-    used = [False] * n
-    succ = [-1] * n
-
-    def evaluate():
-        seen = [False] * n
-        cycles = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            cyc = []
-            v = s
-            while not seen[v]:
-                seen[v] = True
-                cyc.append(v)
-                v = succ[v]
-            cycles.append(tuple(cyc))
-        if len(cycles) == 1:
-            return _rotate(cycles[0], min(cycles[0]))
-        wit = _witness_matrix(d.arc_arrays(), parts, cycles)
-        order = _dominance_order(wit)
-        return None if order is None else _ordered_factor(cycles, wit, order)
-
-    def rec(v):
-        if v == n:
-            return evaluate()
-        for w in out_sorted[v]:
-            if used[w]:
-                continue
-            used[w] = True
-            succ[v] = w
-            res = rec(v + 1)
-            used[w] = False
-            if res is not None:
-                return res
-        return None
-
-    return rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -553,48 +505,17 @@ def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int
             ):
                 return path[:-1] + [z, t] + tail
     res = _absorb_generic(d, parts, path, cycle, require_distinct=True)
-    if res is not None:
-        return res
-    return _absorb_exhaustive(d, parts, path, cycle)
+    if res is None:
+        raise InternalVerificationError(
+            f"could not absorb a {len(cycle)}-cycle into the working path"
+        )
+    return res
 
 
 def _absorb_before(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int]:
-    """Extend the path before its initial vertex by the whole cycle."""
-    s, t = path[0], path[-1]
-    ps, pt = parts.part_of(s), parts.part_of(t)
-    k = len(cycle)
-    pos = {v: i for i, v in enumerate(cycle)}
-    leaving = sorted(z for z in cycle if d.has_arc(s, z))
-    if not leaving:
-        cands = sorted(v for v in cycle if parts.part_of(v) == pt)
-        cands += sorted(
-            v for v in cycle if parts.part_of(v) not in (ps, pt)
-        )
-        for w in cands:
-            w_succ = cycle[(pos[w] + 1) % k]
-            if d.has_arc(w, s) and parts.part_of(w_succ) != pt:
-                return _seg(cycle, w_succ, w) + path
-    else:
-        for z in leaving:
-            z_pred = cycle[pos[z] - 1]
-            if parts.part_of(z) != pt and d.has_arc(z_pred, s):
-                return _seg(cycle, z, z_pred) + path
-        for z in leaving:
-            if len(path) < 2:
-                break
-            z_succ = cycle[(pos[z] + 1) % k]
-            z_pred = cycle[pos[z] - 1]
-            head = _seg(cycle, z_succ, z_pred)
-            if (
-                parts.part_of(head[0]) != pt
-                and d.has_arc(z_pred, s)
-                and d.has_arc(z, path[1])
-            ):
-                return head + [s, z] + path[1:]
-    res = _absorb_generic(d, parts, path, cycle, require_distinct=True)
-    if res is not None:
-        return res
-    return _absorb_exhaustive(d, parts, path, cycle)
+    """Extend the path before its initial vertex by the whole cycle: the
+    mirror image of _absorb_after, run on the reversed digraph."""
+    return _absorb_after(d.reversed(), parts, path[::-1], cycle[::-1])[::-1]
 
 
 def _absorb_generic(d, parts, path, cycle, require_distinct: bool):
@@ -619,40 +540,9 @@ def _absorb_generic(d, parts, path, cycle, require_distinct: bool):
     return None
 
 
-def _absorb_exhaustive(d, parts, path, cycle) -> list[int]:
-    union = sorted(set(path) | set(cycle))
-    if len(union) <= MERGE_EXHAUSTIVE_BOUND:
-        res = _exact_ham_path_on_subset(d, union, parts)
-        if res is not None:
-            return list(res)
-    raise InternalVerificationError(
-        f"could not absorb a {len(cycle)}-cycle into the working path"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hamilton path assembly without endpoint constraints (certificate of the
 # path solver)
-
-
-def _absorb_z_patterns(d, path, cycle):
-    k = len(cycle)
-    pos = {v: i for i, v in enumerate(cycle)}
-    t = path[-1]
-    if len(path) >= 2:
-        q = path[-2]
-        for z in sorted(z for z in cycle if d.has_arc(z, t)):
-            z_succ = cycle[(pos[z] + 1) % k]
-            z_pred = cycle[pos[z] - 1]
-            if d.has_arc(q, z) and d.has_arc(t, z_succ):
-                return path[:-1] + [z, t] + _seg(cycle, z_succ, z_pred)
-        s = path[0]
-        for z in sorted(z for z in cycle if d.has_arc(s, z)):
-            z_succ = cycle[(pos[z] + 1) % k]
-            z_pred = cycle[pos[z] - 1]
-            if d.has_arc(z_pred, s) and d.has_arc(z, path[1]):
-                return _seg(cycle, z_succ, z_pred) + [s, z] + path[1:]
-    return None
 
 
 def _assemble_ham_path(
@@ -664,20 +554,11 @@ def _assemble_ham_path(
         return tuple(path)
     if len(path) >= 2 and not parts.same_part(path[0], path[-1]):
         return ham_path_distinct_ends(d, parts, factor)
-    cur = path
     for cyc in sorted(factor.cycles, key=min):
-        res = _absorb_generic(d, parts, cur, cyc, require_distinct=False)
-        if res is None:
-            res = _absorb_z_patterns(d, cur, cyc)
-        if res is None:
-            union = sorted(set(cur) | set(cyc))
-            if len(union) <= MERGE_EXHAUSTIVE_BOUND:
-                found = _exact_ham_path_on_subset(d, union, None)
-                res = list(found) if found is not None else None
-        if res is None:
+        path = _absorb_generic(d, parts, path, cyc, require_distinct=False)
+        if path is None:
             return _apex_ham_path(d, parts, factor)
-        cur = res
-    return tuple(cur)
+    return tuple(path)
 
 
 def _apex_ham_path(
@@ -685,10 +566,11 @@ def _apex_ham_path(
 ) -> tuple[int, ...]:
     """Hamilton path via a universal apex vertex closing the factor's path.
 
-    The apex forms digons with every vertex, so its cycle can never satisfy
-    weak domination against another cycle; the merge machinery therefore
-    keeps merging until a Hamilton cycle of the extended digraph appears,
-    which turns into a Hamilton path of d when the apex is removed.
+    The apex forms digons with every vertex, and every cycle of an SMD meets
+    two partite sets, so the apex's cycle has no weak-domination witness
+    against any other cycle in either direction.  Merging therefore never
+    stops before a Hamilton cycle of the extended digraph appears, which
+    turns into a Hamilton path of d when the apex is removed.
     """
     n = d.n
     x = n
@@ -765,10 +647,12 @@ def _cycle_factor_of(d: Digraph) -> SpanningFactor | None:
 def is_hamiltonian_smd(d: Digraph, parts: PartiteStructure):
     """A directed Hamilton cycle of d, or None.
 
-    Strategy: a cycle factor is necessary; the merge machinery usually
-    produces a Hamilton cycle outright; if it stalls at an ordered factor the
-    decision falls to an exact search, which is exponential and therefore
-    bounded (desk scale).
+    A strong digraph with a cycle factor is merged as far as the pairs
+    without a witness allow (irreducible_ordered_cycle_factor).  That either
+    yields a Hamilton cycle or stops at an ordered factor, which does not
+    settle the question; then an exact search decides it, which is
+    exponential and therefore refused above HAMILTONICITY_EXACT_BOUND
+    vertices with InputError.
     """
     check_smd(d, parts)
     if d.n < 3:

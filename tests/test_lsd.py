@@ -313,8 +313,9 @@ def test_component_cycles_match_the_relabelled_subdigraph():
         for comp in strong_components(d).components:
             if len(comp) < 2:
                 continue
-            sub, back = d.without_vertices(set(range(d.n)) - set(comp))
-            expected = tuple(back[v] for v in ham_cycle_strong_semicomplete(sub))
+            new_id = {v: i for i, v in enumerate(comp)}
+            sub = Digraph(len(comp), [(new_id[u], new_id[v]) for u, v in d.arcs if u in new_id and v in new_id])
+            expected = tuple(comp[v] for v in ham_cycle_strong_semicomplete(sub))
             assert _ham_cycle_semicomplete(d, comp) == expected
             checked += 1
     assert checked > 200
@@ -329,6 +330,20 @@ def test_ham_path_lsd_builds_no_subdigraph(monkeypatch):
     monkeypatch.setattr(digraph, "_tarjan", lambda g: tarjan.append(g) or full_tarjan(g))
     seq = ham_path_lsd(d)
     assert validate_walk(d, seq, WalkKind.PATH).sigma_minus == 0
+    assert built == [] and tarjan == []
+
+
+def test_mfahoc_lsd_builds_no_subdigraph(monkeypatch):
+    # the path around the shortest path's interior is cut from d's own rows
+    d = gen_lsd_nonstrong((4, 5, 3, 4), seed=1, reach_prob=0.2)
+    strong_components(d)
+    built, tarjan = [], []
+    init, full_tarjan = Digraph.__init__, digraph._tarjan
+    monkeypatch.setattr(Digraph, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(digraph, "_tarjan", lambda g: tarjan.append(g) or full_tarjan(g))
+    sigma, walk, branch = mfahoc_lsd(d)
+    assert branch == "lsd-nonstrong-2connected"
+    assert walk.sigma_plus == sigma < d.n
     assert built == [] and tarjan == []
 
 

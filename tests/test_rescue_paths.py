@@ -1,32 +1,31 @@
-"""Direct coverage of the constructive branches and desk-scale fallbacks.
+"""Direct coverage of the constructive branches and of the total merge.
 
-Random instances almost never need the rescue layers, so each branch gets a
-hand-built fixture: the two-case absorption analysis on both path ends, the
-generic and exhaustive absorptions, the apex reduction, and the exact
-subset searches.
+Random instances rarely need these branches, so each gets a hand-built
+fixture: the two-case absorption analysis on both path ends, the apex
+reduction and the exact cycle search.  The merge of two cycles with no
+weak-domination witness is checked on seeded random pairs and on the
+instances that needed an exhaustive search before it was total.
 """
 
 import random
 
+import pytest
+
+from mfaho import harness
 from mfaho.digraph import PartiteStructure, WalkKind, build_digraph, recognize_smd, validate_walk
 from mfaho.factor_flow import SpanningFactor
 from mfaho.generate import gen_smd
-from mfaho.oracle import oracle_mfahop
+from mfaho.oracle import oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
     _absorb_after,
     _absorb_before,
-    _absorb_exhaustive,
-    _absorb_z_patterns,
     _apex_ham_path,
     _exact_ham_cycle_on_subset,
-    _exact_ham_path_on_subset,
-    _global_orderable_factor,
+    _insert_blocks,
     _merge_pair,
-    OrderedCycleFactor,
+    _witness_matrix,
     mfahop_smd,
 )
-
-from conftest import figure_cycles_digraph
 
 
 def _parts(n, sets):
@@ -89,20 +88,6 @@ def test_absorb_before_leaving_arc_first_shape():
     assert _absorb_before(d, parts, [5, 1, 0], (2, 4, 3)) == [2, 4, 5, 3, 1, 0]
 
 
-def test_absorb_z_patterns():
-    d = build_digraph(4, [(0, 1), (2, 3), (3, 2), (0, 2), (2, 1), (1, 3)])
-    assert _absorb_z_patterns(d, [0, 1], (2, 3)) == [0, 2, 1, 3]
-
-
-def test_absorb_exhaustive_rescue():
-    d = build_digraph(4, [(0, 1), (2, 3), (3, 2), (1, 2), (0, 3)])
-    parts = _parts(4, [{0, 2}, {1, 3}])
-    res = _absorb_exhaustive(d, parts, [0, 1], (2, 3))
-    walk = validate_walk(d, tuple(res), WalkKind.PATH)
-    assert walk.sigma_minus == 0
-    assert not parts.same_part(res[0], res[-1])
-
-
 def test_apex_route_builds_hamilton_path():
     # the factor's path has both endpoints in the same part, which the
     # distinct-ends machinery cannot accept; the apex reduction still yields
@@ -130,7 +115,6 @@ def test_mfahop_survives_disabled_local_absorption(monkeypatch):
         return orig(d, parts, path, cycle, require_distinct)
 
     monkeypatch.setattr(smd_mod, "_absorb_generic", crippled)
-    monkeypatch.setattr(smd_mod, "_absorb_z_patterns", lambda *a: None)
     rng = random.Random(5)
     checked = 0
     for _ in range(40):
@@ -185,32 +169,6 @@ def test_exact_cycle_search_matches_brute_force():
             assert all(big.has_arc(got[i], got[(i + 1) % n]) for i in range(n))
 
 
-def test_exact_path_search_matches_brute_force():
-    from itertools import permutations
-
-    rng = random.Random(78)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        arcs = [
-            (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.5
-        ]
-        d = build_digraph(n, arcs)
-        got = _exact_ham_path_on_subset(d, list(range(n)), None)
-        exists = any(
-            all(d.has_arc(p[i], p[i + 1]) for i in range(n - 1))
-            for p in permutations(range(n))
-        )
-        assert (got is not None) == exists
-        if got is not None and n > 1:
-            assert validate_walk(d, got, WalkKind.PATH).sigma_minus == 0
-        big, subset = _embedded(rng, d)
-        got = _exact_ham_path_on_subset(big, subset, None)
-        assert (got is not None) == exists
-        if got is not None:
-            assert sorted(got) == subset
-            assert all(big.has_arc(got[i], got[i + 1]) for i in range(n - 1))
-
-
 def _embedded(rng, d):
     """d placed on a sorted random subset of a larger digraph, whose other
     vertices get random arcs to, from and among themselves."""
@@ -258,23 +216,97 @@ def test_merge_pair_takes_the_first_splice():
     assert spliced > 100
 
 
-def test_global_orderable_factor_contract():
-    from mfaho.smd import weakly_dominates
-
-    d, parts, c1, c2, c3 = figure_cycles_digraph()
-    res = _global_orderable_factor(d, parts)
-    assert res is not None
-    if isinstance(res, OrderedCycleFactor):
-        t = len(res.cycles)
-        for i in range(t):
-            for j in range(i + 1, t):
-                assert weakly_dominates(d, parts, res.cycles[i], res.cycles[j]) is not None
-    else:
-        assert validate_walk(d, res, WalkKind.CYCLE).sigma_minus == 0
+def test_insert_blocks_gives_each_block_its_own_gap():
+    # 3 and 5 each fit the gap 0 -> 1 and 4 fits 1 -> 2, so cutting (3, 4, 5)
+    # into single vertices would put two blocks into one gap; the blocks are
+    # cut from the right as long as possible, which makes the whole path one
+    # block here
+    cycles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    d = build_digraph(6, cycles + [(0, 3), (3, 1), (0, 5), (5, 1), (1, 4), (4, 2)])
+    merged = _insert_blocks(d, (0, 1, 2), (3, 4, 5))
+    assert merged == (0, 3, 4, 5, 1, 2)
+    assert validate_walk(d, merged, WalkKind.CYCLE).sigma_minus == 0
 
 
-def test_global_orderable_factor_none_without_factor():
-    # a sink vertex admits no cycle factor at all
-    d = build_digraph(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
-    parts = recognize_smd(d)
-    assert _global_orderable_factor(d, parts) is None
+# (problem, sizes, seed, digon_prob, bias, optimum).  The first four crashed
+# with "cycle factor could neither be merged further nor ordered" while the
+# merge was a splice plus an exhaustive search of at most 12 vertices; the
+# others were solved only through that search.
+MERGE_REGRESSIONS = [
+    ("mfahop", (4, 1, 3, 4, 2), 228013004, 0.0, 0.8, 13),
+    ("mfahoc", (4, 2, 4, 3), 868664884, 0.0, 0.5, 13),
+    ("mfahoc", (4, 6, 6), 653707252, 0.0, 0.5, 16),
+    ("mfahop", (3, 1, 4, 5, 1), 46455569, 0.1, 0.95, 13),
+    ("mfahop", (4, 3, 3, 1), 762611510, 0.0, 0.5, 10),
+    ("mfahoc", (2, 2, 4, 4, 3), 384135025, 0.0, 0.5, 15),
+    ("mfahoc", (3, 4, 4), 965215575, 0.0, 0.5, 11),
+    ("mfahoc", (2, 2, 2), 297319838, 0.0, 0.5, 6),
+    ("mfahoc", (2, 3, 3), 159275890, 0.1, 0.5, 8),
+    ("mfahop", (2, 2, 2), 611306337, 0.1, 0.5, 5),
+    ("mfahoc", (4, 5, 1, 6), 819259227, 0.1, 0.5, 16),
+    ("mfahoc", (3, 2, 4, 4, 5, 5), 342758770, 0.0, 0.5, 23),
+    ("mfahoc", (5, 4, 5, 4, 5), 834082529, 0.0, 0.5, 23),
+    ("mfahoc", (6, 2, 4, 5), 852546942, 0.1, 0.5, 17),
+]
+
+
+@pytest.mark.parametrize("problem, sizes, seed, digon, bias, optimum", MERGE_REGRESSIONS)
+def test_merge_regressions_solve_to_the_optimum(problem, sizes, seed, digon, bias, optimum):
+    d, parts = gen_smd(sizes, seed, digon, bias)
+    report = harness.solve(d, problem, parts)
+    assert report.sigma == optimum
+    if d.n <= 10:
+        oracle = oracle_mfahoc if problem == "mfahoc" else oracle_mfahop
+        assert oracle(d).value == optimum
+
+
+def _random_cycle_pair(rng):
+    """Two disjoint cycles of 2-6 vertices in a random SMD on their union."""
+    p = rng.randint(2, 5)
+    lengths = [rng.randint(2, 6) for _ in range(2)]
+    if p == 2:  # a cycle alternates between the two parts
+        lengths = [k + k % 2 for k in lengths]
+    labels = []
+    for k in lengths:
+        while True:
+            cyc = [rng.randrange(p) for _ in range(k)]
+            if all(cyc[i] != cyc[i - 1] for i in range(k)):
+                break
+        labels += cyc
+    n = len(labels)
+    order = list(range(n))
+    rng.shuffle(order)
+    x, y = tuple(order[: lengths[0]]), tuple(order[lengths[0] :])
+    part = dict(zip(order, labels))
+    arcs = {(c[i - 1], c[i]) for c in (x, y) for i in range(len(c))}
+    digon, bias = rng.choice((0.0, 0.1, 0.3)), rng.choice((0.5, 0.8, 0.95, 1.0))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if part[u] == part[v]:
+                continue
+            a, b = u, v
+            if (v, u) in arcs or (u, v) not in arcs and rng.random() >= bias:
+                a, b = v, u
+            arcs.add((a, b))
+            if rng.random() < digon:
+                arcs.add((b, a))
+    parts = PartiteStructure.from_parts(n, [{v for v in range(n) if part[v] == i} for i in set(labels)])
+    return build_digraph(n, arcs), parts, x, y
+
+
+def test_merge_pair_merges_every_unwitnessed_pair():
+    # Yeo's lemma: with no weak-domination witness either way, the union of
+    # the two cycles is hamiltonian; _merge_pair must always build the cycle
+    rng = random.Random(83)
+    unwitnessed = unspliced = 0
+    for _ in range(6000):
+        d, parts, x, y = _random_cycle_pair(rng)
+        wit = _witness_matrix(d.arc_arrays(), parts, (x, y))
+        if wit[0, 1] >= 0 or wit[1, 0] >= 0:
+            continue
+        unwitnessed += 1
+        unspliced += _first_splice(d, x, y) is None
+        merged = _merge_pair(d, x, y)
+        assert merged is not None, (x, y, sorted(d.arcs))
+        assert validate_walk(d, merged, WalkKind.CYCLE).sigma_minus == 0
+    assert unwitnessed > 3000 and unspliced > 20
