@@ -2,8 +2,8 @@
 
 Supported digraph classes: semicomplete multipartite (SMD) and locally
 semicomplete (LSD).  Optima come with certificate walks that are re-verified
-against the input before being returned; an exhaustive oracle provides
-independent ground truth on small instances.
+against the input before being returned; an exact subset-DP oracle
+provides independent ground truth on small instances.
 """
 
 from .digraph import (

@@ -25,7 +25,7 @@ from .harness import (
     verify_report,
 )
 from .instance_io import parse_instance, serialize_instance
-from .oracle import oracle_mfahoc, oracle_mfahop
+from .oracle import DEFAULT_WALK_BOUND, oracle_mfahoc, oracle_mfahop
 
 EXIT_OK = 0
 EXIT_NO_STRUCTURE = 2
@@ -241,10 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive ground truth (small n)")
+    p_oracle = sub.add_parser("oracle", help="exact ground truth by subset DP (small n)")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--problem", required=True, choices=("mfahoc", "mfahop"))
-    p_oracle.add_argument("--oracle-bound", type=int, default=10)
+    p_oracle.add_argument("--oracle-bound", type=int, default=DEFAULT_WALK_BOUND)
     add_common(p_oracle)
     p_oracle.set_defaults(fn=cmd_oracle)
 

@@ -1,8 +1,14 @@
-"""Exhaustive ground truth for small instances.
+"""Independent ground truth for small instances.
 
-Everything here enumerates candidate structures outright; no insight from the
-solvers leaks in.  Walk enumeration fixes vertex 0 in the first slot and
-canonicalizes traversal direction, halving the work.
+No insight from the solvers leaks in.  The walk oracles solve MFAHOC and
+MFAHOP by the subset dynamic program of Bellman (1962) and Held and Karp
+(1962): f[mask][v] is the largest number of forward steps over the oriented
+paths that visit exactly the vertex set mask and end at v.  A step may join
+any two vertices adjacent in the underlying graph and scores 1 when it runs
+along an arc.  A cycle starts at vertex 0 and closes with a step back to it;
+a path may start anywhere.  The table has 2^n rows, so the walk oracles
+refuse n above MAX_WALK_VERTICES whatever bound they are given.  The factor
+oracle enumerates successor permutations outright.
 """
 
 from __future__ import annotations
@@ -10,19 +16,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .digraph import Digraph
 from .errors import OracleBoundError
 from .factor_flow import CostDigraph
 
-DEFAULT_WALK_BOUND = 10
+DEFAULT_WALK_BOUND = 18
 DEFAULT_FACTOR_BOUND = 8
+# Largest n the walk oracles accept: the n=20 path table and its parents
+# take 63 MB.  Checked before anything is allocated.
+MAX_WALK_VERTICES = 20
+
+_UNREACHED = -(1 << 10)  # table value of an unreachable state; twice it fits int16
+_CHUNK_PAIRS = 1 << 16  # (mask, last vertex) states filled per numpy pass
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Optimum value, one optimal witness, and the number of candidates seen.
+    """Optimum value, one optimal witness, and the work done to find them.
 
-    value is None when no candidate structure exists at all.
+    value is None when no candidate structure exists at all.  enumerated is
+    the number of reachable (visited set, last vertex) states of the walk
+    oracles' table, and the number of candidate structures the factor oracle
+    enumerated.
     """
 
     value: int | None
@@ -41,15 +58,71 @@ def _check_bound(n: int, bound: int) -> None:
         )
 
 
-def _forward_count(d: Digraph, seq: tuple[int, ...], cyclic: bool) -> int:
-    n = len(seq)
-    steps = n if cyclic else n - 1
-    return sum(1 for i in range(steps) if d.has_arc(seq[i], seq[(i + 1) % n]))
+def _check_walk_bound(n: int, bound: int) -> None:
+    if n > MAX_WALK_VERTICES:
+        raise OracleBoundError(
+            f"instance has {n} vertices, above the walk oracle's hard bound "
+            f"{MAX_WALK_VERTICES}"
+        )
+    _check_bound(n, bound)
+
+
+def _best_walk(d: Digraph, cyclic: bool) -> OracleResult:
+    """Best Hamilton oriented cycle (cyclic) or path of d, for n >= 3 or a
+    path on n >= 1, by one (max, +) pass per size of the visited set.
+
+    The table covers the vertices first..n-1 as bits 0..k-1, where first is
+    1 for a cycle (vertex 0 is its fixed start, outside the table) and 0 for
+    a path.
+    """
+    n = d.n
+    first = 1 if cyclic else 0
+    k = n - first
+    bits = np.arange(n)
+    out = (np.array(d.out_mask, dtype=np.int64)[:, None] >> bits) & 1
+    adj = (np.array(d.adj_mask, dtype=np.int64)[:, None] >> bits) & 1
+    score = np.where(adj == 1, out, _UNREACHED).astype(np.int16)  # score[u, v]: step u -> v
+    into = np.ascontiguousarray(score[first:, first:].T)  # into[v, u]: step u -> v
+    f = np.full((1 << k, k), _UNREACHED, dtype=np.int16)
+    parent = np.zeros((1 << k, k), dtype=np.int8)
+    table_bits = np.arange(k)
+    f[1 << table_bits, table_bits] = score[0, 1:] if cyclic else 0
+    size = np.zeros(1 << k, dtype=np.int8)
+    for b in range(k):
+        size[1 << b : 2 << b] = size[: 1 << b] + 1
+    for layer in range(2, k + 1):
+        masks = np.flatnonzero(size == layer)
+        step = max(1, _CHUNK_PAIRS // layer)
+        for lo in range(0, len(masks), step):
+            rows, ends = np.nonzero((masks[lo : lo + step, None] >> table_bits) & 1)
+            mask = masks[lo + rows]
+            cand = f[mask ^ (1 << ends)]
+            cand += into[ends]
+            prev = cand.argmax(axis=1)
+            best = cand[np.arange(len(prev)), prev]
+            # a sum over an unreached state or a non-adjacent pair is negative;
+            # resetting it keeps every later sum inside int16
+            f[mask, ends] = np.where(best < 0, _UNREACHED, best)
+            parent[mask, ends] = prev
+    full = (1 << k) - 1
+    last = f[full] + score[first:, 0] if cyclic else f[full]
+    end = int(last.argmax())
+    reached = int(np.count_nonzero(f >= 0))
+    if last[end] < 0:
+        return OracleResult(None, None, reached)
+    seq = [end]
+    mask = full
+    for _ in range(k - 1):
+        v = seq[-1]
+        seq.append(int(parent[mask, v]))
+        mask ^= 1 << v
+    witness = ([0] if cyclic else []) + [v + first for v in reversed(seq)]
+    return OracleResult(int(last[end]), tuple(witness), reached)
 
 
 def oracle_mfahoc(d: Digraph, bound: int = DEFAULT_WALK_BOUND) -> OracleResult:
-    """Max forward arcs over all Hamilton oriented cycles, by enumeration."""
-    _check_bound(d.n, bound)
+    """Max forward arcs over all Hamilton oriented cycles, by the subset DP."""
+    _check_walk_bound(d.n, bound)
     if d.n < 2:
         return OracleResult(None, None, 0)
     if d.n == 2:
@@ -57,65 +130,20 @@ def oracle_mfahoc(d: Digraph, bound: int = DEFAULT_WALK_BOUND) -> OracleResult:
         if d.has_arc(0, 1) and d.has_arc(1, 0):
             return OracleResult(2, (0, 1), 1)
         return OracleResult(None, None, 0)
-    best = -1
-    witness = None
-    count = 0
-    rest = list(range(1, d.n))
-    for perm in permutations(rest):
-        if d.n > 2 and perm[0] > perm[-1]:
-            continue  # the reversed cyclic order is evaluated with this one
-        seq = (0,) + perm
-        if not all(d.adjacent(seq[i], seq[(i + 1) % d.n]) for i in range(d.n)):
-            continue
-        count += 1
-        fwd = _forward_count(d, seq, cyclic=True)
-        rev = _forward_count(d, seq[::-1], cyclic=True)
-        if max(fwd, rev) > best:
-            best = max(fwd, rev)
-            witness = seq if fwd >= rev else seq[::-1]
-    if best < 0:
-        return OracleResult(None, None, count)
-    return OracleResult(best, witness, count)
+    return _best_walk(d, cyclic=True)
 
 
 def oracle_mfahop(d: Digraph, bound: int = DEFAULT_WALK_BOUND) -> OracleResult:
-    """Max forward arcs over all Hamilton oriented paths, by enumeration."""
-    _check_bound(d.n, bound)
+    """Max forward arcs over all Hamilton oriented paths, by the subset DP."""
+    _check_walk_bound(d.n, bound)
     if d.n == 0:
         return OracleResult(None, None, 0)
-    if d.n == 1:
-        return OracleResult(0, (0,), 1)
-    best = -1
-    witness = None
-    count = 0
-    for perm in permutations(range(d.n)):
-        if perm[0] > perm[-1]:
-            continue  # reversal handled together with this sequence
-        if not all(d.adjacent(perm[i], perm[i + 1]) for i in range(d.n - 1)):
-            continue
-        count += 1
-        fwd = _forward_count(d, perm, cyclic=False)
-        rev = _forward_count(d, perm[::-1], cyclic=False)
-        if max(fwd, rev) > best:
-            best = max(fwd, rev)
-            witness = perm if fwd >= rev else perm[::-1]
-    if best < 0:
-        return OracleResult(None, None, count)
-    return OracleResult(best, witness, count)
+    return _best_walk(d, cyclic=False)
 
 
 def oracle_ham_cycle(d: Digraph, bound: int = DEFAULT_WALK_BOUND) -> bool:
     """True iff d has a directed Hamilton cycle (all steps forward)."""
-    _check_bound(d.n, bound)
-    if d.n < 2:
-        return False
-    if d.n == 2:
-        return d.has_arc(0, 1) and d.has_arc(1, 0)
-    for perm in permutations(range(1, d.n)):
-        seq = (0,) + perm
-        if all(d.has_arc(seq[i], seq[(i + 1) % d.n]) for i in range(d.n)):
-            return True
-    return False
+    return oracle_mfahoc(d, bound).value == d.n
 
 
 def oracle_factor_cost(

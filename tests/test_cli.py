@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from mfaho.cli import main
+from mfaho.cli import build_parser, main
 from mfaho.digraph import build_digraph
 from mfaho.generate import gen_smd
 from mfaho.harness import SolveReport, classify, solve, verify_report
 from mfaho.instance_io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
+from mfaho.oracle import DEFAULT_WALK_BOUND
 
 
 def test_parse_text_triangle():
@@ -261,12 +262,26 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
 
 
 def test_cli_oracle_bound_exits_3(tmp_path, capsys):
-    arcs = [(i, (i + 1) % 12) for i in range(12)]
+    arcs = [(i, (i + 1) % 19) for i in range(19)]
     inst = tmp_path / "big.dg"
-    inst.write_text(serialize_instance(build_digraph(12, arcs)))
+    inst.write_text(serialize_instance(build_digraph(19, arcs)))
     code, _, err = run_cli(capsys, "oracle", str(inst), "--problem", "mfahoc")
     assert code == 3
     assert "bound" in err
+
+
+def test_cli_oracle_bound_defaults_to_the_oracle_constant(tmp_path, capsys):
+    args = build_parser().parse_args(["oracle", "x.dg", "--problem", "mfahop"])
+    assert args.oracle_bound == DEFAULT_WALK_BOUND
+    # a larger --oracle-bound cannot lift the hard maximum on the table size
+    arcs = [(i, (i + 1) % 40) for i in range(40)]
+    inst = tmp_path / "huge.dg"
+    inst.write_text(serialize_instance(build_digraph(40, arcs)))
+    code, _, err = run_cli(
+        capsys, "oracle", str(inst), "--problem", "mfahop", "--oracle-bound", "40"
+    )
+    assert code == 3
+    assert "hard bound" in err
 
 
 def test_cli_batch_mode(tmp_path, capsys):

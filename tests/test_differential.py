@@ -1,0 +1,62 @@
+"""Seeded differential test: harness.solve against the subset-DP oracle at
+n = 12-16, on the many-small-parts SMD shapes that reach the rare branches.
+
+Random dense SMDs at the sizes the permutation oracle could check (n <= 9)
+almost never reach the cycle-below-max branch or absorption; these shapes do.
+The instance count is fixed, so a run checks the same instances every time.
+"""
+
+import random
+from collections import Counter
+
+from mfaho.generate import gen_smd
+from mfaho.harness import solve
+from mfaho.oracle import oracle_mfahoc, oracle_mfahop
+
+from test_acceptance import _chained_blocks_smd
+
+SWEEP_INSTANCES = 60
+CHAINED_INSTANCES = 8
+
+
+def _sweep_b(rng):
+    """SMDs with 3-7 parts of size 1-6 and 12 <= n <= 16.  Per instance the
+    draws are, in order: part count, sizes, bias, digon probability, seed."""
+    while True:
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(3, 7))]
+        bias = rng.choice((0.5, 0.8, 0.95))
+        digon_prob = rng.choice((0.0, 0.0, 0.1))
+        seed = rng.randrange(10**9)
+        if 12 <= sum(sizes) <= 16:
+            yield gen_smd(sizes, seed, digon_prob, bias)
+
+
+def _chained_with_back_arcs(rng):
+    """Chained cycle blocks, 12 <= n <= 16, with some back arcs from a later
+    block to an earlier one added as digons; the partite sets are unchanged."""
+    while True:
+        # a block is one cycle, so more than 4 vertices would not be multipartite
+        blocks = [rng.randint(2, 4) for _ in range(rng.randint(3, 6))]
+        if not 12 <= sum(blocks) <= 16:
+            continue
+        d, parts, factor = _chained_blocks_smd(blocks, rng)
+        block_of = {v: i for i, cycle in enumerate(factor) for v in cycle}
+        back_prob = rng.choice((0.02, 0.1, 0.3))
+        back = [(v, u) for u, v in sorted(d.arcs) if block_of[u] < block_of[v]]
+        d = d.with_arcs([arc for arc in back if rng.random() < back_prob])
+        yield d, parts
+
+
+def test_solve_matches_the_oracle_on_many_small_parts():
+    rng = random.Random(7)
+    sweep, chained = _sweep_b(rng), _chained_with_back_arcs(rng)
+    instances = [next(sweep) for _ in range(SWEEP_INSTANCES)]
+    instances += [next(chained) for _ in range(CHAINED_INSTANCES)]
+    branches = Counter()
+    for d, parts in instances:
+        for problem, oracle in (("mfahoc", oracle_mfahoc), ("mfahop", oracle_mfahop)):
+            report = solve(d, problem, parts)
+            got = report.sigma if report.status == "ok" else None
+            assert got == oracle(d).value, (problem, d.n, sorted(d.arcs))
+            branches[report.branch.removeprefix("both:")] += 1
+    assert branches["cycle-below-max"] > 0 and branches["path-factor"] > 0, branches

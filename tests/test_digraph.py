@@ -12,6 +12,7 @@ from mfaho.digraph import (
     build_digraph,
     induced_components,
     is_semicomplete,
+    is_strong,
     recognize_lsd,
     recognize_smd,
     strong_components,
@@ -19,7 +20,7 @@ from mfaho.digraph import (
     validate_walk,
 )
 from mfaho.errors import InputError, NotAWalkError
-from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
+from mfaho.generate import _reaches_all_both_ways, gen_lsd_nonstrong, gen_lsd_strong
 from mfaho.instance_io import MAX_VERTICES
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -474,3 +475,24 @@ def test_2connected_matches_vertex_deletion_definition():
         outcomes.append(underlying_is_2connected(d))
         assert outcomes[-1] == two_connected_by_definition(d)
     assert 100 < sum(outcomes) < len(outcomes) - 100
+
+
+def test_generator_strongness_test_matches_is_strong():
+    """The generator's two reach-mask walks decide strongness exactly as
+    is_strong does, on candidates drawn the way the generator draws them."""
+    rng = random.Random(909)
+    verdicts = []
+    for _ in range(1000):
+        k = rng.randint(3, 9)
+        digon_prob = rng.choice((0.0, 0.2, 0.5))
+        arcs = []
+        for u in range(k):
+            for v in range(u + 1, k):
+                if rng.random() < digon_prob:
+                    arcs += [(u, v), (v, u)]
+                else:
+                    arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        d = Digraph(k, arcs)
+        verdicts.append(is_strong(d))
+        assert _reaches_all_both_ways(d) == verdicts[-1], sorted(arcs)
+    assert 100 < sum(verdicts) < 900

@@ -1,10 +1,16 @@
+import random
+from itertools import permutations
+
 import pytest
 
+import mfaho.oracle
 from mfaho.digraph import WalkKind, build_digraph, validate_walk
 from mfaho.errors import OracleBoundError
 from mfaho.factor_flow import symmetric_01
 from mfaho.generate import gen_smd
 from mfaho.oracle import (
+    DEFAULT_WALK_BOUND,
+    MAX_WALK_VERTICES,
     oracle_factor_cost,
     oracle_ham_cycle,
     oracle_mfahoc,
@@ -65,14 +71,28 @@ def test_factor_oracle_unknown_kind():
 
 
 def test_bound_refusal():
-    d = build_digraph(12, [(i, (i + 1) % 12) for i in range(12)])
-    with pytest.raises(OracleBoundError, match="12"):
+    assert DEFAULT_WALK_BOUND == 18
+    d = build_digraph(19, [(i, (i + 1) % 19) for i in range(19)])
+    with pytest.raises(OracleBoundError, match="19"):
         oracle_mfahoc(d)
     with pytest.raises(OracleBoundError):
         oracle_mfahop(d)
     with pytest.raises(OracleBoundError):
         oracle_ham_cycle(d)
-    assert oracle_mfahoc(d, bound=12).value == 12
+    assert oracle_mfahoc(d, bound=19).value == 19
+
+
+def test_hard_maximum_refuses_before_building_the_table(monkeypatch):
+    def no_table(d, cyclic):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(mfaho.oracle, "_best_walk", no_table)
+    assert MAX_WALK_VERTICES == 20
+    for n in (MAX_WALK_VERTICES + 1, 64):
+        d = build_digraph(n, [(i, (i + 1) % n) for i in range(n)])
+        for oracle in (oracle_mfahoc, oracle_mfahop, oracle_ham_cycle):
+            with pytest.raises(OracleBoundError, match="hard bound"):
+                oracle(d, bound=10**6)
 
 
 def test_witnesses_revalidate():
@@ -99,3 +119,61 @@ def test_reversal_invariance_without_digons():
 def test_two_vertex_cycle_needs_digon():
     assert oracle_mfahoc(build_digraph(2, [(0, 1), (1, 0)])).value == 2
     assert oracle_mfahoc(build_digraph(2, [(0, 1)])).value is None
+
+
+def _reference_walk(d, cyclic):
+    """Max forward steps over all Hamilton oriented cycles (cyclic) or paths
+    of d, by enumerating vertex orders; vertex 0 comes first in a cycle."""
+    if d.n == 0 or (cyclic and d.n < 3):
+        digon = d.n == 2 and d.has_arc(0, 1) and d.has_arc(1, 0)
+        return 2 if cyclic and digon else None
+    adjacent = [[d.adjacent(u, v) for v in range(d.n)] for u in range(d.n)]
+    arc = [[d.has_arc(u, v) for v in range(d.n)] for u in range(d.n)]
+    orders = ((0, *p) for p in permutations(range(1, d.n))) if cyclic else permutations(range(d.n))
+    best = None
+    for seq in orders:
+        steps = list(zip(seq, seq[1:] + seq[:1] if cyclic else seq[1:]))
+        if all(adjacent[u][v] for u, v in steps):
+            forward = sum(arc[u][v] for u, v in steps)
+            best = forward if best is None else max(best, forward)
+    return best
+
+
+def _random_digraph(rng, n):
+    """A digraph on n vertices joining each pair with probability p, as a
+    digon with probability q, otherwise by one arc of random direction."""
+    p = rng.choice((0.3, 0.6, 0.9, 1.0))
+    q = rng.choice((0.0, 0.2, 0.8))
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                if rng.random() < q:
+                    arcs += [(u, v), (v, u)]
+                else:
+                    arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return build_digraph(n, arcs)
+
+
+def test_walk_oracles_match_the_permutation_reference():
+    rng = random.Random(2024)
+    outcomes = set()
+    for i in range(180):
+        n = i % 9
+        if n == 8 and i % 2:
+            d, _ = gen_smd((3, 3, 2), seed=i, digon_prob=rng.choice((0.0, 0.5)))
+        else:
+            d = _random_digraph(rng, n)
+        for cyclic, oracle, kind in (
+            (True, oracle_mfahoc, WalkKind.CYCLE),
+            (False, oracle_mfahop, WalkKind.PATH),
+        ):
+            expected = _reference_walk(d, cyclic)
+            res = oracle(d)
+            assert res.value == expected, (cyclic, d.n, sorted(d.arcs))
+            outcomes.add((cyclic, res.exists))
+            if res.exists:
+                assert validate_walk(d, res.witness, kind).sigma_plus == res.value
+            if cyclic:
+                assert oracle_ham_cycle(d) == (expected == d.n)
+    assert outcomes == {(c, e) for c in (True, False) for e in (True, False)}
