@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 
 from .digraph import Digraph, PartiteStructure
-from .errors import InputError, InternalVerificationError, OracleBoundError
+from .errors import InputError, InternalVerificationError
 from .generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from .harness import (
     SolveReport,
-    UnsupportedClassError,
     classify,
     solve,
     verify_report,
@@ -259,21 +258,12 @@ def main(argv=None) -> int:
     except TimeLimitExceeded:
         sys.stderr.write("error: time limit exceeded\n")
         return EXIT_INPUT
-    except OracleBoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except UnsupportedClassError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except InputError as exc:
+    except (InputError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except InternalVerificationError as exc:
         sys.stderr.write(f"internal verification failure: {exc}\n")
         return EXIT_VERIFY
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ distinct-ends Hamilton path is built by absorbing the ordered cycles into the
 broken cycle one at a time, to the right of the path and then to the left;
 any other Hamilton path comes from generic absorption or, failing that, from
 merging with a universal apex vertex.  No step depends on the size of the
-input except the exact Hamiltonicity search of _hamilton_cycle_search, which
-is bounded; solver outputs are always re-validated before being returned.
+input except one: when a full-cost cycle factor merges only to an ordered
+factor, _hamilton_cycle_search decides Hamiltonicity by the subset DP of
+oracle_mfahoc, which refuses n above MAX_WALK_VERTICES.  Solver outputs are
+always re-validated before being returned.
 """
 
 from __future__ import annotations
@@ -36,13 +38,9 @@ from .factor_flow import (
     SpanningFactor,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
-    min_cost_assignment,
     symmetric_01,
 )
-
-# ceiling of the exact Hamiltonicity search, which decides a full-cost cycle
-# factor that merging leaves ordered
-HAMILTONICITY_EXACT_BOUND = 16
+from .oracle import MAX_WALK_VERTICES, oracle_mfahoc
 
 
 def hp_majority(sizes) -> bool:
@@ -359,45 +357,6 @@ def _ordered_factor(cycles, wit: np.ndarray, order: list[int]) -> OrderedCycleFa
     )
 
 
-def _exact_ham_cycle_on_subset(d: Digraph, vertices: list[int]):
-    """Directed Hamilton cycle on the induced subset by bitmask DP, or None."""
-    k = len(vertices)
-    if k < 2:
-        return None
-    idx = {v: i for i, v in enumerate(vertices)}
-    inside = _mask_of(vertices)
-    # out-rows of the induced subdigraph, labelled by position
-    nbr = [_mask_of(idx[w] for w in _mask_bits(d.out_mask[v] & inside)) for v in vertices]
-    parent: dict[tuple[int, int], int] = {(1, 0): -1}
-    frontier = [(1, 0)]
-    full = (1 << k) - 1
-    while frontier:
-        nxt_frontier = []
-        for mask, last in frontier:
-            targets = nbr[last] & ~mask
-            while targets:
-                low = targets & -targets
-                targets ^= low
-                j = low.bit_length() - 1
-                key = (mask | low, j)
-                if key not in parent:
-                    parent[key] = last
-                    nxt_frontier.append(key)
-        frontier = nxt_frontier
-    for last in range(1, k):
-        if (full, last) in parent and nbr[last] & 1:
-            seq = []
-            mask, cur = full, last
-            while cur != -1:
-                seq.append(vertices[cur])
-                prev = parent[(mask, cur)]
-                mask ^= 1 << cur
-                cur = prev
-            seq.reverse()
-            return tuple(seq)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # distinct-ends Hamilton path assembly
 
@@ -621,62 +580,48 @@ def mfahop_smd(d: Digraph, parts: PartiteStructure):
     return sigma, walk, "path-factor"
 
 
-def _cycle_factor_of(d: Digraph) -> SpanningFactor | None:
-    """Any cycle factor using only arcs of d, or None."""
-    n = d.n
-    c = np.full((n, n), np.inf)
-    c[d.arc_arrays()] = 0.0
-    cols = min_cost_assignment(c)
-    if cols is None:
-        return None
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v)
-            v = cols[v]
-        cycles.append(tuple(cyc))
-    return SpanningFactor(None, tuple(cycles), 0)
-
-
 def is_hamiltonian_smd(d: Digraph, parts: PartiteStructure):
     """A directed Hamilton cycle of d, or None.
 
-    A strong digraph with a cycle factor is merged as far as the pairs
-    without a witness allow (irreducible_ordered_cycle_factor).  That either
-    yields a Hamilton cycle or stops at an ordered factor, which does not
-    settle the question; then an exact search decides it, which is
-    exponential and therefore refused above HAMILTONICITY_EXACT_BOUND
-    vertices with InputError.
+    A cycle factor of d is a maximum-cost cycle factor of the symmetric
+    (0,1)-digraph whose cost is n; a lower cost, or none at all, means d has
+    no cycle factor and so no Hamilton cycle.  Otherwise the question goes
+    to _hamilton_cycle_search.
     """
     check_smd(d, parts)
     if d.n < 3:
         raise InputError("hamiltonicity needs at least 3 vertices")
-    cycle, _ = _hamilton_cycle_search(d, parts)
+    factor = max_cost_cycle_factor(symmetric_01(d))
+    if factor is None or factor.cost < d.n:
+        return None
+    cycle, _ = _hamilton_cycle_search(d, parts, factor)
     return cycle
 
 
-def _hamilton_cycle_search(d, parts, factor=None):
+def _hamilton_cycle_search(d, parts, factor):
+    """(Hamilton cycle of d or None, how it was decided), given a cycle
+    factor of d.
+
+    A strong digraph's factor is merged as far as the pairs without a
+    witness allow (irreducible_ordered_cycle_factor).  That either yields a
+    Hamilton cycle or stops at an ordered factor, which does not settle the
+    question; then the subset DP of oracle_mfahoc decides it: a value of n
+    means its witness is a directed Hamilton cycle.  The DP is exponential,
+    so above MAX_WALK_VERTICES vertices the search raises InputError before
+    any table is built.
+    """
     if not is_strong(d):
         return None, "not-strong"
-    if factor is None:
-        factor = _cycle_factor_of(d)
-    if factor is None:
-        return None, "no-cycle-factor"
     res = irreducible_ordered_cycle_factor(d, parts, factor)
     if not isinstance(res, OrderedCycleFactor):
         return res, "merged"
-    if d.n > HAMILTONICITY_EXACT_BOUND:
+    if d.n > MAX_WALK_VERTICES:
         raise InputError(
             f"hamiltonicity undecided by merging and n={d.n} exceeds the "
-            f"exact-search bound {HAMILTONICITY_EXACT_BOUND}"
+            f"exact-search bound {MAX_WALK_VERTICES}"
         )
-    return _exact_ham_cycle_on_subset(d, list(range(d.n))), "exact-search"
+    best = oracle_mfahoc(d, bound=MAX_WALK_VERTICES)
+    return (best.witness if best.value == d.n else None), "exact-search"
 
 
 def mfahoc_smd(d: Digraph, parts: PartiteStructure):

@@ -1,5 +1,6 @@
 """Seeded differential test: harness.solve against the subset-DP oracle at
-n = 12-16, on the many-small-parts SMD shapes that reach the rare branches.
+n = 12-16, on the many-small-parts SMD shapes that reach the rare branches
+(the shapes of sweeps A and B in ROADMAP.md) and on chained cycle blocks.
 
 Random dense SMDs at the sizes the permutation oracle could check (n <= 9)
 almost never reach the cycle-below-max branch or absorption; these shapes do.
@@ -15,8 +16,21 @@ from mfaho.oracle import oracle_mfahoc, oracle_mfahop
 
 from test_acceptance import _chained_blocks_smd
 
+SWEEP_A_INSTANCES = 60
 SWEEP_INSTANCES = 60
 CHAINED_INSTANCES = 8
+
+
+def _sweep_a(rng):
+    """SMDs with 2-5 parts of size 1-4 and 12 <= n <= 16, drawn in the same
+    order as _sweep_b."""
+    while True:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        bias = rng.choice((0.5, 0.8, 0.95, 1.0))
+        digon_prob = rng.choice((0.0, 0.0, 0.1, 0.3))
+        seed = rng.randrange(10**9)
+        if 12 <= sum(sizes) <= 16:
+            yield gen_smd(sizes, seed, digon_prob, bias)
 
 
 def _sweep_b(rng):
@@ -52,6 +66,8 @@ def test_solve_matches_the_oracle_on_many_small_parts():
     sweep, chained = _sweep_b(rng), _chained_with_back_arcs(rng)
     instances = [next(sweep) for _ in range(SWEEP_INSTANCES)]
     instances += [next(chained) for _ in range(CHAINED_INSTANCES)]
+    sweep_a = _sweep_a(random.Random(1))
+    instances += [next(sweep_a) for _ in range(SWEEP_A_INSTANCES)]
     branches = Counter()
     for d, parts in instances:
         for problem, oracle in (("mfahoc", oracle_mfahoc), ("mfahop", oracle_mfahop)):

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import mfaho.oracle
 from mfaho.digraph import WalkKind, build_digraph, validate_walk
 from mfaho.errors import OracleBoundError
-from mfaho.factor_flow import symmetric_01
+from mfaho.factor_flow import SpanningFactor, symmetric_01, verify_factor
 from mfaho.generate import gen_smd
 from mfaho.oracle import (
     DEFAULT_WALK_BOUND,
@@ -82,17 +83,27 @@ def test_bound_refusal():
     assert oracle_mfahoc(d, bound=19).value == 19
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was used")
+
+
 def test_hard_maximum_refuses_before_building_the_table(monkeypatch):
     def no_table(d, cyclic):
         raise AssertionError("the table was built")
 
     monkeypatch.setattr(mfaho.oracle, "_best_walk", no_table)
+    # the factor oracle builds its table inline: any numpy call would be it
+    monkeypatch.setattr(mfaho.oracle, "np", _NoNumpy())
     assert MAX_WALK_VERTICES == 20
     for n in (MAX_WALK_VERTICES + 1, 64):
         d = build_digraph(n, [(i, (i + 1) % n) for i in range(n)])
         for oracle in (oracle_mfahoc, oracle_mfahop, oracle_ham_cycle):
             with pytest.raises(OracleBoundError, match="hard bound"):
                 oracle(d, bound=10**6)
+        for kind in ("cycle-factor", "1pcf"):
+            with pytest.raises(OracleBoundError, match="hard bound"):
+                oracle_factor_cost(symmetric_01(d), kind, bound=10**6)
 
 
 def test_witnesses_revalidate():
@@ -177,3 +188,63 @@ def test_walk_oracles_match_the_permutation_reference():
             if cyclic:
                 assert oracle_ham_cycle(d) == (expected == d.n)
     assert outcomes == {(c, e) for c in (True, False) for e in (True, False)}
+
+
+def _reference_factor_cost(h, kind):
+    """Max cost over all cycle factors ("cycle-factor") or 1-path-cycle
+    factors ("1pcf") of h, or None when there is none.  Enumerates every
+    successor permutation of the cycle part and, for 1pcf, every arc-valid
+    ordered path first; both are built one vertex at a time, skipping
+    non-adjacent steps."""
+    n = h.n
+    cost = [[h.cost(u, v) for v in range(n)] for u in range(n)]
+
+    @cache
+    def cycle_part(mask):
+        vertices = [v for v in range(n) if mask >> v & 1]
+        totals = []
+
+        def assign(i, free, total):
+            if i == len(vertices):
+                totals.append(total)
+                return
+            for v in vertices:
+                if free >> v & 1 and cost[vertices[i]][v] is not None:
+                    assign(i + 1, free & ~(1 << v), total + cost[vertices[i]][v])
+
+        assign(0, mask, 0)
+        return max(totals, default=None)
+
+    full = (1 << n) - 1
+    if kind == "cycle-factor":
+        return cycle_part(full)
+    totals = []
+
+    def extend(end, used, total):
+        rest = cycle_part(full & ~used)
+        if rest is not None:
+            totals.append(total + rest)
+        for v in range(n):
+            if not used >> v & 1 and cost[end][v] is not None:
+                extend(v, used | 1 << v, total + cost[end][v])
+
+    for start in range(n):
+        extend(start, 1 << start, 0)
+    return max(totals, default=None)
+
+
+def test_factor_oracle_matches_the_permutation_reference():
+    rng = random.Random(4096)
+    outcomes = set()
+    for i in range(1000):
+        h = symmetric_01(_random_digraph(rng, i % 8))
+        for kind in ("cycle-factor", "1pcf"):
+            expected = _reference_factor_cost(h, kind)
+            res = oracle_factor_cost(h, kind)
+            assert res.value == expected, (kind, h.n, sorted(h.base.arcs))
+            outcomes.add((kind, res.exists))
+            if res.exists:
+                path, cycles = res.witness
+                assert (path is None) == (kind == "cycle-factor")
+                verify_factor(h, SpanningFactor(path, cycles, res.value))
+    assert outcomes == {(k, e) for k in ("cycle-factor", "1pcf") for e in (True, False)}

@@ -2,25 +2,29 @@
 
 Random instances rarely need these branches, so each gets a hand-built
 fixture: the two-case absorption analysis on both path ends, the apex
-reduction and the exact cycle search.  The merge of two cycles with no
-weak-domination witness is checked on seeded random pairs and on the
-instances that needed an exhaustive search before it was total.
+reduction and the Hamiltonicity decision that merging leaves open.  The
+merge of two cycles with no weak-domination witness is checked on seeded
+random pairs and on the instances that needed an exhaustive search before it
+was total.
 """
 
 import random
 
 import pytest
 
+import mfaho.oracle
 from mfaho import harness
+from mfaho.cli import main
 from mfaho.digraph import PartiteStructure, WalkKind, build_digraph, recognize_smd, validate_walk
+from mfaho.errors import InputError
 from mfaho.factor_flow import SpanningFactor
 from mfaho.generate import gen_smd
-from mfaho.oracle import oracle_mfahoc, oracle_mfahop
+from mfaho.instance_io import serialize_instance
+from mfaho.oracle import MAX_WALK_VERTICES, oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
     _absorb_after,
     _absorb_before,
     _apex_ham_path,
-    _exact_ham_cycle_on_subset,
     _insert_blocks,
     _merge_pair,
     _witness_matrix,
@@ -142,44 +146,31 @@ def test_merge_pair_splice_and_failure():
     validate_walk(d2, merged, WalkKind.CYCLE)
 
 
-def test_exact_cycle_search_matches_brute_force():
-    from itertools import permutations
-
-    rng = random.Random(77)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        arcs = [
-            (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.5
-        ]
-        d = build_digraph(n, arcs)
-        got = _exact_ham_cycle_on_subset(d, list(range(n)))
-        exists = any(
-            all(d.has_arc(p[i], p[(i + 1) % n]) for i in range(n))
-            for p in permutations(range(n))
-        )
-        assert (got is not None) == exists
-        if got is not None:
-            assert validate_walk(d, got, WalkKind.CYCLE).sigma_minus == 0
-        # the same search on the vertices of a larger digraph
-        big, subset = _embedded(rng, d)
-        got = _exact_ham_cycle_on_subset(big, subset)
-        assert (got is not None) == exists
-        if got is not None:
-            assert sorted(got) == subset
-            assert all(big.has_arc(got[i], got[(i + 1) % n]) for i in range(n))
+def test_undecided_hamiltonicity_at_n17_goes_to_the_subset_dp():
+    # a full-cost cycle factor merges only to an ordered factor; the subset
+    # DP then finds a Hamilton cycle (refused as n > 16 before it was used)
+    d, parts = gen_smd((1, 1, 6, 2, 3, 1, 3), 679346834, 0.1, 0.95)
+    assert d.n == 17
+    report = harness.solve(d, "mfahoc", parts)
+    assert report.sigma == 17 == oracle_mfahoc(d).value
+    assert report.branch == "cycle-hamiltonian-exact-search"
 
 
-def _embedded(rng, d):
-    """d placed on a sorted random subset of a larger digraph, whose other
-    vertices get random arcs to, from and among themselves."""
-    size = d.n + rng.randint(1, 4)
-    subset = sorted(rng.sample(range(size), d.n))
-    arcs = {(subset[u], subset[v]) for u, v in d.arcs}
-    others = [v for v in range(size) if v not in subset]
-    for x in others:
-        arcs |= {(x, v) for v in range(size) if v != x and rng.random() < 0.5}
-        arcs |= {(v, x) for v in range(size) if v != x and rng.random() < 0.5}
-    return build_digraph(size, arcs), subset
+def test_undecided_hamiltonicity_above_the_oracle_maximum_is_refused(
+    monkeypatch, tmp_path, capsys
+):
+    def no_table(d, cyclic):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(mfaho.oracle, "_best_walk", no_table)
+    d, parts = gen_smd((5, 3, 6, 6, 1, 1), 530485513, 0.1, 0.95)
+    assert d.n == 22 > MAX_WALK_VERTICES == 20
+    with pytest.raises(InputError, match="hamiltonicity undecided .* bound 20"):
+        harness.solve(d, "mfahoc", parts)
+    inst = tmp_path / "n22.dg"
+    inst.write_text(serialize_instance(d, parts))
+    assert main(["solve", str(inst), "--problem", "mfahoc"]) == 3
+    assert "bound 20" in capsys.readouterr().err
 
 
 def _first_splice(d, x, y):
