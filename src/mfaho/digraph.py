@@ -7,7 +7,8 @@ after construction; arc queries, the arc set and the neighbour lists are read
 from the rows.  The facts derived from it (local semicompleteness, the strong
 components, the arc index arrays) are computed on first use and kept on the
 object; each is a pure function of the rows, so concurrent callers can at
-worst compute one twice.
+worst compute one twice.  A digraph built from arc index arrays keeps those
+instead of reading them back from its rows.
 """
 
 from __future__ import annotations
@@ -39,10 +40,26 @@ class Digraph:
 
     __slots__ = ("n", "out_mask", "in_mask", "adj_mask", "_lsd", "_components", "_arc_arrays")
 
-    def __init__(self, n: int, arcs):
+    def __init__(self, n: int, arcs=(), *, arc_arrays=None):
         """Build from ordered pairs of vertices 0..n-1, no self-loops; a
-        repeated pair is stored once."""
-        _set_rows(self, n, [0] * n, [0] * n, arcs)
+        repeated pair is stored once.
+
+        arc_arrays=(tails, heads) gives the arcs instead as distinct intp
+        index arrays ordered by tail then head, exactly as arc_arrays()
+        returns them: the rows are packed from them in bulk, and they are
+        kept on the digraph.
+        """
+        if arc_arrays is None:
+            _set_rows(self, n, [0] * n, [0] * n, arcs)
+            return
+        tails, heads = arc_arrays
+        order = np.argsort(heads, kind="stable")
+        # out-rows are rows 0..n-1 and in-rows rows n..2n-1 of one packing
+        rows = _bit_rows(
+            2 * n, n, np.concatenate((tails, heads[order] + n)), np.concatenate((heads, tails[order]))
+        )
+        _set_rows(self, n, rows[:n], rows[n:], ())
+        self._arc_arrays = arc_arrays
 
     def has_arc(self, u: int, v: int) -> bool:
         return self.out_mask[u] >> v & 1 == 1
@@ -109,7 +126,8 @@ class Digraph:
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads) index arrays of all arcs, ordered by tail then head.
 
-        Read from the packed out-rows and kept on the digraph.
+        Read from the packed out-rows, unless given at construction, and kept
+        on the digraph.
         """
         if self._arc_arrays is None:
             tails, heads = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
@@ -130,6 +148,32 @@ def _set_rows(d: Digraph, n: int, out: list[int], inn: list[int], arcs) -> None:
     d.out_mask, d.in_mask = tuple(out), tuple(inn)
     d.adj_mask = tuple(map(or_, out, inn))
     d._lsd = d._components = d._arc_arrays = None
+
+
+def _bit_rows(count: int, n: int, keys: np.ndarray, bits: np.ndarray) -> list[int]:
+    """Bitmask rows 0..count-1 in which row keys[i] holds bit bits[i] < n;
+    keys sorted.
+
+    Rows are packed a block at a time from a (rows, n) bool array of at most
+    _BLOCK_BYTES (at least one row), and each block starts at the next row
+    holding a bit, so the working memory beyond the rows and the index
+    arrays is bounded independently of n.
+    """
+    rows = [0] * count
+    step = max(1, _BLOCK_BYTES // max(n, 1))
+    a = 0
+    while a < len(keys):
+        base = int(keys[a])
+        b = int(keys.searchsorted(base + step))
+        block = np.zeros((min(step, count - base), n), dtype=bool)
+        block[keys[a:b] - base, bits[a:b]] = True
+        packed = np.packbits(block, axis=1, bitorder="little")
+        width, buf = packed.shape[1], packed.tobytes()
+        rows[base:base + len(packed)] = [
+            int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)
+        ]
+        a = b
+    return rows
 
 
 def _grouped(keys: np.ndarray, values: np.ndarray, n: int):

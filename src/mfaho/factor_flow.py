@@ -125,28 +125,31 @@ def _solve_swapped(h: CostDigraph, with_path: bool) -> list[int] | None:
 
 
 def _decompose(succ: list[int], n: int, with_path: bool) -> SpanningFactor:
-    path: tuple[int, ...] | None = None
+    """Split a successor list into the path from succ[n] to the vertex whose
+    successor is n (with_path only) and the cycles through the other
+    vertices.  Raises InternalVerificationError if succ is not such a
+    permutation; no walk takes more than n + 1 steps."""
     seen = [False] * n
-    if with_path:
-        p = []
-        v = succ[n]
-        while v != n:
-            p.append(v)
-            seen[v] = True
-            v = succ[v]
-        path = tuple(p)
+    path = tuple(_walk(succ, succ[n], n, seen)) if with_path else None
     cycles = []
     for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v)
-            v = succ[v]
-        cycles.append(tuple(cyc))
+        if not seen[start]:
+            seen[start] = True
+            cycles.append((start, *_walk(succ, succ[start], start, seen)))
     return SpanningFactor(path, tuple(cycles), 0)
+
+
+def _walk(succ: list[int], v: int, stop: int, seen: list[bool]) -> list[int]:
+    """The vertices from v along succ up to stop, marked in seen; a vertex
+    out of range or met twice means succ is not a permutation."""
+    walk = []
+    while v != stop:
+        if not 0 <= v < len(seen) or seen[v]:
+            raise InternalVerificationError("successor list is not a permutation")
+        seen[v] = True
+        walk.append(v)
+        v = succ[v]
+    return walk
 
 
 def _with_cost(h: CostDigraph, f: SpanningFactor) -> SpanningFactor:

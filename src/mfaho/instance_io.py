@@ -5,12 +5,25 @@ header "n m"; then m arc lines "u v" (0-indexed); then optionally one
 "part v1 v2 ..." line per partite set.  JSON mirror:
 {"n": ..., "arcs": [[u, v], ...], "parts": [[...], ...]?}.
 Both round-trip losslessly through parse/serialize.
+
+A text is read in one of two ways, with the same result.  If it opens with
+a clean arc block, as serialize_instance writes it (the header on the first
+line, then the m arc lines, each two ASCII digit runs joined by one space,
+up to the first "part" line or the end), the block is checked and tokenised
+as a whole with a few bytes and numpy calls, and the digraph's rows are
+packed from the resulting arc arrays.  Any other text, and any block that
+fails a check (a comment or blank line, other whitespace, signs, a count
+that does not match the header, an endpoint out of range, a self-loop or a
+duplicate arc), is read by the line loop, which alone produces every error
+message, line number and warning.  Part lines after a clean block are also
+read by the line loop.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,13 +86,82 @@ def serialize_instance(
 
 
 def _parse_text(text: str) -> ParsedInstance:
-    header: tuple[int, int] | None = None
+    block = _clean_arc_block(text)
+    if block is None:
+        header, seen, arc_lines, part_rows, warnings = _read_lines(text)
+        if header is None:
+            raise ParseError("empty instance: missing 'n m' header")
+        n, declared_m = header
+        if len(seen) != declared_m and arc_lines != declared_m:
+            warnings.append(
+                f"header declares {declared_m} arcs, found {arc_lines} ({len(seen)} distinct)"
+            )
+        # every arc in seen is already range- and self-loop-checked
+        d = Digraph(n, seen)
+    else:
+        n, tails, heads, rest = block
+        # the rest opens with "part": the loop reads it as part lines or
+        # rejects it, and reads no arc from it
+        _, _, _, part_rows, warnings = _read_lines(rest, len(tails) + 2, (n, len(tails)))
+        d = Digraph(n, arc_arrays=(tails, heads))
+    parts = _build_parts(n, part_rows) if part_rows else None
+    return ParsedInstance(d, parts, warnings)
+
+
+def _clean_arc_block(text: str):
+    """(n, tails, heads, rest) if text opens with a clean arc block, else None.
+
+    Clean means: an ASCII text whose first line is the header "n m" and
+    whose next m lines, up to the first "part" or the end, are each "u v" in
+    ASCII digits with one space, ending in a newline, naming m distinct arcs
+    in range and without self-loops.  That block is checked and read as a
+    whole; rest is the text from the first "part" on.  Anything else, in
+    the block or the header, gives None and is left to _read_lines, which
+    owns every message and warning.
+    """
+    if not text.isascii():
+        return None
+    head, _, body = text.partition("\n")
+    n_text, _, m_text = head.partition(" ")
+    if not (n_text.isdigit() and m_text.isdigit()):
+        return None
+    n, m = int(n_text), int(m_text)
+    if n > MAX_VERTICES:
+        return None
+    cut = body.find("part")
+    if cut < 0:
+        cut = len(body)
+    data = body[:cut].encode()
+    # without its digits, the block must read " \n" once per line
+    seps = data.translate(None, b"0123456789")
+    if len(seps) != 2 * m or seps != b" \n" * m:
+        return None
+    # and no digit run between or after them may be empty or left over
+    if data[:1] == b" " or b" \n" in data or b"\n " in data or data[-1:].isdigit():
+        return None
+    values = np.fromstring(data, dtype=np.intp, sep=" ")
+    tails, heads = values[0::2], values[1::2]
+    # a too-long endpoint reads as the int64 maximum and fails the range check
+    if np.count_nonzero(values >= n) or np.count_nonzero(tails == heads):
+        return None
+    keys = tails * n + heads
+    keys.sort()
+    if np.count_nonzero(keys[1:] == keys[:-1]):
+        return None
+    tails, heads = np.divmod(keys, n)
+    return n, tails, heads, body[cut:]
+
+
+def _read_lines(text: str, first: int = 1, header: tuple[int, int] | None = None):
+    """The line-by-line reader, from line number first on, after header if
+    it was already read.  Returns (header, arcs, arc lines, part rows,
+    warnings)."""
     arc_lines = 0
     part_rows: list[list[int]] = []
     warnings: list[str] = []
     seen: set[tuple[int, int]] = set()
-    declared_m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    n = header[0] if header is not None else 0
+    for lineno, raw in enumerate(text.splitlines(), start=first):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -121,17 +203,7 @@ def _parse_text(text: str) -> ParsedInstance:
             warnings.append(f"line {lineno}: duplicate arc ({u}, {v})")
         seen.add(arc)
         arc_lines += 1
-    if header is None:
-        raise ParseError("empty instance: missing 'n m' header")
-    n, declared_m = header
-    if len(seen) != declared_m and arc_lines != declared_m:
-        warnings.append(
-            f"header declares {declared_m} arcs, found {arc_lines} ({len(seen)} distinct)"
-        )
-    # every arc in seen is already range- and self-loop-checked
-    d = Digraph(n, seen)
-    parts = _build_parts(n, part_rows) if part_rows else None
-    return ParsedInstance(d, parts, warnings)
+    return header, seen, arc_lines, part_rows, warnings
 
 
 def _parse_json(text: str) -> ParsedInstance:
@@ -142,18 +214,20 @@ def _parse_json(text: str) -> ParsedInstance:
     if not isinstance(payload, dict) or "n" not in payload or "arcs" not in payload:
         raise ParseError("JSON instance needs 'n' and 'arcs' fields")
     n = payload["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ParseError("'n' must be an integer")
     if n < 0:
         raise ParseError(f"vertex count must be nonnegative, got {n}")
     if n > MAX_VERTICES:
         raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    if not isinstance(payload["arcs"], list):
+        raise ParseError("'arcs' must be a list of pairs")
     arcs = []
     for i, pair in enumerate(payload["arcs"]):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"arc #{i} is not a pair")
         u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_int(u) and _is_int(v)):
             raise ParseError(f"arc #{i} endpoints must be integers")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc #{i} ({u}, {v}) endpoint out of range")
@@ -162,9 +236,19 @@ def _parse_json(text: str) -> ParsedInstance:
         arcs.append((u, v))
     d = Digraph(n, arcs)
     parts = None
-    if payload.get("parts") is not None:
-        parts = _build_parts(n, payload["parts"])
+    rows = payload.get("parts")
+    if rows is not None:
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise ParseError("'parts' must be a list of vertex lists")
+        if not all(map(_is_int, chain.from_iterable(rows))):
+            raise ParseError("part members must be integers")
+        parts = _build_parts(n, rows)
     return ParsedInstance(d, parts, [])
+
+
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true and false load as bool, an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _build_parts(n: int, rows) -> PartiteStructure:

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,6 +384,22 @@ def test_with_arcs_equals_a_fresh_build():
             changed["lsd"] += recognize_lsd(got) != recognize_lsd(d)
             changed["components"] += strong_components(got) != strong_components(d)
     assert min(changed.values()) > 10
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 20])
+def test_rows_packed_from_arc_arrays_equal_rows_built_from_pairs(block_bytes, monkeypatch):
+    # 1 and 64 bytes force one- and few-row blocks, some straddling the
+    # out- and in-row halves of the packing
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(83)
+    for _ in range(150):
+        d = random_digraph(rng, 70)
+        arrays = tuple(np.array(a, dtype=np.intp) for a in d.arc_arrays())
+        packed = Digraph(d.n, arc_arrays=arrays)
+        assert (packed.n, packed.out_mask, packed.in_mask, packed.adj_mask) == (
+            d.n, d.out_mask, d.in_mask, d.adj_mask,
+        )
+        assert packed.arc_arrays() is arrays
 
 
 def traced_peak(fn):

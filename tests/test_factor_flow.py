@@ -11,7 +11,7 @@ import pytest
 import mfaho
 from mfaho import factor_flow
 from mfaho.digraph import build_digraph
-from mfaho.errors import InputError
+from mfaho.errors import InputError, InternalVerificationError
 from mfaho.factor_flow import (
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
@@ -320,3 +320,24 @@ def test_one_path_factor_at_least_hamilton_path():
             if None not in steps:
                 top = max(top, sum(steps))
         assert best >= top
+
+
+def test_decompose_splits_a_successor_permutation():
+    # source 4 starts the path 2 -> 3, which ends at the sink 4
+    f = factor_flow._decompose([1, 0, 3, 4, 2], 4, with_path=True)
+    assert f.path == (2, 3) and f.cycles == ((0, 1),)
+    assert factor_flow._decompose([2, 0, 1], 3, with_path=False).cycles == ((0, 2, 1),)
+
+
+@pytest.mark.parametrize(
+    "succ, with_path",
+    [
+        ([1, 2, 1, 0], True),  # the path runs into the cycle 1 -> 2 -> 1, never reaching 3
+        ([1, 1], False),  # 0 -> 1 -> 1 does not close back at 0
+        ([1, 0, 0, 2], True),  # the path 2 -> 0 -> 1 comes back to 0
+        ([3, 0, 1], False),  # 3 is not a vertex
+    ],
+)
+def test_decompose_refuses_a_non_permutation_at_once(succ, with_path):
+    with pytest.raises(InternalVerificationError, match="not a permutation"):
+        factor_flow._decompose(succ, len(succ) - with_path, with_path)
