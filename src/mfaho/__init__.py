@@ -41,7 +41,6 @@ from .generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from .harness import SolveReport, UnsupportedClassError, classify, solve, verify_report
 from .instance_io import ParsedInstance, ParseError, parse_instance, serialize_instance
 from .lsd import (
-    LsdDecomposition,
     greedy_c1_cl_path,
     ham_cycle_strong_lsd,
     ham_cycle_strong_semicomplete,

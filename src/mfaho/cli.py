@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from pathlib import Path
@@ -46,16 +47,28 @@ def _emit(payload: dict, summary: str) -> None:
     sys.stderr.write(summary + "\n")
 
 
+def _check_time_limit(seconds) -> None:
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise InputError(
+            f"--time-limit must be a positive finite number of seconds, got {seconds}"
+        )
+
+
 def _with_time_limit(seconds, fn):
-    if not seconds:
+    if seconds is None:
         return fn()
 
     def on_alarm(signum, frame):
         raise TimeLimitExceeded
 
     old = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+        except OverflowError:
+            raise InputError(
+                f"--time-limit {seconds} is too large for the system timer"
+            ) from None
         return fn()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -254,6 +267,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_time_limit(getattr(args, "time_limit", None))
         return args.fn(args)
     except TimeLimitExceeded:
         sys.stderr.write("error: time limit exceeded\n")

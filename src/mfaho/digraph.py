@@ -449,18 +449,21 @@ def is_strong(d: Digraph) -> bool:
     return d.n <= 1 or strong_components(d).count == 1
 
 
+def _out_of(rows: tuple[int, ...], mask: int) -> int:
+    """One frontier step: the OR of rows[v] over the vertices v of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _reach_mask(adj: tuple[int, ...], start_mask: int, allowed: int) -> int:
     """Vertices reachable from start_mask walking masks, restricted to allowed."""
-    seen = start_mask & allowed
-    frontier = seen
+    seen = frontier = start_mask & allowed
     while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & allowed & ~seen
+        frontier = _out_of(adj, frontier) & allowed & ~seen
         seen |= frontier
     return seen
 

@@ -96,14 +96,17 @@ def min_cost_assignment(cost_matrix: np.ndarray) -> list[int] | None:
     return cols.tolist()
 
 
-def _solve_swapped(h: CostDigraph, with_path: bool) -> list[int] | None:
-    """Successor list of an optimal factor, via the swapped-cost assignment.
+def _solve_swapped(h: CostDigraph, with_path: bool):
+    """Successor list of an optimal factor and its cost, via the swapped-cost
+    assignment, or None when h has no such factor.
 
     Rows are out-copies, columns in-copies, and the swapped cost of an arc
     is 1 minus its cost; with_path adds source row n and sink column n, with
     the (source, sink) cell forbidden so the path is nonempty.  Returns succ
     with succ[v] over 0..n-1 plus, when with_path, succ[n] for the path start
-    and succ[v] == n for the path end.
+    and succ[v] == n for the path end.  The factor has n arcs, or n - 1 with
+    a path (the source and sink cells cost 0), so its cost is that count
+    minus the swapped total.
     """
     n = h.n
     size = n + 1 if with_path else n
@@ -118,17 +121,18 @@ def _solve_swapped(h: CostDigraph, with_path: bool) -> list[int] | None:
     succ = min_cost_assignment(c)
     if succ is None:
         return None
+    matched = c[np.arange(size), succ]
     # a matched forbidden cell can only appear if no feasible matching exists
-    if not np.isfinite(c[np.arange(size), succ]).all():
+    if not np.isfinite(matched).all():
         return None
-    return succ
+    return succ, n - with_path - int(matched.sum())
 
 
-def _decompose(succ: list[int], n: int, with_path: bool) -> SpanningFactor:
+def _decompose(succ: list[int], n: int, with_path: bool, cost: int = 0) -> SpanningFactor:
     """Split a successor list into the path from succ[n] to the vertex whose
     successor is n (with_path only) and the cycles through the other
-    vertices.  Raises InternalVerificationError if succ is not such a
-    permutation; no walk takes more than n + 1 steps."""
+    vertices, as a factor of the given cost.  Raises InternalVerificationError
+    if succ is not such a permutation; no walk takes more than n + 1 steps."""
     seen = [False] * n
     path = tuple(_walk(succ, succ[n], n, seen)) if with_path else None
     cycles = []
@@ -136,7 +140,7 @@ def _decompose(succ: list[int], n: int, with_path: bool) -> SpanningFactor:
         if not seen[start]:
             seen[start] = True
             cycles.append((start, *_walk(succ, succ[start], start, seen)))
-    return SpanningFactor(path, tuple(cycles), 0)
+    return SpanningFactor(path, tuple(cycles), cost)
 
 
 def _walk(succ: list[int], v: int, stop: int, seen: list[bool]) -> list[int]:
@@ -150,11 +154,6 @@ def _walk(succ: list[int], v: int, stop: int, seen: list[bool]) -> list[int]:
         walk.append(v)
         v = succ[v]
     return walk
-
-
-def _with_cost(h: CostDigraph, f: SpanningFactor) -> SpanningFactor:
-    total = sum(h.cost(u, v) for u, v in f.arcs())
-    return SpanningFactor(f.path, f.cycles, total)
 
 
 def verify_factor(h: CostDigraph, f: SpanningFactor) -> None:
@@ -178,14 +177,7 @@ def verify_factor(h: CostDigraph, f: SpanningFactor) -> None:
 
 def max_cost_cycle_factor(h: CostDigraph) -> SpanningFactor | None:
     """A maximum-cost cycle factor of h, or None if h has no cycle factor."""
-    if h.n == 0:
-        return None
-    succ = _solve_swapped(h, with_path=False)
-    if succ is None:
-        return None
-    factor = _with_cost(h, _decompose(succ, h.n, with_path=False))
-    verify_factor(h, factor)
-    return factor
+    return _max_cost_factor(h, with_path=False)
 
 
 def max_cost_one_path_cycle_factor(h: CostDigraph) -> SpanningFactor | None:
@@ -193,11 +185,14 @@ def max_cost_one_path_cycle_factor(h: CostDigraph) -> SpanningFactor | None:
 
     The path is always nonempty; a single vertex is a legal path.
     """
-    if h.n == 0:
+    return _max_cost_factor(h, with_path=True)
+
+
+def _max_cost_factor(h: CostDigraph, with_path: bool) -> SpanningFactor | None:
+    solved = _solve_swapped(h, with_path) if h.n else None
+    if solved is None:
         return None
-    succ = _solve_swapped(h, with_path=True)
-    if succ is None:
-        return None
-    factor = _with_cost(h, _decompose(succ, h.n, with_path=True))
+    succ, cost = solved
+    factor = _decompose(succ, h.n, with_path, cost)
     verify_factor(h, factor)
     return factor

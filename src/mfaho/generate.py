@@ -104,14 +104,16 @@ def gen_lsd_nonstrong(
 
     Strong semicomplete components are chained with full consecutive
     domination; extra dominations are sampled and closed under the interval
-    property so local semicompleteness survives.  The result is re-checked by
-    the recognizer.
+    property so local semicompleteness survives.  The result is re-checked
+    by the recognizer.  Probabilities outside [0, 1] raise InputError.
     """
     comp_sizes = tuple(int(s) for s in component_sizes)
     if len(comp_sizes) < 2:
         raise InputError("a non-strong LSD needs at least 2 strong components")
     if any(s < 1 for s in comp_sizes):
         raise InputError("component sizes must be positive")
+    if not (0.0 <= digon_prob <= 1.0 and 0.0 <= reach_prob <= 1.0):
+        raise InputError("probabilities must lie in [0, 1]")
     rng = random.Random(seed)
     ell = len(comp_sizes)
     for _ in range(_MAX_ATTEMPTS):
@@ -124,34 +126,12 @@ def gen_lsd_nonstrong(
             for x, y in _random_strong_semicomplete(s, rng, digon_prob):
                 arcs.append((block[x], block[y]))
             v += s
-        dom = [[False] * ell for _ in range(ell)]
+        # The interval closure of the sampled dominations: i dominates k iff
+        # some a <= i reaches k, a's reach being a + 1 or a sampled k.
+        reach = 0
         for i in range(ell - 1):
-            dom[i][i + 1] = True
-        for i in range(ell):
-            for k in range(i + 2, ell):
-                if rng.random() < reach_prob:
-                    dom[i][k] = True
-        changed = True
-        while changed:
-            changed = False
-            for i in range(ell):
-                for k in range(i + 1, ell):
-                    if not dom[i][k]:
-                        continue
-                    for j in range(i + 1, k + 1):
-                        if not dom[i][j]:
-                            dom[i][j] = True
-                            changed = True
-                    for t in range(i, k):
-                        if not dom[t][k]:
-                            dom[t][k] = True
-                            changed = True
-        for i in range(ell):
-            for k in range(i + 1, ell):
-                if dom[i][k]:
-                    for u in blocks[i]:
-                        for w in blocks[k]:
-                            arcs.append((u, w))
+            reach = max(reach, i + 1, *(k for k in range(i + 2, ell) if rng.random() < reach_prob))
+            arcs += [(u, w) for k in range(i + 1, reach + 1) for u in blocks[i] for w in blocks[k]]
         d = build_digraph(v, arcs)
         if recognize_lsd(d) and underlying_is_connected(d) and not is_strong(d):
             return d
@@ -164,12 +144,15 @@ def gen_lsd_strong(n: int, seed: int, spread: int | None = None) -> Digraph:
     Vertex v points to the next k_v vertices clockwise; the k-sequence is a
     random walk that never drops by more than one step, which keeps the
     out- and in-neighbourhood interval structure locally semicomplete.
-    Rejection-sampled against the recognizer.
+    Rejection-sampled against the recognizer.  spread, when given, caps
+    k_v and must be at least 1.
     """
     if n < 2:
         raise InputError("a strong LSD needs at least 2 vertices")
+    if spread is not None and spread < 1:
+        raise InputError(f"spread must be at least 1, got {spread}")
     rng = random.Random(seed)
-    cap = max(1, (n - 1) if spread is None else min(spread, n - 1))
+    cap = n - 1 if spread is None else min(spread, n - 1)
     for _ in range(_MAX_ATTEMPTS):
         ks = [rng.randint(1, cap)]
         for _ in range(n - 1):

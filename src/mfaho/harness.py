@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .digraph import (
     Digraph,
@@ -49,19 +49,7 @@ class ClassReport:
     hc_majority: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "is_smd": self.is_smd,
-            "partite_sizes": list(self.partite_sizes) if self.partite_sizes else None,
-            "is_lsd": self.is_lsd,
-            "semicomplete": self.semicomplete,
-            "strong": self.strong,
-            "connected": self.connected,
-            "two_connected": self.two_connected,
-            "hp_majority": self.hp_majority,
-            "hc_majority": self.hc_majority,
-        }
+        return dict(vars(self))
 
 
 def classify(d: Digraph) -> ClassReport:
@@ -96,37 +84,35 @@ class SolveReport:
     walk: list[int] | None
     forward_mask: list[bool] | None
     branch: str
-    elapsed_ms: float
+    elapsed_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "digest": self.digest,
-            "problem": self.problem,
-            "detected_class": self.detected_class,
-            "status": self.status,
-            "sigma": self.sigma,
-            "walk": self.walk,
-            "forward_mask": self.forward_mask,
-            "branch": self.branch,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return dict(vars(self))
 
-    @staticmethod
-    def from_dict(payload: dict) -> "SolveReport":
-        try:
-            return SolveReport(
-                digest=payload["digest"],
-                problem=payload["problem"],
-                detected_class=payload["detected_class"],
-                status=payload["status"],
-                sigma=payload["sigma"],
-                walk=payload["walk"],
-                forward_mask=payload["forward_mask"],
-                branch=payload["branch"],
-                elapsed_ms=payload.get("elapsed_ms", 0.0),
-            )
-        except KeyError as exc:
-            raise InputError(f"report is missing field {exc.args[0]!r}") from None
+    @classmethod
+    def from_dict(cls, payload) -> "SolveReport":
+        """The report a to_dict payload describes; elapsed_ms may be absent.
+
+        Raises InputError unless payload is an object with every other field,
+        walk is null or a list of ints, forward_mask null or a list of
+        booleans and sigma null or an int.
+        """
+        if not isinstance(payload, dict):
+            raise InputError("report must be a JSON object")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
+        if missing:
+            raise InputError(f"report is missing field {missing[0]!r}")
+        for name, item in (("walk", int), ("forward_mask", bool)):
+            value = payload[name]
+            if value is not None and not (
+                isinstance(value, list) and all(type(x) is item for x in value)
+            ):
+                raise InputError(
+                    f"report field {name!r} must be null or a list of {item.__name__}s"
+                )
+        if payload["sigma"] is not None and type(payload["sigma"]) is not int:
+            raise InputError("report field 'sigma' must be null or an int")
+        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict()) + "\n"
@@ -201,28 +187,15 @@ def solve(
             if outcome is None:
                 none_sigma = 0  # the optimum is defined as 0 in this case
     elapsed = (time.perf_counter() - start) * 1000.0
-    digest = instance_digest(d)
-    if outcome is None:
-        return SolveReport(
-            digest=digest,
-            problem=problem,
-            detected_class=detected,
-            status="none",
-            sigma=none_sigma,
-            walk=None,
-            forward_mask=None,
-            branch="no-hamilton-oriented-structure",
-            elapsed_ms=elapsed,
-        )
-    sigma, walk, branch = outcome
+    sigma, walk, branch = outcome or (none_sigma, None, "no-hamilton-oriented-structure")
     report = SolveReport(
-        digest=digest,
+        digest=instance_digest(d),
         problem=problem,
         detected_class=detected,
-        status="ok",
+        status="none" if walk is None else "ok",
         sigma=sigma,
-        walk=list(walk.seq),
-        forward_mask=list(walk.forward_mask),
+        walk=None if walk is None else list(walk.seq),
+        forward_mask=None if walk is None else list(walk.forward_mask),
         branch=branch,
         elapsed_ms=elapsed,
     )

@@ -8,7 +8,8 @@ shortest first-to-last path, closed by walking that path backwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .digraph import (
     WalkKind,
     _mask_bits,
     _mask_of,
+    _out_of,
     _reach_mask,
     induced_components,
     is_semicomplete,
@@ -31,36 +33,20 @@ from .digraph import (
 from .errors import InputError, InternalVerificationError, StrongDigraphError
 
 
-@dataclass(frozen=True)
-class LsdDecomposition:
-    """Acyclic ordering of strong components with verified domination.
-
-    For a connected non-strong locally semicomplete digraph the ordering is
-    unique, every component induces a semicomplete digraph, each component
-    fully dominates the next, and an arc between distant components forces
-    full domination of every layer in between (interval property).
-    domination_verified records that all of this was re-checked.
-    """
-
-    ordering: ComponentDecomposition
-    domination_verified: bool
-
-    @property
-    def components(self):
-        return self.ordering.components
-
-    @property
-    def cn(self):
-        return self.ordering.cn
-
-
 def _dominates(d: Digraph, source, target) -> bool:
     tmask = _mask_of(target)
     return all(d.out_mask[u] & tmask == tmask for u in source)
 
 
-def lsd_decomposition(d: Digraph) -> LsdDecomposition:
-    """Unique component ordering of a connected non-strong LSD, re-verified."""
+def lsd_decomposition(d: Digraph) -> ComponentDecomposition:
+    """Unique component ordering of a connected non-strong LSD, re-verified.
+
+    For such a digraph the ordering is unique, every component induces a
+    semicomplete digraph, each component fully dominates the next, and an
+    arc between distant components forces full domination of every layer in
+    between (interval property); all of this is checked before the strong
+    components are returned.
+    """
     if not recognize_lsd(d):
         raise InputError("digraph is not locally semicomplete")
     if not underlying_is_connected(d):
@@ -92,7 +78,7 @@ def lsd_decomposition(d: Digraph) -> LsdDecomposition:
             for t in range(i, k):
                 if not _dominates(d, comps[t], comps[k]):
                     raise InternalVerificationError("interval property fails")
-    return LsdDecomposition(dec, True)
+    return dec
 
 
 def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:
@@ -270,46 +256,26 @@ def _initial_cycle_strong(d: Digraph) -> list[int]:
 def _shortest_returning_interior(d: Digraph, cycle: list[int]) -> list[int]:
     """Interior of a shortest cycle-leaving, cycle-returning path."""
     in_cycle = _mask_of(cycle)
-    full = (1 << d.n) - 1
-    outside = full & ~in_cycle
-    start = 0
-    for v in cycle:
-        start |= d.out_mask[v]
-    start &= outside
+    outside = ((1 << d.n) - 1) & ~in_cycle
     layers = []
     seen = 0
-    frontier = start
+    frontier = reduce(or_, map(d.out_mask.__getitem__, cycle), 0) & outside
     while frontier:
         layers.append(frontier)
         seen |= frontier
-        hit = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            v = low.bit_length() - 1
-            if d.out_mask[v] & in_cycle:
-                hit |= low
-        if hit:
+        end = next((v for v in _mask_bits(frontier) if d.out_mask[v] & in_cycle), None)
+        if end is not None:
             # reconstruct interior backwards through the layers
-            low = hit & -hit
-            path = [low.bit_length() - 1]
+            path = [end]
             for layer in reversed(layers[:-1]):
                 cand = layer & d.in_mask[path[-1]]
-                low = cand & -cand
-                path.append(low.bit_length() - 1)
+                path.append((cand & -cand).bit_length() - 1)
             return path[::-1]
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            nxt |= d.out_mask[low.bit_length() - 1]
-        frontier = nxt & outside & ~seen
+        frontier = _out_of(d.out_mask, frontier) & outside & ~seen
     raise InternalVerificationError("no returning path; digraph is not strong")
 
 
-def greedy_c1_cl_path(d: Digraph, dec: LsdDecomposition) -> tuple[int, ...]:
+def greedy_c1_cl_path(d: Digraph, dec: ComponentDecomposition) -> tuple[int, ...]:
     """Greedy shortest path from the first to the last strong component.
 
     From the lowest-index vertex of the first component, always steps to the
@@ -330,26 +296,19 @@ def greedy_c1_cl_path(d: Digraph, dec: LsdDecomposition) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _component_distance(d: Digraph, dec: LsdDecomposition) -> int:
+def _component_distance(d: Digraph, dec: ComponentDecomposition) -> int:
     """BFS length of a shortest (first, last)-component path; the interior
     stays outside both end components."""
-    comps = dec.components
-    first, last = set(comps[0]), set(comps[-1])
-    out = list(d.out_lists())
-    frontier = first
-    seen = set(first)
+    first, last = _mask_of(dec.components[0]), _mask_of(dec.components[-1])
+    seen = frontier = first
     dist = 0
     while frontier:
         dist += 1
-        nxt = set()
-        for u in frontier:
-            for w in out[u]:
-                if w in last:
-                    return dist
-                if w not in seen and w not in first:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = nxt
+        reached = _out_of(d.out_mask, frontier)
+        if reached & last:
+            return dist
+        frontier = reached & ~seen
+        seen |= frontier
     raise InternalVerificationError("last component unreachable from the first")
 
 

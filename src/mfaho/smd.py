@@ -163,24 +163,18 @@ class OrderedCycleFactor:
     witness_parts: dict[tuple[int, int], int]
 
 
-def _check_cycle_factor(d: Digraph, factor: SpanningFactor) -> None:
-    if factor.path is not None:
-        raise InputError("expected a cycle factor, got a path component")
-    covered: list[int] = []
-    for cyc in factor.cycles:
-        _check_cycle(d, tuple(cyc))
-        covered.extend(cyc)
-    if sorted(covered) != list(range(d.n)):
-        raise InputError("cycles do not partition the vertex set")
-
-
-def _check_1pcf(d: Digraph, factor: SpanningFactor) -> None:
+def _check_factor(d: Digraph, factor: SpanningFactor, with_path: bool) -> None:
+    """Check that factor is a cycle factor of d or, with with_path, a
+    1-path-cycle factor of d with a nonempty path."""
     path = factor.path
-    if path is None or len(path) == 0:
+    if not with_path and path is not None:
+        raise InputError("expected a cycle factor, got a path component")
+    if with_path and not path:
         raise InputError("a 1-path-cycle factor needs a nonempty path")
-    for i in range(len(path) - 1):
-        if not d.has_arc(path[i], path[i + 1]):
-            raise InputError(f"path uses missing arc ({path[i]}, {path[i + 1]})")
+    path = path or ()
+    for u, v in zip(path, path[1:]):
+        if not d.has_arc(u, v):
+            raise InputError(f"path uses missing arc ({u}, {v})")
     covered = list(path)
     for cyc in factor.cycles:
         _check_cycle(d, tuple(cyc))
@@ -194,14 +188,11 @@ def _rotate(cyc: tuple[int, ...], v: int) -> tuple[int, ...]:
     return cyc[i:] + cyc[:i]
 
 
-def _seg(cyc: tuple[int, ...], a: int, b: int) -> list[int]:
-    """Inclusive forward segment of the cycle from a to b."""
-    i = cyc.index(a)
-    out = [a]
-    while cyc[i] != b:
-        i = (i + 1) % len(cyc)
-        out.append(cyc[i])
-    return out
+def _opened_at(cyc: tuple[int, ...], u: int, v: int) -> tuple[int, ...] | None:
+    """The cycle opened at its step u -> v, a path from v to u, or None when
+    u -> v is not a step of cyc."""
+    path = _rotate(cyc, v) if v in cyc else ()
+    return path if path and path[-1] == u else None
 
 
 def irreducible_ordered_cycle_factor(
@@ -219,7 +210,7 @@ def irreducible_ordered_cycle_factor(
     first pair that merges.  Every round removes a cycle, so a factor of t
     cycles takes fewer than t rounds.
     """
-    _check_cycle_factor(d, factor)
+    _check_factor(d, factor, with_path=False)
     cycles = sorted((tuple(c) for c in factor.cycles), key=min)
     while len(cycles) > 1:
         wit = _witness_matrix(d.arc_arrays(), parts, cycles)
@@ -372,7 +363,7 @@ def ham_path_distinct_ends(
     the remaining cycles are absorbed to the right of the broken cycle and
     then to the left.
     """
-    _check_1pcf(d, factor)
+    _check_factor(d, factor, with_path=True)
     path = tuple(factor.path)
     if len(path) < 2 or parts.same_part(path[0], path[-1]):
         raise InputError("factor path must have endpoints in different partite sets")
@@ -384,40 +375,25 @@ def ham_path_distinct_ends(
     cyc_factor = SpanningFactor(None, tuple(factor.cycles) + (path,), 0)
     res = irreducible_ordered_cycle_factor(d2, parts, cyc_factor)
     if not isinstance(res, OrderedCycleFactor):
-        return _finish_path(d, parts, _break_cycle(d, res, added, pl, p1))
+        # open at the added arc if it was kept; else every step is a d-arc and
+        # the cycle breaks before its smallest vertex
+        seq = added and _opened_at(res, pl, p1) or _rotate(res, min(res))
+        return _finish_path(d, parts, seq)
     cycles = res.cycles
-    r = None
-    start_path: tuple[int, ...] | None = None
+    # start from the cycle holding the added arc, opened there, or from the
+    # first cycle with its closing step (last, first) broken
+    r, start_path = 0, cycles[0]
     if added:
-        for i, cyc in enumerate(cycles):
-            for j, u in enumerate(cyc):
-                if u == pl and cyc[(j + 1) % len(cyc)] == p1:
-                    r = i
-                    start_path = _rotate(cyc, p1)
-                    break
-            if r is not None:
-                break
-    if r is None:
-        r = 0
-        start_path = tuple(cycles[0])  # break the step (last, first)
+        r, start_path = next(
+            ((i, p) for i, c in enumerate(cycles) if (p := _opened_at(c, pl, p1))),
+            (r, start_path),
+        )
     cur = list(start_path)
     for k in range(r + 1, len(cycles)):
         cur = _absorb_after(d, parts, cur, cycles[k])
     for k in range(r - 1, -1, -1):
         cur = _absorb_before(d, parts, cur, cycles[k])
     return _finish_path(d, parts, tuple(cur))
-
-
-def _break_cycle(d, seq, added, pl, p1):
-    """Open a Hamilton cycle of d (+ possibly the helper arc) into a d-path."""
-    n = len(seq)
-    if added:
-        for i in range(n):
-            if seq[i] == pl and seq[(i + 1) % n] == p1:
-                return seq[i + 1 :] + seq[: i + 1]
-    # every step is a d-arc; break before the smallest vertex
-    i = seq.index(min(seq))
-    return seq[i:] + seq[:i]
 
 
 def _finish_path(d, parts, seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -444,25 +420,23 @@ def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int
         for y in cands:
             ym = cycle[pos[y] - 1]
             if d.has_arc(t, y) and parts.part_of(ym) != ps:
-                return path + _seg(cycle, y, ym)
+                return path + list(_rotate(cycle, y))
     else:
         for z in entering:
             z_succ = cycle[(pos[z] + 1) % k]
             if parts.part_of(z) != ps and d.has_arc(t, z_succ):
-                return path + _seg(cycle, z_succ, z)
-        for z in entering:
-            if len(path) < 2:
-                break
+                return path + list(_rotate(cycle, z_succ))
+        if len(path) >= 2:
             q = path[-2]
-            z_succ = cycle[(pos[z] + 1) % k]
-            z_pred = cycle[pos[z] - 1]
-            tail = _seg(cycle, z_succ, z_pred)
-            if (
-                parts.part_of(tail[-1]) != ps
-                and d.has_arc(q, z)
-                and d.has_arc(t, z_succ)
-            ):
-                return path[:-1] + [z, t] + tail
+            for z in entering:
+                z_succ = cycle[(pos[z] + 1) % k]
+                if (
+                    parts.part_of(cycle[pos[z] - 1]) != ps
+                    and d.has_arc(q, z)
+                    and d.has_arc(t, z_succ)
+                ):
+                    # q -> z -> t, then z_succ .. z_pred around the cycle
+                    return path[:-1] + [z, t, *_rotate(cycle, z_succ)[:-1]]
     res = _absorb_generic(d, parts, path, cycle, require_distinct=True)
     if res is None:
         raise InternalVerificationError(
@@ -544,8 +518,7 @@ def _apex_ham_path(
         raise InternalVerificationError(
             "apex reduction stalled before reaching a Hamilton cycle"
         )
-    i = res.index(x)
-    return tuple(res[i + 1 :] + res[:i])
+    return _rotate(res, x)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -645,24 +618,17 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
             "majority inequality holds but no cycle factor was found"
         )
     c_max = factor.cost
-    if c_max < n:
-        arc = _first_zero_cost_arc(dhat, factor)
-        seq = _certificate_from_broken_factor(d, parts, factor, arc)
-        walk = validate_walk(d, seq, WalkKind.CYCLE)
-        sigma = c_max
-        branch = "cycle-below-max"
+    ham, how = _hamilton_cycle_search(d, parts, factor) if c_max == n else (None, None)
+    if ham is not None:
+        seq, sigma, branch = ham, n, f"cycle-hamiltonian-{how}"
     else:
-        ham, how = _hamilton_cycle_search(d, parts, factor)
-        if ham is not None:
-            walk = validate_walk(d, ham, WalkKind.CYCLE)
-            sigma = n
-            branch = f"cycle-hamiltonian-{how}"
+        # one factor arc is deleted, a cost-0 one if the factor has any
+        if c_max < n:
+            arc, sigma, branch = _first_zero_cost_arc(dhat, factor), c_max, "cycle-below-max"
         else:
-            arc = next(factor.arcs())
-            seq = _certificate_from_broken_factor(d, parts, factor, arc)
-            walk = validate_walk(d, seq, WalkKind.CYCLE)
-            sigma = n - 1
-            branch = "cycle-nonhamiltonian"
+            arc, sigma, branch = next(factor.arcs()), n - 1, "cycle-nonhamiltonian"
+        seq = _certificate_from_broken_factor(d, parts, factor, arc)
+    walk = validate_walk(d, seq, WalkKind.CYCLE)
     if walk.sigma_plus != sigma:
         raise InternalVerificationError(
             f"cycle certificate has {walk.sigma_plus} forward arcs, expected {sigma}"
@@ -679,22 +645,15 @@ def _first_zero_cost_arc(dhat, factor):
 
 def _certificate_from_broken_factor(d, parts, factor, arc):
     """Delete one factor arc, rebuild a distinct-ends Hamilton path, close it."""
-    x, y = arc
-    path = None
-    rest = []
+    path, rest = None, []
     for cyc in factor.cycles:
-        hit = False
-        for i in range(len(cyc)):
-            if cyc[i] == x and cyc[(i + 1) % len(cyc)] == y:
-                path = _rotate(cyc, y)
-                hit = True
-                break
-        if not hit:
+        opened = _opened_at(cyc, *arc)
+        if opened is None:
             rest.append(cyc)
+        else:
+            path = opened
     if path is None:
         raise InternalVerificationError("arc to delete is not a factor step")
-    remaining_arcs = set(factor.arcs())
-    remaining_arcs.discard(arc)
-    d2 = d.with_arcs(remaining_arcs)
+    d2 = d.with_arcs(a for a in factor.arcs() if a != arc)
     f2 = SpanningFactor(path, tuple(rest), 0)
     return ham_path_distinct_ends(d2, parts, f2)

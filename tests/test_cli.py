@@ -7,7 +7,8 @@ import pytest
 
 from mfaho.cli import build_parser, main
 from mfaho.digraph import build_digraph
-from mfaho.generate import gen_smd
+from mfaho.errors import InputError
+from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.harness import SolveReport, classify, solve, verify_report
 from mfaho.instance_io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
 from mfaho.oracle import DEFAULT_WALK_BOUND
@@ -333,3 +334,91 @@ def test_cli_time_limit_expiry_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "time limit" in err
+
+
+@pytest.mark.parametrize("limit", ["-1", "0", "nan", "inf", "-inf", "1e300"])
+@pytest.mark.parametrize("batch", [False, True])
+def test_cli_bad_time_limit_exits_3(tmp_path, capsys, limit, batch):
+    inst = tmp_path / "t.dg"
+    inst.write_text("3 3\n0 1\n1 2\n2 0\n")
+    where = ["--batch", str(tmp_path)] if batch else [str(inst)]
+    code, _, err = run_cli(capsys, "solve", *where, "--problem", "mfahoc", f"--time-limit={limit}")
+    assert code == 3
+    assert "time-limit" in err
+
+
+_OK_REPORT = {
+    "digest": "0" * 64, "problem": "mfahoc", "detected_class": "both", "status": "ok",
+    "sigma": 3, "walk": [0, 1, 2], "forward_mask": [True, True, True],
+    "branch": "both:cycle-hamiltonian-merged", "elapsed_ms": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        "x",
+        None,
+        3,
+        {k: v for k, v in _OK_REPORT.items() if k != "walk"},
+        {**_OK_REPORT, "walk": 5},
+        {**_OK_REPORT, "walk": "012"},
+        {**_OK_REPORT, "walk": [0, 1, 2, 3, "a"]},
+        {**_OK_REPORT, "walk": [0, 1, 2.0]},
+        {**_OK_REPORT, "walk": [0, True, 2]},
+        {**_OK_REPORT, "walk": {"0": 1}},
+        {**_OK_REPORT, "forward_mask": [1, 1, 1]},
+        {**_OK_REPORT, "forward_mask": True},
+        {**_OK_REPORT, "forward_mask": [True, None, True]},
+        {**_OK_REPORT, "sigma": "3"},
+        {**_OK_REPORT, "sigma": 3.0},
+        {**_OK_REPORT, "sigma": True},
+        {**_OK_REPORT, "sigma": [3]},
+    ],
+)
+def test_cli_verify_malformed_report_exits_3(tmp_path, capsys, payload):
+    inst = tmp_path / "t.dg"
+    inst.write_text("3 3\n0 1\n1 2\n2 0\n")
+    rep = tmp_path / "r.json"
+    rep.write_text(json.dumps(payload))
+    with pytest.raises(InputError):
+        SolveReport.from_dict(payload)
+    code, out, err = run_cli(capsys, "verify", str(inst), str(rep))
+    assert code == 3
+    assert out == "" and err.startswith("error: report")
+
+
+def test_report_round_trips_through_its_dict(tmp_path):
+    d = build_digraph(3, [(0, 1), (1, 2)])
+    for problem in ("mfahoc", "mfahop"):
+        rep = solve(d, problem)
+        payload = json.loads(rep.to_json())
+        assert SolveReport.from_dict(payload) == rep
+        payload.pop("elapsed_ms")
+        assert SolveReport.from_dict({**payload, "file": "x.dg"}).elapsed_ms == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lsd", "--components", "3,3", "--reach-prob", "2"], "[0, 1]"),
+        (["lsd", "--components", "3,3", "--reach-prob", "-0.5"], "[0, 1]"),
+        (["lsd", "--components", "3,3", "--reach-prob", "nan"], "[0, 1]"),
+        (["lsd", "--components", "3,3", "--digon-prob", "1.5"], "[0, 1]"),
+        (["lsd", "--components", "3,3", "--digon-prob", "-1"], "[0, 1]"),
+        (["lsd", "--strong", "--n", "6", "--spread", "0"], "spread"),
+        (["lsd", "--strong", "--n", "6", "--spread", "-3"], "spread"),
+        (["smd", "--sizes", "3,3", "--bias", "2"], "[0, 1]"),
+    ],
+)
+def test_cli_gen_rejects_out_of_range_arguments(capsys, argv, message):
+    code, out, err = run_cli(capsys, "gen", *argv, "--seed", "1")
+    assert code == 3
+    assert out == "" and message in err
+
+
+def test_generators_accept_the_edges_of_their_ranges():
+    for p in (0.0, 1.0):
+        assert gen_lsd_nonstrong((2, 1, 2), 3, digon_prob=p, reach_prob=p).n == 5
+    assert gen_lsd_strong(6, 3, spread=1).m == 6

@@ -35,7 +35,6 @@ FOUR_LSD = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
 def test_decomposition_acyclic_path():
     dec = lsd_decomposition(build_digraph(3, [(0, 1), (1, 2)]))
     assert dec.components == ((0,), (1,), (2,))
-    assert dec.domination_verified
 
 
 def test_decomposition_digon_component():
