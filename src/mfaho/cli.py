@@ -77,7 +77,7 @@ def _with_time_limit(seconds, fn):
 
 def cmd_classify(args) -> int:
     inst = _read_instance(args.instance, args.format)
-    report = classify(inst.digraph)
+    report = _with_time_limit(args.time_limit, lambda: classify(inst.digraph))
     _emit(report.to_dict(), f"classified: n={report.n} m={report.m}")
     for w in inst.warnings:
         sys.stderr.write(f"warning: {w}\n")
@@ -169,7 +169,9 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"report is not valid JSON: {exc.msg}") from None
     report = SolveReport.from_dict(payload)
-    problems = verify_report(inst.digraph, report)
+    problems = _with_time_limit(
+        args.time_limit, lambda: verify_report(inst.digraph, report)
+    )
     if problems:
         _emit({"verified": False, "problems": problems}, "verify: FAIL")
         return EXIT_VERIFY

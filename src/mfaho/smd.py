@@ -6,15 +6,16 @@ machinery keeps the weak-domination relation of all cycle pairs in one t x t
 witness matrix, built by a single numpy pass over the arc arrays per merge
 round; it merges pairs unwitnessed in both directions into one cycle (Yeo's
 lemma says their union is hamiltonian; _merge_pair builds the cycle in
-polynomial time) and reads the dominance order off the matrix.  The
-distinct-ends Hamilton path is built by absorbing the ordered cycles into the
-broken cycle one at a time, to the right of the path and then to the left;
-any other Hamilton path comes from generic absorption or, failing that, from
-merging with a universal apex vertex.  No step depends on the size of the
-input except one: when a full-cost cycle factor merges only to an ordered
-factor, _hamilton_cycle_search decides Hamiltonicity by the subset DP of
-oracle_mfahoc, which refuses n above MAX_WALK_VERTICES.  Solver outputs are
-always re-validated before being returned.
+polynomial time) and reads the dominance order off the matrix.  The cycle
+certificate's Hamilton path, with ends in different partite sets, absorbs
+the ordered cycles into the broken cycle one at a time, to the right of the
+path and then to the left.  The path certificate's may end anywhere: each
+factor cycle is spliced whole into the factor's path, or failing that the
+path comes from merging with a universal apex vertex.  No step depends on
+the size of the input except one: when a full-cost cycle factor merges only
+to an ordered factor, _hamilton_cycle_search decides Hamiltonicity by the
+subset DP of oracle_mfahoc, which refuses n above MAX_WALK_VERTICES.  Solver
+outputs are always re-validated before being returned.
 """
 
 from __future__ import annotations
@@ -406,37 +407,26 @@ def _finish_path(d, parts, seq: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int]:
-    """Extend the path past its terminal vertex by the whole cycle."""
+    """Extend the path by the whole cycle, its ends in different parts: after
+    the terminal t from the first y with t -> y and part(pred y) != part(s),
+    else with an entering z moved before t (q -> z -> t), else anywhere."""
     s, t = path[0], path[-1]
-    ps, pt = parts.part_of(s), parts.part_of(t)
-    k = len(cycle)
-    pos = {v: i for i, v in enumerate(cycle)}
-    entering = sorted(z for z in cycle if d.has_arc(z, t))
-    if not entering:
-        cands = sorted(v for v in cycle if parts.part_of(v) == ps)
-        cands += sorted(
-            v for v in cycle if parts.part_of(v) not in (ps, pt)
-        )
-        for y in cands:
-            ym = cycle[pos[y] - 1]
-            if d.has_arc(t, y) and parts.part_of(ym) != ps:
-                return path + list(_rotate(cycle, y))
-    else:
-        for z in entering:
-            z_succ = cycle[(pos[z] + 1) % k]
-            if parts.part_of(z) != ps and d.has_arc(t, z_succ):
-                return path + list(_rotate(cycle, z_succ))
-        if len(path) >= 2:
-            q = path[-2]
-            for z in entering:
-                z_succ = cycle[(pos[z] + 1) % k]
-                if (
-                    parts.part_of(cycle[pos[z] - 1]) != ps
-                    and d.has_arc(q, z)
-                    and d.has_arc(t, z_succ)
-                ):
-                    # q -> z -> t, then z_succ .. z_pred around the cycle
-                    return path[:-1] + [z, t, *_rotate(cycle, z_succ)[:-1]]
+    ps = parts.part_of(s)
+    for i, y in enumerate(cycle):
+        if d.has_arc(t, y) and parts.part_of(cycle[i - 1]) != ps:
+            return path + list(_rotate(cycle, y))
+    if len(path) >= 2:
+        q = path[-2]
+        for i, z in enumerate(cycle):
+            z_succ = cycle[(i + 1) % len(cycle)]
+            if (
+                parts.part_of(cycle[i - 1]) != ps
+                and d.has_arc(q, z)
+                and d.has_arc(z, t)
+                and d.has_arc(t, z_succ)
+            ):
+                # q -> z -> t, then z_succ .. z_pred around the cycle
+                return path[:-1] + [z, t, *_rotate(cycle, z_succ)[:-1]]
     res = _absorb_generic(d, parts, path, cycle, require_distinct=True)
     if res is None:
         raise InternalVerificationError(
@@ -481,12 +471,10 @@ def _absorb_generic(d, parts, path, cycle, require_distinct: bool):
 def _assemble_ham_path(
     d: Digraph, parts: PartiteStructure, factor: SpanningFactor
 ) -> tuple[int, ...]:
-    """A directed Hamilton path of d from any 1-path-cycle factor of d."""
+    """A directed Hamilton path of d from any 1-path-cycle factor of d: each
+    cycle spliced whole into the path, wherever its ends lie, else the apex
+    route."""
     path = list(factor.path)
-    if not factor.cycles:
-        return tuple(path)
-    if len(path) >= 2 and not parts.same_part(path[0], path[-1]):
-        return ham_path_distinct_ends(d, parts, factor)
     for cyc in sorted(factor.cycles, key=min):
         path = _absorb_generic(d, parts, path, cyc, require_distinct=False)
         if path is None:

@@ -336,6 +336,29 @@ def test_cli_time_limit_expiry_exits_3(tmp_path, capsys, monkeypatch):
     assert "time limit" in err
 
 
+@pytest.mark.parametrize("command, slow", [("classify", "classify"), ("verify", "verify_report")])
+def test_cli_time_limit_applies_to_classify_and_verify(tmp_path, capsys, monkeypatch, command, slow):
+    import mfaho.cli as cli_mod
+
+    inst = tmp_path / "t.dg"
+    inst.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, out, _ = run_cli(capsys, "solve", str(inst), "--problem", "mfahoc")
+    assert code == 0
+    report = tmp_path / "report.json"
+    report.write_text(out)
+
+    def stall(*args, **kwargs):
+        import time as _time
+
+        _time.sleep(5)
+
+    monkeypatch.setattr(cli_mod, slow, stall)
+    where = [str(inst)] + ([str(report)] if command == "verify" else [])
+    code, _, err = run_cli(capsys, command, *where, "--time-limit", "0.05")
+    assert code == 3
+    assert "time limit exceeded" in err
+
+
 @pytest.mark.parametrize("limit", ["-1", "0", "nan", "inf", "-inf", "1e300"])
 @pytest.mark.parametrize("batch", [False, True])
 def test_cli_bad_time_limit_exits_3(tmp_path, capsys, limit, batch):

@@ -1,16 +1,18 @@
 """Complete small-world verification.
 
 These sweeps check every instance of their kind, not a random sample: all
-orientations-with-digons of small complete multipartite graphs, and every
-digraph on up to four vertices that the LSD recognizer accepts, at sizes
-that keep the suite fast.  Larger sweeps are not part of the suite, and the
-SMD ones do not pass: on the shapes (3,3) and (2,2,2), some mfahoc and
-mfahop solves raise InternalVerificationError, where the cycle factor is
-three digons with cyclic weak domination and no pair merges (ROADMAP, first
-open item).
+orientations-with-digons of small complete multipartite graphs, every SMD of
+shape (3,3) through the path solver, and every digraph on up to four
+vertices that the LSD recognizer accepts, at sizes that keep the suite fast.
+Larger sweeps are not part of the suite.  Only the mfahoc solves still fail
+on the shapes (3,3) and (2,2,2): some raise InternalVerificationError, where
+the cycle factor is three digons with cyclic weak domination and no pair
+merges (ROADMAP, first open item).
 """
 
 from itertools import permutations, product
+
+import pytest
 
 from mfaho.digraph import (
     Digraph,
@@ -82,6 +84,41 @@ def test_every_small_smd_matches_the_oracle():
                     assert validate_walk(d, ham, WalkKind.CYCLE).sigma_minus == 0
             total += 1
     assert total == 27 + 9 + 27 + 81 + 243
+
+
+def test_every_33_smd_path_matches_the_oracle():
+    total = 0
+    for d in all_smds((3, 3)):
+        res = mfahop_smd(d, recognize_smd(d))
+        got = None if res is None else res[0]
+        assert got == oracle_mfahop(d).value, sorted(d.arcs)
+        total += 1
+    assert total == 3**9
+
+
+# Each once raised InternalVerificationError: the factor's path had ends in
+# different parts and was absorbed as for a cycle certificate, where the
+# cycle factor of three digons could neither be merged nor ordered.
+PATH_REPRODUCERS = [
+    [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 0), (3, 1), (4, 1), (4, 2), (5, 0)],
+    [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (3, 0), (3, 1), (4, 1), (4, 2), (5, 0), (5, 2)],
+    [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 0), (3, 1), (4, 1), (4, 2), (5, 0), (5, 2)],
+    [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5), (3, 0), (3, 2), (4, 0), (4, 1), (5, 1)],
+    [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (3, 0), (3, 2), (4, 0), (4, 1), (5, 1), (5, 2)],
+    [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5), (3, 0), (3, 2), (4, 0), (4, 1), (5, 1), (5, 2)],
+    [(0, 3), (0, 5), (1, 4), (1, 5), (2, 3), (2, 4), (3, 0), (3, 1), (4, 0), (4, 2), (5, 2)],
+    [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1), (2, 4), (3, 0), (3, 5), (4, 3), (5, 2), (5, 3)],
+    [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1), (3, 0), (3, 5), (4, 2), (4, 3), (5, 2), (5, 3)],
+    [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1), (2, 4), (3, 0), (3, 5), (4, 2), (4, 3), (5, 2), (5, 3)],
+]
+
+
+@pytest.mark.parametrize("arcs", PATH_REPRODUCERS)
+def test_path_reproducers_solve_to_the_optimum(arcs):
+    d = build_digraph(6, arcs)
+    sigma, walk, _ = mfahop_smd(d, recognize_smd(d))
+    assert sigma == 5 == oracle_mfahop(d).value
+    assert validate_walk(d, walk.seq, WalkKind.PATH).sigma_plus == 5
 
 
 def test_every_tiny_lsd_matches_the_oracle():

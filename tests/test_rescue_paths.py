@@ -1,8 +1,8 @@
 """Direct coverage of the constructive branches and of the total merge.
 
 Random instances rarely need these branches, so each gets a hand-built
-fixture: the two-case absorption analysis on both path ends, the apex
-reduction and the Hamiltonicity decision that merging leaves open.  The
+fixture: the append and swap shapes of absorption on both path ends, the
+apex reduction and the Hamiltonicity decision that merging leaves open.  The
 merge of two cycles with no weak-domination witness is checked on seeded
 random pairs and on the instances that needed an exhaustive search before it
 was total.
@@ -65,6 +65,16 @@ def test_absorb_after_entering_arc_first_shape():
     assert _absorb_after(d, parts, [0, 1, 5], (2, 3, 4)) == [0, 1, 3, 5, 4, 2]
 
 
+def test_absorb_after_appends_past_an_entering_arc():
+    # 2 -> 1 and 3 -> 1 enter the terminal, but 2 shares the start's part
+    # and 1 has no arc to 4, the successor of 3; the cycle is still appended,
+    # entered at 2 after the non-entering 4, not spliced between 0 and 1
+    arcs = [(0, 1), (3, 4), (4, 2), (2, 3), (3, 1), (1, 2), (2, 1), (0, 3), (4, 0)]
+    d = build_digraph(5, arcs)
+    parts = _parts(5, [{0, 2}, {1, 4}, {3}])
+    assert _absorb_after(d, parts, [0, 1], (3, 4, 2)) == [0, 1, 2, 3, 4]
+
+
 def test_absorb_before_no_arc_from_start():
     d = build_digraph(4, [(1, 0), (3, 2), (2, 3), (2, 1), (3, 0)])
     parts = _parts(4, [{0, 2}, {1, 3}])
@@ -93,9 +103,8 @@ def test_absorb_before_leaving_arc_first_shape():
 
 
 def test_apex_route_builds_hamilton_path():
-    # the factor's path has both endpoints in the same part, which the
-    # distinct-ends machinery cannot accept; the apex reduction still yields
-    # a Hamilton path
+    # called directly, the apex reduction turns the factor into a Hamilton
+    # path although the factor's path has both endpoints in one part
     arcs = [(0, 2), (2, 1), (3, 4), (4, 3), (0, 3), (0, 4), (3, 1), (4, 1), (2, 3), (2, 4)]
     d = build_digraph(5, arcs)
     parts = recognize_smd(d)
