@@ -37,9 +37,17 @@ class TimeLimitExceeded(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for "-"; InputError when it
+    cannot be read or is not valid text."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def _read_instance(path: str, fmt: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_instance(text, fmt)
+    return parse_instance(_read_text(path), fmt)
 
 
 def _emit(payload: dict, summary: str) -> None:
@@ -59,7 +67,7 @@ def _with_time_limit(seconds, fn):
         return fn()
 
     def on_alarm(signum, frame):
-        raise TimeLimitExceeded
+        raise TimeLimitExceeded("time limit exceeded")
 
     old = signal.signal(signal.SIGALRM, on_alarm)
     try:
@@ -116,16 +124,16 @@ def _solve_batch(args) -> int:
     worst = EXIT_OK
     for path in sorted(directory.glob("*.dg")):
         try:
-            inst = parse_instance(path.read_text(), args.format)
+            inst = _read_instance(str(path), args.format)
             report, summary, code = _with_time_limit(
                 args.time_limit,
                 lambda: _solve_one(inst.digraph, args.problem, inst.parts),
             )
             payload = {"file": path.name, **report.to_dict()}
-        except (InputError, TimeLimitExceeded) as exc:
+        except (InputError, TimeLimitExceeded, InternalVerificationError) as exc:
             payload = {"file": path.name, "error": str(exc)}
-            summary = f"{path.name}: error: {exc}"
-            code = EXIT_INPUT
+            summary = f"error: {exc}"
+            code = EXIT_VERIFY if isinstance(exc, InternalVerificationError) else EXIT_INPUT
         sys.stdout.write(json.dumps(payload) + "\n")
         sys.stderr.write(f"{path.name}: {summary}\n")
         worst = max(worst, code)
@@ -161,11 +169,8 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance, args.format)
-    report_text = (
-        sys.stdin.read() if args.report == "-" else Path(args.report).read_text()
-    )
     try:
-        payload = json.loads(report_text)
+        payload = json.loads(_read_text(args.report))
     except json.JSONDecodeError as exc:
         raise InputError(f"report is not valid JSON: {exc.msg}") from None
     report = SolveReport.from_dict(payload)

@@ -446,7 +446,10 @@ def _sccs(n: int, roots, out) -> list[list[int]]:
 
 
 def is_strong(d: Digraph) -> bool:
-    return d.n <= 1 or strong_components(d).count == 1
+    """True iff every vertex is reachable from vertex 0 and reaches it: two
+    walks over the rows, with no component decomposition."""
+    full = (1 << d.n) - 1
+    return _reach_mask(d.out_mask, 1, full) == full and _reach_mask(d.in_mask, 1, full) == full
 
 
 def _out_of(rows: tuple[int, ...], mask: int) -> int:

@@ -13,7 +13,6 @@ import random
 from .digraph import (
     Digraph,
     PartiteStructure,
-    _reach_mask,
     build_digraph,
     is_strong,
     recognize_lsd,
@@ -82,16 +81,9 @@ def _random_strong_semicomplete(k: int, rng: random.Random, digon_prob: float):
                     arcs.append((u, v))
                 else:
                     arcs.append((v, u))
-        if _reaches_all_both_ways(Digraph(k, arcs)):
+        if is_strong(Digraph(k, arcs)):
             return arcs
     raise InputError(f"could not sample a strong semicomplete digraph on {k} vertices")
-
-
-def _reaches_all_both_ways(d: Digraph) -> bool:
-    """True iff every vertex of d is reachable from vertex 0 and reaches it,
-    that is iff d is strong; read from the rows without any arc arrays."""
-    full = (1 << d.n) - 1
-    return _reach_mask(d.out_mask, 1, full) == full and _reach_mask(d.in_mask, 1, full) == full
 
 
 def gen_lsd_nonstrong(

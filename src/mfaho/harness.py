@@ -94,14 +94,18 @@ class SolveReport:
         """The report a to_dict payload describes; elapsed_ms may be absent.
 
         Raises InputError unless payload is an object with every other field,
-        walk is null or a list of ints, forward_mask null or a list of
-        booleans and sigma null or an int.
+        problem is mfahoc or mfahop, status ok or none, walk null or a list
+        of ints, forward_mask null or a list of booleans and sigma null or an
+        int.
         """
         if not isinstance(payload, dict):
             raise InputError("report must be a JSON object")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
         if missing:
             raise InputError(f"report is missing field {missing[0]!r}")
+        for name, allowed in (("problem", ("mfahoc", "mfahop")), ("status", ("ok", "none"))):
+            if payload[name] not in allowed:
+                raise InputError(f"report field {name!r} must be one of {', '.join(allowed)}")
         for name, item in (("walk", int), ("forward_mask", bool)):
             value = payload[name]
             if value is not None and not (
@@ -226,6 +230,8 @@ def verify_certificate(d: Digraph, report: SolveReport) -> list[str]:
     if report.status == "none":
         if report.walk is not None or report.forward_mask is not None:
             return ["a 'none' report must not carry a walk"]
+        if report.sigma not in (None, 0):
+            return [f"a 'none' report must have sigma null or 0, not {report.sigma}"]
         return []
     if report.walk is None or report.sigma is None:
         return ["an 'ok' report needs a walk and a sigma"]

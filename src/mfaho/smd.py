@@ -7,15 +7,18 @@ witness matrix, built by a single numpy pass over the arc arrays per merge
 round; it merges pairs unwitnessed in both directions into one cycle (Yeo's
 lemma says their union is hamiltonian; _merge_pair builds the cycle in
 polynomial time) and reads the dominance order off the matrix.  The cycle
-certificate's Hamilton path, with ends in different partite sets, absorbs
-the ordered cycles into the broken cycle one at a time, to the right of the
-path and then to the left.  The path certificate's may end anywhere: each
-factor cycle is spliced whole into the factor's path, or failing that the
-path comes from merging with a universal apex vertex.  No step depends on
-the size of the input except one: when a full-cost cycle factor merges only
-to an ordered factor, _hamilton_cycle_search decides Hamiltonicity by the
-subset DP of oracle_mfahoc, which refuses n above MAX_WALK_VERTICES.  Solver
-outputs are always re-validated before being returned.
+solver merges its maximum cycle factor once, in the digraph plus the
+factor's cost-0 arcs: a Hamilton cycle there is the certificate; otherwise
+the ordered factor is opened at one broken arc and the other cycles are
+absorbed into that path one at a time, to the right and then to the left,
+keeping its ends in different partite sets.  The path certificate's may end
+anywhere: each factor cycle is spliced whole into the factor's path, or
+failing that the path comes from merging with a universal apex vertex.  No
+step depends on the size of the input except one: when a full-cost cycle
+factor merges only to an ordered factor, _hamilton_cycle_by_dp decides
+Hamiltonicity by the subset DP of oracle_mfahoc, which refuses n above
+MAX_WALK_VERTICES.  Solver outputs are always re-validated before being
+returned.
 """
 
 from __future__ import annotations
@@ -360,9 +363,8 @@ def ham_path_distinct_ends(
 
     Requires a 1-path-cycle factor whose path already has endpoints in
     different partite sets.  The path's closing arc is added if missing, the
-    resulting cycle factor is merged/ordered, one arc is deleted again, and
-    the remaining cycles are absorbed to the right of the broken cycle and
-    then to the left.
+    resulting cycle factor is merged/ordered, and an ordered factor is
+    opened at that arc and absorbed by _absorb_ordered.
     """
     _check_factor(d, factor, with_path=True)
     path = tuple(factor.path)
@@ -380,16 +382,17 @@ def ham_path_distinct_ends(
         # the cycle breaks before its smallest vertex
         seq = added and _opened_at(res, pl, p1) or _rotate(res, min(res))
         return _finish_path(d, parts, seq)
-    cycles = res.cycles
-    # start from the cycle holding the added arc, opened there, or from the
-    # first cycle with its closing step (last, first) broken
-    r, start_path = 0, cycles[0]
-    if added:
-        r, start_path = next(
-            ((i, p) for i, c in enumerate(cycles) if (p := _opened_at(c, pl, p1))),
-            (r, start_path),
-        )
-    cur = list(start_path)
+    return _absorb_ordered(d, parts, res.cycles, (pl, p1))
+
+
+def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...]:
+    """A Hamilton path of d, its ends in different parts, from the cycles of
+    an ordered factor: the cycle holding the step arc is opened there (the
+    first cycle at its closing step when no cycle holds it), the later
+    cycles are absorbed after it and the earlier ones before it."""
+    opened = ((i, p) for i, c in enumerate(cycles) if (p := _opened_at(c, *arc)))
+    r, cur = next(opened, (0, cycles[0]))
+    cur = list(cur)
     for k in range(r + 1, len(cycles)):
         cur = _absorb_after(d, parts, cur, cycles[k])
     for k in range(r - 1, -1, -1):
@@ -546,52 +549,53 @@ def is_hamiltonian_smd(d: Digraph, parts: PartiteStructure):
 
     A cycle factor of d is a maximum-cost cycle factor of the symmetric
     (0,1)-digraph whose cost is n; a lower cost, or none at all, means d has
-    no cycle factor and so no Hamilton cycle.  Otherwise the question goes
-    to _hamilton_cycle_search.
+    no cycle factor and so no Hamilton cycle.  A strong d has its factor
+    merged; an ordered factor leaves the question to _hamilton_cycle_by_dp.
     """
     check_smd(d, parts)
     if d.n < 3:
         raise InputError("hamiltonicity needs at least 3 vertices")
     factor = max_cost_cycle_factor(symmetric_01(d))
-    if factor is None or factor.cost < d.n:
+    if factor is None or factor.cost < d.n or not is_strong(d):
         return None
-    cycle, _ = _hamilton_cycle_search(d, parts, factor)
-    return cycle
+    res = irreducible_ordered_cycle_factor(d, parts, factor)
+    return _hamilton_cycle_by_dp(d) if isinstance(res, OrderedCycleFactor) else res
 
 
-def _hamilton_cycle_search(d, parts, factor):
-    """(Hamilton cycle of d or None, how it was decided), given a cycle
-    factor of d.
+def _hamilton_cycle_by_dp(d):
+    """A Hamilton cycle of d or None, for a d whose cycle factor merged only
+    to an ordered factor, which does not settle the question.
 
-    A strong digraph's factor is merged as far as the pairs without a
-    witness allow (irreducible_ordered_cycle_factor).  That either yields a
-    Hamilton cycle or stops at an ordered factor, which does not settle the
-    question; then the subset DP of oracle_mfahoc decides it: a value of n
-    means its witness is a directed Hamilton cycle.  The DP is exponential,
-    so above MAX_WALK_VERTICES vertices the search raises InputError before
-    any table is built.
+    A digraph that is not strong has none.  Otherwise the subset DP of
+    oracle_mfahoc decides: a value of n means its witness is a directed
+    Hamilton cycle.  The DP is exponential, so above MAX_WALK_VERTICES
+    vertices this raises InputError before any table is built.
     """
     if not is_strong(d):
-        return None, "not-strong"
-    res = irreducible_ordered_cycle_factor(d, parts, factor)
-    if not isinstance(res, OrderedCycleFactor):
-        return res, "merged"
+        return None
     if d.n > MAX_WALK_VERTICES:
         raise InputError(
             f"hamiltonicity undecided by merging and n={d.n} exceeds the "
             f"exact-search bound {MAX_WALK_VERTICES}"
         )
     best = oracle_mfahoc(d, bound=MAX_WALK_VERTICES)
-    return (best.witness if best.value == d.n else None), "exact-search"
+    return best.witness if best.value == d.n else None
 
 
 def mfahoc_smd(d: Digraph, parts: PartiteStructure):
     """Maximum forward arcs over Hamilton oriented cycles, with certificate.
 
     Returns (sigma, walk, branch) or None when no Hamilton oriented cycle
-    exists.  sigma equals the maximum cycle-factor cost of the symmetric
-    (0,1)-digraph, except that a full-cost factor in a non-hamiltonian
-    digraph caps sigma at n-1.
+    exists.  sigma is the maximum cost c_max of a cycle factor of the
+    symmetric (0,1)-digraph, except that a full-cost factor in a
+    non-hamiltonian digraph caps sigma at n-1.  The factor is merged once,
+    in d plus its set Z of cost-0 arcs.  A Hamilton cycle of that digraph
+    uses every arc of Z (a cycle factor avoiding one would cost more than
+    c_max), so it has c_max forward steps and is the certificate.  Otherwise
+    the ordered factor is opened at the broken arc e, the first arc of Z or,
+    when Z is empty and the digraph is not hamiltonian, the first factor
+    arc, and the other cycles are absorbed in d plus Z - e.  The cycle
+    holding e enters the merge rotated to start at e's head.
     """
     check_smd(d, parts)
     if d.n < 3:
@@ -599,49 +603,33 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
     if not hc_majority(parts.sizes):
         return None
     n = d.n
-    dhat = symmetric_01(d)
-    factor = max_cost_cycle_factor(dhat)
+    factor = max_cost_cycle_factor(symmetric_01(d))
     if factor is None:
         raise InternalVerificationError(
             "majority inequality holds but no cycle factor was found"
         )
     c_max = factor.cost
-    ham, how = _hamilton_cycle_search(d, parts, factor) if c_max == n else (None, None)
-    if ham is not None:
-        seq, sigma, branch = ham, n, f"cycle-hamiltonian-{how}"
+    zero = [a for a in factor.arcs() if not d.has_arc(*a)]
+    e = zero[0] if zero else next(factor.arcs())
+    cycles, df = factor.cycles, d
+    if zero:
+        cycles = tuple(_rotate(c, e[1]) if e[1] in c else c for c in cycles)
+        df = d.with_arcs(zero)
+    res = irreducible_ordered_cycle_factor(df, parts, SpanningFactor(None, cycles, c_max))
+    if not isinstance(res, OrderedCycleFactor):
+        seq = _rotate(res, e[1]) if zero else res
+        sigma, branch = c_max, "cycle-below-max" if zero else "cycle-hamiltonian-merged"
+    elif zero:
+        seq = _absorb_ordered(d.with_arcs(zero[1:]), parts, res.cycles, e)
+        sigma, branch = c_max, "cycle-below-max"
+    elif (seq := _hamilton_cycle_by_dp(d)) is not None:
+        sigma, branch = n, "cycle-hamiltonian-exact-search"
     else:
-        # one factor arc is deleted, a cost-0 one if the factor has any
-        if c_max < n:
-            arc, sigma, branch = _first_zero_cost_arc(dhat, factor), c_max, "cycle-below-max"
-        else:
-            arc, sigma, branch = next(factor.arcs()), n - 1, "cycle-nonhamiltonian"
-        seq = _certificate_from_broken_factor(d, parts, factor, arc)
+        seq = _absorb_ordered(d, parts, res.cycles, e)
+        sigma, branch = n - 1, "cycle-nonhamiltonian"
     walk = validate_walk(d, seq, WalkKind.CYCLE)
     if walk.sigma_plus != sigma:
         raise InternalVerificationError(
             f"cycle certificate has {walk.sigma_plus} forward arcs, expected {sigma}"
         )
     return sigma, walk, branch
-
-
-def _first_zero_cost_arc(dhat, factor):
-    for a in factor.arcs():
-        if dhat.cost(*a) == 0:
-            return a
-    raise InternalVerificationError("expected a zero-cost arc in the factor")
-
-
-def _certificate_from_broken_factor(d, parts, factor, arc):
-    """Delete one factor arc, rebuild a distinct-ends Hamilton path, close it."""
-    path, rest = None, []
-    for cyc in factor.cycles:
-        opened = _opened_at(cyc, *arc)
-        if opened is None:
-            rest.append(cyc)
-        else:
-            path = opened
-    if path is None:
-        raise InternalVerificationError("arc to delete is not a factor step")
-    d2 = d.with_arcs(a for a in factor.arcs() if a != arc)
-    f2 = SpanningFactor(path, tuple(rest), 0)
-    return ham_path_distinct_ends(d2, parts, f2)

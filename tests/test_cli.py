@@ -7,7 +7,7 @@ import pytest
 
 from mfaho.cli import build_parser, main
 from mfaho.digraph import build_digraph
-from mfaho.errors import InputError
+from mfaho.errors import InputError, InternalVerificationError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.harness import SolveReport, classify, solve, verify_report
 from mfaho.instance_io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
@@ -299,6 +299,89 @@ def test_cli_batch_mode(tmp_path, capsys):
     assert code == 3  # the broken file dominates the exit code
 
 
+def test_cli_batch_records_unreadable_and_failing_files(tmp_path, capsys, monkeypatch):
+    # an undecodable file, a solve that fails its own verification and a
+    # time limit each give an error record, and the files after them are
+    # still solved
+    import mfaho.cli as cli_mod
+
+    d, parts = gen_smd((2, 2), seed=1)
+    for name in ("a", "c"):
+        (tmp_path / f"{name}.dg").write_text(serialize_instance(d, parts))
+    (tmp_path / "b.dg").write_bytes(b"3 3\n0 1\n1 2\n2 \xff\n")
+    code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path), "--problem", "mfahop")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["file"] for r in records] == ["a.dg", "b.dg", "c.dg"]
+    assert "error" in records[1] and records[2]["status"] == "ok"
+    assert code == 3 and "b.dg: error: cannot read" in err
+
+    solve_one = cli_mod._solve_one
+
+    def fail_on_the_triangle(d, problem, parts):
+        if d.n == 3:
+            raise InternalVerificationError("forced")
+        return solve_one(d, problem, parts)
+
+    (tmp_path / "b.dg").write_text("3 3\n0 1\n1 2\n2 0\n")
+    monkeypatch.setattr(cli_mod, "_solve_one", fail_on_the_triangle)
+    code, out, _ = run_cli(capsys, "solve", "--batch", str(tmp_path), "--problem", "mfahop")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [("error" in r) for r in records] == [False, True, False]
+    assert records[1]["error"] == "forced" and code == 4
+
+    def stall(*args, **kwargs):
+        import time as _time
+
+        _time.sleep(5)
+
+    monkeypatch.setattr(cli_mod, "_solve_one", stall)
+    code, out, _ = run_cli(
+        capsys, "solve", "--batch", str(tmp_path), "--problem", "mfahop", "--time-limit", "0.05"
+    )
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["error"] for r in records] == ["time limit exceeded"] * 3 and code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{bad}", "--problem", "mfahoc"],
+        ["solve", "{dir}", "--problem", "mfahoc"],
+        ["classify", "{bad}"],
+        ["classify", "{dir}"],
+        ["oracle", "{bad}", "--problem", "mfahop"],
+        ["oracle", "{dir}", "--problem", "mfahop"],
+        ["verify", "{bad}", "{report}"],
+        ["verify", "{good}", "{bad}"],
+        ["verify", "{good}", "{dir}"],
+    ],
+)
+def test_cli_unreadable_input_exits_3(tmp_path, capsys, argv):
+    # invalid UTF-8 and a directory, given as the instance or as the report
+    files = {"bad": tmp_path / "bad.dg", "good": tmp_path / "good.dg", "dir": tmp_path}
+    files["bad"].write_bytes(b"3 3\n0 1\n1 2\n2 \xff\n")
+    files["good"].write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, out, _ = run_cli(capsys, "solve", str(files["good"]), "--problem", "mfahoc")
+    files["report"] = tmp_path / "report.json"
+    files["report"].write_text(out)
+    code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot read")
+
+
+def test_cli_verify_refuses_a_sigma_on_a_none_report(tmp_path, capsys):
+    inst = tmp_path / "p.dg"
+    inst.write_text("3 2\n0 1\n1 2\n")
+    code, out, _ = run_cli(capsys, "solve", str(inst), "--problem", "mfahoc")
+    assert code == 2
+    rep = tmp_path / "r.json"
+    for sigma, expected in ((0, 0), (None, 0), (3, 4), (-1, 4)):
+        rep.write_text(json.dumps({**json.loads(out), "sigma": sigma}))
+        code, verdict, _ = run_cli(capsys, "verify", str(inst), str(rep))
+        assert code == expected, sigma
+        assert json.loads(verdict)["verified"] is (expected == 0)
+
+
 def test_cli_stdin_instance(capsys, monkeypatch):
     import io
 
@@ -398,6 +481,8 @@ _OK_REPORT = {
         {**_OK_REPORT, "sigma": 3.0},
         {**_OK_REPORT, "sigma": True},
         {**_OK_REPORT, "sigma": [3]},
+        {**_OK_REPORT, "problem": "banana"},
+        {**_OK_REPORT, "status": "maybe"},
     ],
 )
 def test_cli_verify_malformed_report_exits_3(tmp_path, capsys, payload):

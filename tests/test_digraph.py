@@ -21,7 +21,7 @@ from mfaho.digraph import (
     validate_walk,
 )
 from mfaho.errors import InputError, NotAWalkError
-from mfaho.generate import _reaches_all_both_ways, gen_lsd_nonstrong, gen_lsd_strong
+from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
 from mfaho.instance_io import MAX_VERTICES
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -495,8 +495,9 @@ def test_2connected_matches_vertex_deletion_definition():
 
 
 def test_generator_strongness_test_matches_is_strong():
-    """The generator's two reach-mask walks decide strongness exactly as
-    is_strong does, on candidates drawn the way the generator draws them."""
+    """is_strong's two reach-mask walks decide strongness exactly as the
+    strong component decomposition does, on candidates drawn the way the
+    generator draws them."""
     rng = random.Random(909)
     verdicts = []
     for _ in range(1000):
@@ -511,5 +512,5 @@ def test_generator_strongness_test_matches_is_strong():
                     arcs.append((u, v) if rng.random() < 0.5 else (v, u))
         d = Digraph(k, arcs)
         verdicts.append(is_strong(d))
-        assert _reaches_all_both_ways(d) == verdicts[-1], sorted(arcs)
+        assert (strong_components(d).count == 1) == verdicts[-1], sorted(arcs)
     assert 100 < sum(verdicts) < 900

@@ -5,9 +5,9 @@ orientations-with-digons of small complete multipartite graphs, every SMD of
 shape (3,3) through the path solver, and every digraph on up to four
 vertices that the LSD recognizer accepts, at sizes that keep the suite fast.
 Larger sweeps are not part of the suite.  Only the mfahoc solves still fail
-on the shapes (3,3) and (2,2,2): some raise InternalVerificationError, where
-the cycle factor is three digons with cyclic weak domination and no pair
-merges (ROADMAP, first open item).
+on the shapes (3,3) and (2,2,2): some raise InternalVerificationError in the
+one merge of mfahoc_smd, where the cycle factor is three digons with cyclic
+weak domination and no pair merges (ROADMAP, first open item).
 """
 
 from itertools import permutations, product

@@ -2,8 +2,9 @@
 
 Random instances rarely need these branches, so each gets a hand-built
 fixture: the append and swap shapes of absorption on both path ends, the
-apex reduction and the Hamiltonicity decision that merging leaves open.  The
-merge of two cycles with no weak-domination witness is checked on seeded
+apex reduction, the Hamiltonicity decision that merging leaves open, and
+each branch of the cycle solver, which merges its cycle factor exactly once.
+The merge of two cycles with no weak-domination witness is checked on seeded
 random pairs and on the instances that needed an exhaustive search before it
 was total.
 """
@@ -12,22 +13,33 @@ import random
 
 import pytest
 
+import mfaho.digraph
 import mfaho.oracle
+import mfaho.smd as smd_mod
 from mfaho import harness
 from mfaho.cli import main
-from mfaho.digraph import PartiteStructure, WalkKind, build_digraph, recognize_smd, validate_walk
+from mfaho.digraph import (
+    PartiteStructure,
+    WalkKind,
+    build_digraph,
+    is_strong,
+    recognize_smd,
+    validate_walk,
+)
 from mfaho.errors import InputError
 from mfaho.factor_flow import SpanningFactor
 from mfaho.generate import gen_smd
 from mfaho.instance_io import serialize_instance
 from mfaho.oracle import MAX_WALK_VERTICES, oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
+    OrderedCycleFactor,
     _absorb_after,
     _absorb_before,
     _apex_ham_path,
     _insert_blocks,
     _merge_pair,
     _witness_matrix,
+    mfahoc_smd,
     mfahop_smd,
 )
 
@@ -180,6 +192,55 @@ def test_undecided_hamiltonicity_above_the_oracle_maximum_is_refused(
     inst.write_text(serialize_instance(d, parts))
     assert main(["solve", str(inst), "--problem", "mfahoc"]) == 3
     assert "bound 20" in capsys.readouterr().err
+
+
+# (arcs, branch, whether the merge stops at an ordered factor), one per
+# branch of mfahoc_smd; every digraph is strong, so the nonhamiltonian one
+# is decided by the subset DP
+ONE_MERGE_CASES = [
+    ([(0, 2), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", False),
+    ([(0, 2), (0, 3), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", True),
+    ([(0, 2), (1, 3), (2, 1), (2, 3), (3, 0)], "cycle-hamiltonian-merged", False),
+    ([(0, 2), (0, 3), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1)], "cycle-nonhamiltonian", True),
+    (
+        [(0, 2), (0, 3), (1, 2), (1, 4), (2, 1), (2, 4), (3, 0), (3, 1), (3, 4), (4, 0), (4, 2)],
+        "cycle-hamiltonian-exact-search",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "arcs, branch, ordered",
+    ONE_MERGE_CASES,
+    ids=["below-max-merged", "below-max-ordered", "hamiltonian-merged", "nonhamiltonian", "exact-search"],
+)
+def test_mfahoc_merges_the_cycle_factor_once(monkeypatch, arcs, branch, ordered):
+    merges = []
+    merge = smd_mod.irreducible_ordered_cycle_factor
+
+    def counted(*args):
+        merges.append(merge(*args))
+        return merges[-1]
+
+    monkeypatch.setattr(smd_mod, "irreducible_ordered_cycle_factor", counted)
+    d = build_digraph(max(map(max, arcs)) + 1, arcs)
+    assert is_strong(d)
+    sigma, walk, got = mfahoc_smd(d, recognize_smd(d))
+    assert got == branch
+    assert [isinstance(m, OrderedCycleFactor) for m in merges] == [ordered]
+    assert sigma == walk.sigma_plus == oracle_mfahoc(d).value
+
+
+def test_mfahoc_hamiltonian_merge_runs_no_strongness_test(monkeypatch):
+    # a Hamilton cycle from the merge settles strongness by itself
+    def refuse(*args):
+        raise AssertionError("a strongness test ran")
+
+    monkeypatch.setattr(mfaho.digraph, "_sccs", refuse)
+    monkeypatch.setattr(smd_mod, "is_strong", refuse)
+    d, parts = gen_smd((1,) * 7, 11, 0.2)
+    assert mfahoc_smd(d, parts)[2] == "cycle-hamiltonian-merged"
 
 
 def _first_splice(d, x, y):
