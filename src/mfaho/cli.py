@@ -160,7 +160,10 @@ def cmd_gen(args) -> int:
             )
         text = serialize_instance(d, None, fmt=args.format_out)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror}") from None
         sys.stderr.write(f"wrote {args.output}\n")
     else:
         sys.stdout.write(text)

@@ -2,11 +2,11 @@
 
 The maximum-forward-arc optima come from optimal factors of the symmetric
 (0,1)-digraph; certificates are assembled constructively.  The ordered-factor
-machinery keeps the weak-domination relation of all cycle pairs in one t x t
-witness matrix, built by a single numpy pass over the arc arrays per merge
-round; it merges pairs unwitnessed in both directions into one cycle (Yeo's
-lemma says their union is hamiltonian; _merge_pair builds the cycle in
-polynomial time) and reads the dominance order off the matrix.  The cycle
+machinery works out the weak-domination witness of a cycle pair from the
+bitmask rows when a merge round first reaches the pair, and keeps it for
+later rounds; it merges pairs unwitnessed in both directions into one cycle
+(Yeo's lemma says their union is hamiltonian; _merge_pair builds the cycle
+in polynomial time) and reads the dominance order off the witnesses.  The cycle
 solver merges its maximum cycle factor once, in the digraph plus the
 factor's cost-0 arcs: a Hamilton cycle there is the certificate; otherwise
 the ordered factor is opened at one broken arc and the other cycles are
@@ -24,7 +24,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -111,49 +111,31 @@ def weakly_dominates(
     _check_cycle(d, c2)
     if set(c1) & set(c2):
         raise InputError("cycles overlap")
-    w = int(_witness_matrix(d.arc_arrays(), parts, (c1, c2))[0, 1])
+    w = _witness(d, parts, c1, c2)
     return None if w < 0 else w
 
 
-def _witness_matrix(arcs, parts: PartiteStructure, cycles) -> np.ndarray:
-    """All weak-domination witnesses among disjoint cycles, as a t x t matrix.
-
-    arcs is the (tails, heads) pair of index arrays of the digraph's arcs;
-    the cycles need not cover its vertices.  Entry [i, j] is the witness for
-    cycles[i] weakly dominating cycles[j]: -1 when there is none, 0 when no
-    arc runs from cycles[j] to cycles[i] (and on the diagonal), otherwise
-    the partite set that part(successor of the tail) and part(predecessor
-    of the head) share on every such arc.
+def _witness(d: Digraph, parts: PartiteStructure, c1, c2) -> int:
+    """The witness for c1 weakly dominating c2 as weakly_dominates defines
+    it, for disjoint cycles of d: -1 when there is none, 0 when no arc runs
+    from c2 to c1.  Each u on c2 with arcs into c1 (its hits) fixes
+    a = part(successor of u), and every hit must have its predecessor on c1
+    in part a; that is O(|c1| + |c2|) operations on n-bit masks.
     """
-    part = np.asarray(parts.part_index, dtype=np.intp)
-    t = len(cycles)
-    lens = np.fromiter(map(len, cycles), dtype=np.intp, count=t)
-    flat = np.fromiter(chain.from_iterable(cycles), dtype=np.intp, count=int(lens.sum()))
-    first = np.cumsum(lens) - lens
-    last = first + lens - 1
-    nxt = np.arange(1, len(flat) + 1)
-    nxt[last] = first
-    prv = np.arange(-1, len(flat) - 1)
-    prv[first] = last
-    cyc = np.full(len(part), -1, dtype=np.intp)
-    cyc[flat] = np.repeat(np.arange(t), lens)
-    succ = np.empty_like(cyc)
-    succ[flat] = flat[nxt]
-    pred = np.empty_like(cyc)
-    pred[flat] = flat[prv]
-
-    tails, heads = arcs
-    cu, cv = cyc[tails], cyc[heads]
-    cross = (cu >= 0) & (cv >= 0) & (cu != cv)
-    u, v = tails[cross], heads[cross]
-    key = cv[cross] * t + cu[cross]
-    a, b = part[succ[u]], part[pred[v]]
-    no_arc = parts.p  # above every part index
-    wit = np.full(t * t, no_arc, dtype=np.intp)
-    np.minimum.at(wit, key, a)
-    wit[key[(a != b) | (a != wit[key])]] = -1
-    wit[wit == no_arc] = 0
-    return wit.reshape(t, t)
+    part = parts.part_index
+    on_c1 = _mask_of(c1)
+    after: dict[int, int] = {}  # part a: vertices of c1 whose predecessor is in a
+    for v, w in zip(c1[-1:] + c1[:-1], c1):
+        after[part[v]] = after.get(part[v], 0) | 1 << w
+    common = None
+    for u, u_succ in zip(c2, c2[1:] + c2[:1]):
+        hits = d.out_mask[u] & on_c1
+        if hits:
+            a = part[u_succ]
+            if common not in (None, a) or hits & after.get(a, 0) != hits:
+                return -1
+            common = a
+    return 0 if common is None else common
 
 
 @dataclass(frozen=True)
@@ -204,50 +186,55 @@ def irreducible_ordered_cycle_factor(
 ):
     """Either a Hamilton cycle of d or an OrderedCycleFactor.
 
-    Each round sorts the cycles by their smallest vertex and builds the
-    weak-domination witness matrix of all cycle pairs in one pass over the
-    arcs (_witness_matrix).  The lexicographically first pair with no
-    witness in either direction is merged into one cycle (_merge_pair; by
-    Yeo's lemma such a pair always has a hamiltonian union).  Once every
-    pair is witnessed in some direction a dominant-first linear order is
-    read off the matrix; a domination cycle triggers further merging of the
-    first pair that merges.  Every round removes a cycle, so a factor of t
-    cycles takes fewer than t rounds.
+    Each round walks the pairs of the cycles, sorted by their smallest
+    vertex, in lexicographic order, working out each pair's weak-domination
+    witnesses (_witness) only when the walk reaches it.  The first pair with
+    no witness in either direction that merges into one cycle (_merge_pair;
+    by Yeo's lemma such a pair always has a hamiltonian union) is replaced
+    by the merged cycle.  A witness depends only on the two cycles, so the
+    witnesses are kept across rounds, keyed by an id given to each cycle
+    when it is made.  Once every pair is witnessed in some direction a
+    dominant-first linear order is read off the witness matrix; a
+    domination cycle triggers further merging of the first pair that
+    merges.  Every round removes a cycle, so a factor of t cycles takes
+    fewer than t rounds.
     """
     _check_factor(d, factor, with_path=False)
     cycles = sorted((tuple(c) for c in factor.cycles), key=min)
+    ids = list(range(len(cycles)))
+    fresh = count(len(cycles))
+    memo: dict[tuple[int, int], int] = {}
+
+    def witness(i: int, j: int) -> int:
+        key = ids[i], ids[j]
+        if key not in memo:
+            memo[key] = _witness(d, parts, cycles[i], cycles[j])
+        return memo[key]
+
     while len(cycles) > 1:
-        wit = _witness_matrix(d.arc_arrays(), parts, cycles)
-        unwitnessed = np.triu((wit < 0) & (wit.T < 0))
-        if unwitnessed.any():
-            merged = _merge_first(d, cycles, zip(*np.nonzero(unwitnessed)))
-            if merged is not None:
-                cycles = merged
-                continue
+        t = len(cycles)
+        pairs = combinations(range(t), 2)
+        unwitnessed = ((a, b) for a, b in pairs if witness(a, b) < 0 and witness(b, a) < 0)
+        first = next(unwitnessed, None)
+        if first is not None:
+            pairs = chain([first], unwitnessed)
         else:
+            wit = np.array([[witness(i, j) if i != j else 0 for j in range(t)] for i in range(t)])
             order = _dominance_order(wit)
             if order is not None:
                 return _ordered_factor(cycles, wit, order)
             # domination is cyclic; merging any pair can break the cycle
-            merged = _merge_first(d, cycles, combinations(range(len(cycles)), 2))
-            if merged is not None:
-                cycles = merged
-                continue
-        raise InternalVerificationError(
-            "cycle factor could neither be merged further nor ordered"
-        )
+            pairs = combinations(range(t), 2)
+        merges = ((a, b, m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
+        a, b, merged = next(merges, (0, 0, None))
+        if merged is None:
+            raise InternalVerificationError(
+                "cycle factor could neither be merged further nor ordered"
+            )
+        # the merged cycle's smallest vertex is cycles[a]'s, so it keeps a's place
+        cycles[a], ids[a] = merged, next(fresh)
+        del cycles[b], ids[b]
     return _rotate(cycles[0], min(cycles[0]))
-
-
-def _merge_first(d, cycles, pairs):
-    """Merge the first of the (lazily generated) index pairs that merges."""
-    for a, b in pairs:
-        merged = _merge_pair(d, cycles[a], cycles[b])
-        if merged is not None:
-            rest = [c for i, c in enumerate(cycles) if i not in (a, b)]
-            rest.append(merged)
-            return sorted(rest, key=min)
-    return None
 
 
 def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):

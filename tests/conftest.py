@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for building structured test instances."""
 
+from itertools import accumulate
+
 import numpy as np
 
 from mfaho.digraph import Digraph, PartiteStructure, build_digraph
@@ -76,3 +78,39 @@ def figure_cycles_digraph():
     parts = PartiteStructure.from_parts(9, [{0, 4, 6}, {1, 7}, {2, 3, 5, 8}])
     c1, c2, c3 = (0, 1, 2), (3, 4, 5, 6), (7, 8)
     return d, parts, c1, c2, c3
+
+
+def random_cycles_smd(rng, count):
+    """count disjoint cycles of 2-6 vertices and a random SMD on their union."""
+    p = rng.randint(2, 5)
+    lengths = [rng.randint(2, 6) for _ in range(count)]
+    if p == 2:  # a cycle alternates between the two parts
+        lengths = [k + k % 2 for k in lengths]
+    labels = []
+    for k in lengths:
+        while True:
+            cyc = [rng.randrange(p) for _ in range(k)]
+            if all(cyc[i] != cyc[i - 1] for i in range(k)):
+                break
+        labels += cyc
+    n = len(labels)
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = list(accumulate(lengths, initial=0))
+    cycles = [tuple(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    part = dict(zip(order, labels))
+    arcs = {(c[i - 1], c[i]) for c in cycles for i in range(len(c))}
+    digon, bias = rng.choice((0.0, 0.1, 0.3)), rng.choice((0.5, 0.8, 0.95, 1.0))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if part[u] == part[v]:
+                continue
+            a, b = u, v
+            if (v, u) in arcs or (u, v) not in arcs and rng.random() >= bias:
+                a, b = v, u
+            arcs.add((a, b))
+            if rng.random() < digon:
+                arcs.add((b, a))
+    sets = [{v for v in range(n) if part[v] == i} for i in set(labels)]
+    parts = PartiteStructure.from_parts(n, sets)
+    return build_digraph(n, arcs), parts, cycles

@@ -179,6 +179,14 @@ def test_cli_gen_rejects_single_part(capsys):
     assert "2 partite sets" in err
 
 
+def test_cli_gen_output_that_cannot_be_written_exits_3(tmp_path, capsys):
+    argv = ("gen", "smd", "--sizes", "2,2", "--seed", "1", "-o", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert out == ""
+
+
 def test_cli_gen_lsd_variants(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gen", "lsd", "--components", "1,2,1", "--seed", "1")
     assert code == 0

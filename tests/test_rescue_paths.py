@@ -38,10 +38,12 @@ from mfaho.smd import (
     _apex_ham_path,
     _insert_blocks,
     _merge_pair,
-    _witness_matrix,
+    _witness,
     mfahoc_smd,
     mfahop_smd,
 )
+
+from conftest import random_cycles_smd
 
 
 def _parts(n, sets):
@@ -321,49 +323,14 @@ def test_merge_regressions_solve_to_the_optimum(problem, sizes, seed, digon, bia
         assert oracle(d).value == optimum
 
 
-def _random_cycle_pair(rng):
-    """Two disjoint cycles of 2-6 vertices in a random SMD on their union."""
-    p = rng.randint(2, 5)
-    lengths = [rng.randint(2, 6) for _ in range(2)]
-    if p == 2:  # a cycle alternates between the two parts
-        lengths = [k + k % 2 for k in lengths]
-    labels = []
-    for k in lengths:
-        while True:
-            cyc = [rng.randrange(p) for _ in range(k)]
-            if all(cyc[i] != cyc[i - 1] for i in range(k)):
-                break
-        labels += cyc
-    n = len(labels)
-    order = list(range(n))
-    rng.shuffle(order)
-    x, y = tuple(order[: lengths[0]]), tuple(order[lengths[0] :])
-    part = dict(zip(order, labels))
-    arcs = {(c[i - 1], c[i]) for c in (x, y) for i in range(len(c))}
-    digon, bias = rng.choice((0.0, 0.1, 0.3)), rng.choice((0.5, 0.8, 0.95, 1.0))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part[u] == part[v]:
-                continue
-            a, b = u, v
-            if (v, u) in arcs or (u, v) not in arcs and rng.random() >= bias:
-                a, b = v, u
-            arcs.add((a, b))
-            if rng.random() < digon:
-                arcs.add((b, a))
-    parts = PartiteStructure.from_parts(n, [{v for v in range(n) if part[v] == i} for i in set(labels)])
-    return build_digraph(n, arcs), parts, x, y
-
-
 def test_merge_pair_merges_every_unwitnessed_pair():
     # Yeo's lemma: with no weak-domination witness either way, the union of
     # the two cycles is hamiltonian; _merge_pair must always build the cycle
     rng = random.Random(83)
     unwitnessed = unspliced = 0
     for _ in range(6000):
-        d, parts, x, y = _random_cycle_pair(rng)
-        wit = _witness_matrix(d.arc_arrays(), parts, (x, y))
-        if wit[0, 1] >= 0 or wit[1, 0] >= 0:
+        d, parts, (x, y) = random_cycles_smd(rng, 2)
+        if _witness(d, parts, x, y) >= 0 or _witness(d, parts, y, x) >= 0:
             continue
         unwitnessed += 1
         unspliced += _first_splice(d, x, y) is None

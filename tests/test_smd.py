@@ -1,9 +1,11 @@
 import random
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import mfaho.smd as smd_mod
 from mfaho.digraph import (
     Digraph,
     PartiteStructure,
@@ -12,7 +14,7 @@ from mfaho.digraph import (
     recognize_smd,
     validate_walk,
 )
-from mfaho.errors import InputError
+from mfaho.errors import InputError, InternalVerificationError
 from mfaho.factor_flow import (
     SpanningFactor,
     max_cost_cycle_factor,
@@ -23,7 +25,8 @@ from mfaho.oracle import oracle_ham_cycle, oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
     OrderedCycleFactor,
     _dominance_order,
-    _witness_matrix,
+    _merge_pair,
+    _witness,
     ham_path_distinct_ends,
     has_ham_oriented_cycle_smd,
     has_ham_oriented_path_smd,
@@ -36,7 +39,7 @@ from mfaho.smd import (
     weakly_dominates,
 )
 
-from conftest import EXCEPTIONAL_ARCS, figure_cycles_digraph
+from conftest import EXCEPTIONAL_ARCS, figure_cycles_digraph, random_cycles_smd
 
 
 def test_majority_inequalities():
@@ -119,9 +122,8 @@ def test_witness_needs_one_common_part():
     cycle_arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 4)]
     for across, expected in (([(4, 1)], 1), ([(5, 3)], 2), ([(4, 1), (5, 3)], None)):
         d = build_digraph(6, cycle_arcs + across)
-        wit = _witness_matrix(d.arc_arrays(), parts, [c1, c2])
-        assert wit[0, 1] == (-1 if expected is None else expected)
-        assert wit[1, 0] == 0  # no arc from c1 to c2
+        assert _witness(d, parts, c1, c2) == (-1 if expected is None else expected)
+        assert _witness(d, parts, c2, c1) == 0  # no arc from c1 to c2
         assert weakly_dominates(d, parts, c1, c2) == expected
 
 
@@ -161,7 +163,7 @@ def _random_cycle_factor(rng, n):
     return cycles
 
 
-def test_witness_matrix_matches_definition():
+def test_witness_matches_definition():
     rng = random.Random(2024)
     seen = {"vacuous": 0, "witness": 0, "none": 0}
     two_cycles = 0
@@ -180,26 +182,22 @@ def test_witness_matrix_matches_definition():
         # the solver orders factors of d plus the factor's own arcs
         steps = {(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))}
         df = Digraph(d.n, d.arcs | steps)
-        arcs = df.arc_arrays()
-        wit = _witness_matrix(arcs, parts, cycles)
         t = len(cycles)
-        assert wit.shape == (t, t)
         for i in range(t):
-            assert wit[i, i] == 0
             for j in range(t):
                 if i == j:
                     continue
                 kind, expected = _reference_witness(df, parts, cycles[i], cycles[j])
                 seen[kind] += 1
-                assert wit[i, j] == (-1 if expected is None else expected)
+                got = _witness(df, parts, cycles[i], cycles[j])
+                assert got == (-1 if expected is None else expected)
         # a subset of the cycles that leaves vertices uncovered
         sub = rng.sample(cycles, rng.randint(2, min(t, 4)))
-        sub_wit = _witness_matrix(arcs, parts, sub)
         for i, c1 in enumerate(sub):
             for j, c2 in enumerate(sub):
                 if i != j:
                     _, expected = _reference_witness(df, parts, c1, c2)
-                    assert sub_wit[i, j] == (-1 if expected is None else expected)
+                    assert _witness(df, parts, c1, c2) == (-1 if expected is None else expected)
                     assert weakly_dominates(df, parts, c1, c2) == expected
     assert two_cycles > 0
     assert min(seen.values()) > 0, seen
@@ -309,6 +307,133 @@ def test_irreducible_postconditions_on_random_instances():
             w = validate_walk(d, res, WalkKind.CYCLE)
             assert w.sigma_minus == 0
     assert multi >= 1  # the sample must exercise the multi-cycle branch
+
+
+
+def _reference_merge(d, parts, factor):
+    """The merge loop with every witness rebuilt from the definition each
+    round: merge the lexicographically first pair unwitnessed both ways that
+    merges, or with cyclic domination the first pair of all that merges.
+    Returns the Hamilton cycle, or the ordered factor and its matrix."""
+    cycles = sorted((tuple(c) for c in factor.cycles), key=min)
+    while len(cycles) > 1:
+        t = len(cycles)
+        wit = np.zeros((t, t), dtype=int)
+        for i in range(t):
+            for j in range(t):
+                if i != j:
+                    w = _reference_witness(d, parts, cycles[i], cycles[j])[1]
+                    wit[i, j] = -1 if w is None else w
+        every = list(combinations(range(t), 2))
+        pairs = [(a, b) for a, b in every if wit[a, b] < 0 and wit[b, a] < 0]
+        if not pairs:
+            order = _dominance_order(wit)
+            if order is not None:
+                witness_parts = {(a, b): int(wit[order[a], order[b]]) for a, b in every}
+                return OrderedCycleFactor(tuple(cycles[i] for i in order), witness_parts), wit
+            pairs = every
+        merges = ((a, b, m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
+        a, b, merged = next(merges, (0, 0, None))
+        if merged is None:
+            raise InternalVerificationError("no pair merges")
+        cycles = sorted([c for i, c in enumerate(cycles) if i not in (a, b)] + [merged], key=min)
+    start = cycles[0].index(min(cycles[0]))
+    return cycles[0][start:] + cycles[0][:start], None
+
+
+def _after_figure(d, parts, cycles, rng):
+    """The figure configuration, then d with every arc between the two
+    running from the figure's vertices to d's, relabelled at random; the
+    cycles of d merge among themselves and the factor ends ordered."""
+    fig, fig_parts, *fig_cycles = figure_cycles_digraph()
+    n = fig.n + d.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    old = [(u, v) for u, v in fig.arcs]
+    old += [(fig.n + u, fig.n + v) for u, v in d.arcs]
+    old += [(u, fig.n + v) for u in range(fig.n) for v in range(d.n)]
+    sets = [*fig_parts.parts, *({fig.n + v for v in part} for part in parts.parts)]
+    old_cycles = [*fig_cycles, *(tuple(fig.n + v for v in c) for c in cycles)]
+    return (
+        build_digraph(n, [(perm[u], perm[v]) for u, v in old]),
+        PartiteStructure.from_parts(n, [{perm[v] for v in part} for part in sets]),
+        SpanningFactor(None, tuple(tuple(perm[v] for v in c) for c in old_cycles), 0),
+    )
+
+
+def _merge_cases(rng):
+    """Cycle factors to merge: maximum ones of random SMDs, relabelled as the
+    benchmark's skewed family is, in d plus their cost-0 arcs as mfahoc_smd
+    merges them, every fourth put after the figure configuration to end
+    ordered; then random cycles in SMDs that often witness them."""
+    for trial in range(40):
+        sizes = [rng.randint(1, 7) for _ in range(rng.randint(2, 5))]
+        acyclic = trial % 2 == 0  # bias 1 without digons
+        digon_prob, bias = (0.0, 1.0) if acyclic else (0.2, 0.8)
+        d, parts = gen_smd(sizes, rng.randrange(10**6), digon_prob, bias)
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        d = build_digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+        parts = PartiteStructure.from_parts(d.n, [{perm[v] for v in part} for part in parts.parts])
+        factor = max_cost_cycle_factor(symmetric_01(d))
+        if d.n < 3 or factor is None:
+            continue
+        df = d.with_arcs([a for a in factor.arcs() if not d.has_arc(*a)])
+        if trial % 4 == 3:
+            yield _after_figure(df, parts, factor.cycles, rng)
+        else:
+            yield df, parts, factor
+    for _ in range(300):
+        d, parts, cycles = random_cycles_smd(rng, rng.randint(3, 6))
+        yield d, parts, SpanningFactor(None, tuple(cycles), 0)
+
+
+def test_irreducible_merges_in_the_reference_order(monkeypatch):
+    # witnesses kept across rounds must merge the same pairs, in the same
+    # order, as witnesses rebuilt from every arc each round, and fail where
+    # the reference fails
+    matrices = []
+    ordered_factor = smd_mod._ordered_factor
+
+    def recorded(cycles, wit, order):
+        matrices.append(wit)
+        return ordered_factor(cycles, wit, order)
+
+    monkeypatch.setattr(smd_mod, "_ordered_factor", recorded)
+    kinds = {"cycle": 0, "ordered": 0, "merged": 0}
+    for d, parts, factor in _merge_cases(random.Random(7)):
+        matrices.clear()
+        try:
+            expected, wit = _reference_merge(d, parts, factor)
+        except InternalVerificationError:
+            with pytest.raises(InternalVerificationError):
+                irreducible_ordered_cycle_factor(d, parts, factor)
+            continue
+        got = irreducible_ordered_cycle_factor(d, parts, factor)
+        assert got == expected, sorted(d.arcs)
+        if wit is not None:
+            assert np.array_equal(matrices[-1], wit)  # the zero diagonal too
+        kinds["ordered" if wit is not None else "cycle"] += 1
+        kinds["merged"] += len(factor.cycles) > (1 if wit is None else len(got.cycles))
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_irreducible_cyclic_domination_fails_as_the_reference():
+    # three digons witnessed pairwise in a cycle of domination (ROADMAP item
+    # 1): the fallback tries every pair, as the reference does, and none merges
+    arcs = [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 0), (3, 2), (4, 1), (4, 2), (5, 0), (5, 1)]
+    d = build_digraph(6, arcs)
+    parts = recognize_smd(d)
+    factor = max_cost_cycle_factor(symmetric_01(d))
+    cycles = sorted(factor.cycles, key=min)
+    wit = [[_reference_witness(d, parts, c1, c2)[1] for c2 in cycles] for c1 in cycles]
+    assert len(cycles) == 3
+    assert all(wit[i][j] is not None or wit[j][i] is not None for i, j in combinations(range(3), 2))
+    assert _dominance_order(np.array([[-1 if w is None else w for w in row] for row in wit])) is None
+    with pytest.raises(InternalVerificationError):
+        _reference_merge(d, parts, factor)
+    with pytest.raises(InternalVerificationError):
+        irreducible_ordered_cycle_factor(d, parts, factor)
 
 
 # --- distinct-ends Hamilton path -------------------------------------------
@@ -505,3 +630,17 @@ def test_mfahoc_acyclic_150_150_scale():
     assert sigma == max_cost_cycle_factor(symmetric_01(d)).cost
     assert walk.sigma_plus == sigma
     assert elapsed < 5.0, f"mfahoc_smd took {elapsed:.2f} s"
+
+
+def test_mfahoc_acyclic_500_500_scale():
+    # 500 2-cycles, so ordering merges 499 times; witnesses worked out per
+    # pair and kept across rounds keep this well inside the budget, where
+    # rebuilding them from every arc each round took about 3.5 s
+    mfahoc_smd(*gen_smd((3, 3), 1))  # warm-up, so that importing scipy is not timed
+    d, parts = gen_smd((500, 500), 1, digon_prob=0.0, bias=1.0)
+    start = time.perf_counter()
+    sigma, walk, branch = mfahoc_smd(d, parts)
+    elapsed = time.perf_counter() - start
+    assert branch == "cycle-below-max"
+    assert walk.sigma_plus == sigma
+    assert elapsed < 1.5, f"mfahoc_smd took {elapsed:.2f} s"
