@@ -4,12 +4,14 @@ For a strong input the optimum is all-forward; otherwise the deficit equals
 the component distance between the first and last strong components, and the
 certificate is a Hamilton path of the digraph minus the interior of a
 shortest first-to-last path, closed by walking that path backwards.
+
+One builder, _ham_cycle_strong, makes every Hamilton cycle here: of a strong
+input, and of each strong component of a non-strong one, which is a strong
+semicomplete digraph and so a strong LSD.  It splices shortest returning
+paths into a growing cycle.
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import or_
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .digraph import (
     ComponentDecomposition,
     Digraph,
     WalkKind,
-    _mask_bits,
     _mask_of,
     _out_of,
     _reach_mask,
@@ -82,89 +83,20 @@ def lsd_decomposition(d: Digraph) -> ComponentDecomposition:
 
 
 def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:
-    """Hamilton cycle of a strong semicomplete digraph by vertex insertion.
-
-    Starts from a digon or a short cycle and inserts one outside vertex per
-    round; when no single vertex is insertable, an arc between the two
-    one-sided outside classes admits a pair insertion.
-    """
+    """Hamilton cycle of a strong semicomplete digraph, which is a strong LSD."""
     if d.n < 2:
         raise InputError("a Hamilton cycle needs at least 2 vertices")
     if not is_semicomplete(d):
         raise InputError("digraph is not semicomplete")
     if not is_strong(d):
         raise InputError("digraph is not strong")
-    return _ham_cycle_semicomplete(d, tuple(range(d.n)))
-
-
-def _ham_cycle_semicomplete(d: Digraph, comp: tuple[int, ...]) -> tuple[int, ...]:
-    """The same on the strong semicomplete subdigraph induced by comp, an
-    increasing tuple of at least 2 vertices, without copying it."""
-    if len(comp) == 2:
-        return comp
-    cycle = _short_cycle_semicomplete(d, comp)
-    in_cycle = _mask_of(cycle)
-    outside = [v for v in comp if not in_cycle >> v & 1]
-    while outside:
-        pick = None
-        for v in outside:
-            if d.in_mask[v] & in_cycle and d.out_mask[v] & in_cycle:
-                pick = v
-                break
-        if pick is not None:
-            k = len(cycle)
-            jmask = d.in_mask[pick] & in_cycle
-            j_vertex = (jmask & -jmask).bit_length() - 1
-            j = cycle.index(j_vertex)
-            for step in range(k):
-                t = (j + step) % k
-                if d.has_arc(cycle[t], pick) and d.has_arc(pick, cycle[(t + 1) % k]):
-                    cycle.insert(t + 1, pick)
-                    break
-            else:
-                raise InternalVerificationError("no insertion point found")
-            outside.remove(pick)
-            in_cycle |= 1 << pick
-            continue
-        # every outside vertex is one-sided; strongness forces an arc from the
-        # dominated side to the dominating side
-        receivers = [v for v in outside if not d.out_mask[v] & in_cycle]
-        senders = _mask_of(v for v in outside if not d.in_mask[v] & in_cycle)
-        pair = None
-        for x in receivers:
-            hits = d.out_mask[x] & senders
-            if hits:
-                pair = (x, (hits & -hits).bit_length() - 1)
-                break
-        if pair is None:
-            raise InternalVerificationError("outside classes admit no linking arc")
-        x, y = pair
-        cycle[1:1] = [x, y]
-        outside.remove(x)
-        outside.remove(y)
-        in_cycle |= (1 << x) | (1 << y)
-    return tuple(cycle)
-
-
-def _short_cycle_semicomplete(d: Digraph, comp: tuple[int, ...]) -> list[int]:
-    """The first digon inside comp in (tail, head) order, else the first
-    3-cycle (v, a, b) in (v, a) order."""
-    inside = _mask_of(comp)
-    for u in comp:
-        above = (d.out_mask[u] & d.in_mask[u] & inside) >> (u + 1)
-        if above:
-            return [u, u + (above & -above).bit_length()]
-    for v in comp:
-        ins = d.in_mask[v] & inside
-        for a in _mask_bits(d.out_mask[v] & inside):
-            back = d.out_mask[a] & ins
-            if back:
-                return [v, a, (back & -back).bit_length() - 1]
-    raise InternalVerificationError("strong semicomplete digraph without a short cycle")
+    return _ham_cycle_strong(d, (1 << d.n) - 1)
 
 
 def ham_path_lsd(d: Digraph) -> tuple[int, ...]:
     """Hamilton path of a connected LSD: per-component cycles, concatenated."""
+    if d.n == 0:
+        raise InputError("a Hamilton path needs at least 1 vertex, the digraph has 0")
     if not recognize_lsd(d):
         raise InputError("digraph is not locally semicomplete")
     if not underlying_is_connected(d):
@@ -189,90 +121,75 @@ def _component_path(d, comps, first_vertex=None, last_vertex=None) -> tuple[int,
     """
     seq: list[int] = []
     for i, comp in enumerate(comps):
-        if len(comp) == 1:
-            seg = list(comp)
+        cyc = _ham_cycle_strong(d, _mask_of(comp))
+        if i == 0 and first_vertex is not None:
+            j = cyc.index(first_vertex)
+        elif i == len(comps) - 1 and last_vertex is not None:
+            j = (cyc.index(last_vertex) + 1) % len(cyc)
         else:
-            cyc = list(_ham_cycle_semicomplete(d, comp))
-            if i == 0 and first_vertex is not None:
-                j = cyc.index(first_vertex)
-            elif i == len(comps) - 1 and last_vertex is not None:
-                j = (cyc.index(last_vertex) + 1) % len(cyc)
-            else:
-                j = cyc.index(min(cyc))
-            seg = cyc[j:] + cyc[:j]
-        seq.extend(seg)
+            j = 0
+        seq += cyc[j:] + cyc[:j]
     return tuple(seq)
 
 
 def ham_cycle_strong_lsd(d: Digraph) -> tuple[int, ...]:
-    """Hamilton cycle of a strong LSD by splicing shortest returning paths.
-
-    Grows a cycle; each round finds a shortest path that leaves the cycle and
-    returns to it through outside vertices and splices its interior in.  In a
-    locally semicomplete digraph an insertion point always exists along the
-    cycle once the interior is fixed.
-    """
+    """Hamilton cycle of a strong LSD by splicing shortest returning paths."""
     if not recognize_lsd(d):
         raise InputError("digraph is not locally semicomplete")
     if not is_strong(d) or d.n < 2:
         raise InputError("digraph is not strong")
-    if d.n == 2:
-        return (0, 1)
-    cycle = _initial_cycle_strong(d)
-    while len(cycle) < d.n:
-        interior = _shortest_returning_interior(d, cycle)
-        u1, ur = interior[0], interior[-1]
-        k = len(cycle)
-        for t in range(k):
-            if d.has_arc(cycle[t], u1) and d.has_arc(ur, cycle[(t + 1) % k]):
-                cycle[t + 1 : t + 1] = interior
+    return _ham_cycle_strong(d, (1 << d.n) - 1)
+
+
+def _ham_cycle_strong(d: Digraph, keep: int) -> tuple[int, ...]:
+    """Hamilton cycle of the strong LSD that the nonzero vertex mask keep
+    induces in d, starting at its lowest vertex.
+
+    Grows a cycle from that vertex alone; each round finds a shortest path
+    that leaves the cycle and returns to it through outside vertices and
+    splices its interior in, so the first round closes a shortest cycle
+    through the start.  In a locally semicomplete digraph an insertion point
+    always exists along the cycle once the interior is fixed.  The ORs of
+    the cycle's out-rows and in-rows are kept across rounds.
+    """
+    out, inn = d.out_mask, d.in_mask
+    start = (keep & -keep).bit_length() - 1
+    cycle = [start]
+    on = 1 << start
+    leave, enter = out[start], inn[start]
+    while on != keep:
+        # breadth-first layers through outside vertices until one re-enters
+        unseen = keep ^ on
+        frontier = leave & unseen
+        layers = []
+        while not frontier & enter:
+            if not frontier:
+                raise InternalVerificationError("no returning path; digraph is not strong")
+            layers.append(frontier)
+            unseen ^= frontier
+            frontier = _out_of(out, frontier) & unseen
+        hit = frontier & enter
+        interior = [(hit & -hit).bit_length() - 1]
+        for layer in reversed(layers):
+            cand = layer & inn[interior[-1]]
+            interior.append((cand & -cand).bit_length() - 1)
+        interior.reverse()
+        # the last cycle position t with cycle[t] -> interior[0] and
+        # interior[-1] -> cycle[t + 1]
+        pre, ends = inn[interior[0]], out[interior[-1]]
+        nxt = start
+        for t in range(len(cycle) - 1, -1, -1):
+            if pre >> cycle[t] & 1 and ends >> nxt & 1:
                 break
+            nxt = cycle[t]
         else:
             raise InternalVerificationError("returning path admits no splice point")
+        cycle[t + 1 : t + 1] = interior
+        for v in interior:
+            leave |= out[v]
+            enter |= inn[v]
+            on |= 1 << v
     return tuple(cycle)
-
-
-def _initial_cycle_strong(d: Digraph) -> list[int]:
-    """A shortest directed cycle through vertex 0."""
-    out = list(d.out_lists())
-    parent = {0: -1}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in out[u]:
-                if w == 0:
-                    seq = [u]
-                    while seq[-1] != 0:
-                        seq.append(parent[seq[-1]])
-                    return seq[::-1]
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    raise InputError("vertex 0 lies on no cycle; digraph is not strong")
-
-
-def _shortest_returning_interior(d: Digraph, cycle: list[int]) -> list[int]:
-    """Interior of a shortest cycle-leaving, cycle-returning path."""
-    in_cycle = _mask_of(cycle)
-    outside = ((1 << d.n) - 1) & ~in_cycle
-    layers = []
-    seen = 0
-    frontier = reduce(or_, map(d.out_mask.__getitem__, cycle), 0) & outside
-    while frontier:
-        layers.append(frontier)
-        seen |= frontier
-        end = next((v for v in _mask_bits(frontier) if d.out_mask[v] & in_cycle), None)
-        if end is not None:
-            # reconstruct interior backwards through the layers
-            path = [end]
-            for layer in reversed(layers[:-1]):
-                cand = layer & d.in_mask[path[-1]]
-                path.append((cand & -cand).bit_length() - 1)
-            return path[::-1]
-        frontier = _out_of(d.out_mask, frontier) & outside & ~seen
-    raise InternalVerificationError("no returning path; digraph is not strong")
 
 
 def greedy_c1_cl_path(d: Digraph, dec: ComponentDecomposition) -> tuple[int, ...]:

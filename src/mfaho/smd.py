@@ -11,7 +11,7 @@ solver merges its maximum cycle factor once, in the digraph plus the
 factor's cost-0 arcs: a Hamilton cycle there is the certificate; otherwise
 the ordered factor is opened at one broken arc and the other cycles are
 absorbed into that path one at a time, to the right and then to the left,
-keeping its ends in different partite sets.  The path certificate's may end
+keeping its ends in different partite sets.  The path certificate may end
 anywhere: each factor cycle is spliced whole into the factor's path, or
 failing that the path comes from merging with a universal apex vertex.  No
 step depends on the size of the input except one: when a full-cost cycle

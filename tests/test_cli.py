@@ -399,6 +399,15 @@ def test_cli_stdin_instance(capsys, monkeypatch):
     assert json.loads(out)["sigma"] == 3
 
 
+def test_cli_mfahop_on_no_vertices_exits_3(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    code, out, err = run_cli(capsys, "solve", "-", "--problem", "mfahop")
+    assert code == 3 and out == ""
+    assert "needs at least 1 vertex, the digraph has 0" in err
+
+
 def test_cli_time_limit_generous_passes(tmp_path, capsys):
     inst = tmp_path / "t.dg"
     inst.write_text("3 3\n0 1\n1 2\n2 0\n")

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
-from mfaho import digraph, harness
+from mfaho import digraph, harness, lsd
 from mfaho.digraph import (
     Digraph,
     WalkKind,
+    _mask_of,
     build_digraph,
     is_strong,
     strong_components,
@@ -19,7 +20,7 @@ from mfaho.errors import InputError, StrongDigraphError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
 from mfaho.lsd import (
     _component_distance,
-    _ham_cycle_semicomplete,
+    _ham_cycle_strong,
     greedy_c1_cl_path,
     ham_cycle_strong_lsd,
     ham_cycle_strong_semicomplete,
@@ -72,12 +73,16 @@ def test_ham_cycle_semicomplete_rejects_non_strong():
 
 
 def test_ham_cycle_semicomplete_pair_insertion():
-    # 3 and 4 only receive from the cycle (0, 1, 2) and 5, 6 only send to it,
-    # so no single vertex inserts; 3 -> 5 is the first linking arc, and 3 -> 6
-    # would give (0, 3, 5, 4, 6, 1, 2)
+    # 3 and 4 only receive from the first cycle (0, 1, 2) and 5, 6 only send
+    # to it, so no single vertex splices in; the returning path 2 -> 3 -> 5 -> 0
+    # splices two at the cycle's last position, and then 6 and 4 go in one at
+    # a time
     arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (3, 5), (3, 6), (4, 6), (5, 4), (6, 5)]
     arcs += [(c, r) for c in (0, 1, 2) for r in (3, 4)] + [(s, c) for s in (5, 6) for c in (0, 1, 2)]
-    assert ham_cycle_strong_semicomplete(build_digraph(7, arcs)) == (0, 3, 4, 6, 5, 1, 2)
+    d = build_digraph(7, arcs)
+    cyc = ham_cycle_strong_semicomplete(d)
+    assert validate_walk(d, cyc, WalkKind.CYCLE).sigma_minus == 0
+    assert cyc == (0, 1, 2, 3, 4, 6, 5)
 
 
 def test_ham_cycle_semicomplete_random_tournaments():
@@ -315,7 +320,7 @@ def test_component_cycles_match_the_relabelled_subdigraph():
             new_id = {v: i for i, v in enumerate(comp)}
             sub = Digraph(len(comp), [(new_id[u], new_id[v]) for u, v in d.arcs if u in new_id and v in new_id])
             expected = tuple(comp[v] for v in ham_cycle_strong_semicomplete(sub))
-            assert _ham_cycle_semicomplete(d, comp) == expected
+            assert _ham_cycle_strong(d, _mask_of(comp)) == expected
             checked += 1
     assert checked > 200
 
@@ -330,6 +335,23 @@ def test_ham_path_lsd_builds_no_subdigraph(monkeypatch):
     seq = ham_path_lsd(d)
     assert validate_walk(d, seq, WalkKind.PATH).sigma_minus == 0
     assert built == [] and tarjan == []
+
+
+def test_strong_cycle_unpacks_no_frontier_per_round(monkeypatch):
+    # the cycle's out- and in-row ORs are kept across rounds, so a round reads
+    # the frontier and its re-entering vertices without listing their bits
+    d = gen_lsd_strong(300, 1)
+    calls, full_bits = [], digraph._mask_bits
+
+    def counted(mask):
+        calls.append(mask)
+        return full_bits(mask)
+
+    monkeypatch.setattr(digraph, "_mask_bits", counted)
+    monkeypatch.setattr(lsd, "_mask_bits", counted, raising=False)
+    cyc = ham_cycle_strong_lsd(d)
+    assert validate_walk(d, cyc, WalkKind.CYCLE).sigma_minus == 0
+    assert calls == []
 
 
 def test_mfahoc_lsd_builds_no_subdigraph(monkeypatch):
@@ -358,11 +380,14 @@ def test_lsd_certificates_match_the_pinned_digest():
         else:
             sizes = [rng.randint(1, 8) for _ in range(rng.randint(2, 6))]
             d = gen_lsd_nonstrong(sizes, seed=rng.randrange(10**6), reach_prob=rng.random())
+        path = ham_path_lsd(d)
         res = mfahoc_lsd(d) if d.n >= 3 else None
-        h.update(json.dumps([ham_path_lsd(d), None if res is None else res[1].seq]).encode())
-    assert h.hexdigest() == "c7f1135d3d3058cd99d824dfd8d294ba07ea9aad3fbb7611a87297895249756c"
-    # strong tournaments have no digon to start from, and the skewed ones
-    # need pair insertions
+        assert validate_walk(d, path, WalkKind.PATH).sigma_minus == 0
+        assert res is None or validate_walk(d, res[1].seq, WalkKind.CYCLE).sigma_plus == res[0]
+        h.update(json.dumps([path, None if res is None else res[1].seq]).encode())
+    assert h.hexdigest() == "bc5d6812d648af7ff3fd7134f092551fe0c7044256237a8c3b9d3f7b43c5d0b0"
+    # strong tournaments have no digon, so the first cycle has 3 or more
+    # vertices and its returning path two or more interior vertices
     rng = random.Random(73)
     h = hashlib.sha256()
     done = 0
@@ -372,5 +397,7 @@ def test_lsd_certificates_match_the_pinned_digest():
         d = build_digraph(n, [(u, v) if rng.random() < p else (v, u) for u in range(n) for v in range(u + 1, n)])
         if is_strong(d):
             done += 1
-            h.update(json.dumps(ham_cycle_strong_semicomplete(d)).encode())
-    assert h.hexdigest() == "8ac967b5fe6a10a72d3a7293a79c318d0f97e0ab4a5cf56b10b9723e1fb24682"
+            cyc = ham_cycle_strong_semicomplete(d)
+            assert validate_walk(d, cyc, WalkKind.CYCLE).sigma_minus == 0
+            h.update(json.dumps(cyc).encode())
+    assert h.hexdigest() == "42386cdb169a1f548c5c09bf00023740d31cc98446e6fd0518008a20e1fc6541"
