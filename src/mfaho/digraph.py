@@ -9,6 +9,10 @@ components, the arc index arrays) are computed on first use and kept on the
 object; each is a pure function of the rows, so concurrent callers can at
 worst compute one twice.  A digraph built from arc index arrays keeps those
 instead of reading them back from its rows.
+
+The searches (strong components, 2-connectivity, reachability) walk the
+rows as masks, not arc lists: a depth-first step takes the lowest unvisited
+bit of a row, and the unvisited and on-stack vertices are masks too.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -376,7 +379,7 @@ def strong_components(d: Digraph) -> ComponentDecomposition:
 def _ordered_components(d: Digraph) -> ComponentDecomposition:
     # Tarjan emits a component only after every component it reaches, so the
     # reversed emission order sends every inter-component arc forward.
-    components = tuple(tuple(sorted(comp)) for comp in reversed(_tarjan(d)))
+    components = tuple(reversed(_tarjan(d)))
     cn = [0] * d.n
     for i, comp in enumerate(components):
         for v in comp:
@@ -387,62 +390,61 @@ def _ordered_components(d: Digraph) -> ComponentDecomposition:
 def induced_components(d: Digraph, keep: int) -> tuple[tuple[int, ...], ...]:
     """Strong components of d restricted to the vertex mask keep, ordered
     as strong_components orders those of the induced subdigraph; not stored."""
-    out = {v: _mask_bits(d.out_mask[v] & keep) for v in _mask_bits(keep)}
-    return tuple(tuple(sorted(comp)) for comp in reversed(_sccs(d.n, out, out)))
+    return tuple(reversed(_sccs(d.out_mask, keep)))
 
 
-def _tarjan(d: Digraph) -> list[list[int]]:
-    """Iterative Tarjan on all of d; safe for deep graphs."""
-    return _sccs(d.n, range(d.n), list(d.out_lists()))
+def _tarjan(d: Digraph) -> list[tuple[int, ...]]:
+    """Tarjan on all of d."""
+    return _sccs(d.out_mask, (1 << d.n) - 1)
 
 
-def _sccs(n: int, roots, out) -> list[list[int]]:
-    """Tarjan from roots in order, following the out-lists out[v]."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in roots:
-        if index[root] != -1:
-            continue
-        work = [(root, iter(out[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(out[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
+def _sccs(rows: tuple[int, ...], keep: int) -> list[tuple[int, ...]]:
+    """Tarjan's strong components of the subdigraph that the vertex mask
+    keep induces, each a sorted tuple, in emission order (a component after
+    every component it reaches).
+
+    One iterative depth-first search over the bitmask rows: roots are taken
+    in increasing order, and the tree arc out of v is the lowest unvisited
+    bit of rows[v], so vertices are visited in the order of a walk over
+    sorted out-lists.  Instead of low points, each vertex on the DFS path
+    carries the OR of its subtree's rows and the Tarjan stack, as a mask, as
+    it stood when the vertex was pushed.  Every vertex on that stack reaches
+    v, so v roots a component iff its subtree has no arc into that stack;
+    the component is then the stack above it.
+    """
+    comps: list[tuple[int, ...]] = []
+    unseen = keep
+    stack = 0
+    while unseen:
+        bit = unseen & -unseen
+        unseen ^= bit
+        v = bit.bit_length() - 1
+        reach, below = rows[v], stack
+        stack |= bit
+        path = []  # (vertex, subtree rows so far, stack below it) of ancestors
+        while True:
+            nxt = rows[v] & unseen
+            if nxt:
+                bit = nxt & -nxt
+                unseen ^= bit
+                path.append((v, reach, below))
+                v = bit.bit_length() - 1
+                reach, below = rows[v], stack
+                stack |= bit
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+            if reach & below:
+                # not a root, so not the DFS root: its parent is on the path
+                sub = reach
+                v, reach, below = path.pop()
+                reach |= sub
+                continue
+            comps.append(tuple(_mask_bits(stack ^ below)))
+            stack = below
+            if not path:
+                break
+            # the parent's stack lies inside v's, which v's subtree misses
+            v, reach, below = path.pop()
+    return comps
 
 
 def is_strong(d: Digraph) -> bool:
@@ -481,41 +483,41 @@ def underlying_is_connected(d: Digraph) -> bool:
 def underlying_is_2connected(d: Digraph) -> bool:
     """True iff U(d) is connected and has no cut vertex.  Requires n >= 3.
 
-    One iterative depth-first search from vertex 0 with Hopcroft-Tarjan low
-    points: a non-root vertex p is a cut vertex iff some child v of p has
-    low[v] >= disc[p], and the root iff it has two or more children.
+    One iterative depth-first search from vertex 0 over the adj_mask rows,
+    the tree edge out of v being its lowest unvisited neighbour.  Each vertex
+    on the DFS path carries the OR of its subtree's rows.  In place of
+    Hopcroft-Tarjan low points, a non-root vertex p is a cut vertex iff some
+    child's subtree rows miss every proper ancestor of p (each non-tree edge
+    of U(d) joins a vertex to one of its ancestors), and the root iff it has
+    two or more children.
     """
     if d.n < 3:
         raise InputError("2-connectivity test needs at least 3 vertices")
-    disc = [-1] * d.n
-    low = [0] * d.n
-    disc[0] = 0
-    counter = 1
+    adj = d.adj_mask
+    unseen = (1 << d.n) - 2
+    v, reach, above = 0, adj[0], 0
+    path = []  # (vertex, subtree rows so far, its proper ancestors) of ancestors
     root_children = 0
-    out, inn = list(d.out_lists()), list(d.in_lists())
-    work = [(0, chain(out[0], inn[0]))]
-    while work:
-        v, it = work[-1]
-        for w in it:
-            if disc[w] == -1:
-                disc[w] = low[w] = counter
-                counter += 1
-                work.append((w, chain(out[w], inn[w])))
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            work.pop()
-            if not work:
-                break
-            p = work[-1][0]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if p == 0:
-                root_children += 1
-            elif low[v] >= disc[p]:
-                return False
-    return counter == d.n and root_children == 1
+    while True:
+        nxt = adj[v] & unseen
+        if nxt:
+            bit = nxt & -nxt
+            unseen ^= bit
+            path.append((v, reach, above))
+            above |= 1 << v
+            v = bit.bit_length() - 1
+            reach = adj[v]
+            continue
+        if not path:
+            break
+        sub = reach
+        v, reach, above = path.pop()
+        if not path:
+            root_children += 1
+        elif not sub & above:
+            return False
+        reach |= sub
+    return not unseen and root_children == 1
 
 
 def recognize_smd(d: Digraph) -> PartiteStructure | None:
@@ -555,10 +557,12 @@ def recognize_smd(d: Digraph) -> PartiteStructure | None:
 def recognize_lsd(d: Digraph) -> bool:
     """True iff every out- and in-neighbourhood induces a semicomplete digraph.
 
-    Computed once per digraph; later calls return the stored flag.
+    A semicomplete digraph is one, which n row compares settle; any other
+    digraph takes the row-union check.  Computed once per digraph; later
+    calls return the stored flag.
     """
     if d._lsd is None:
-        d._lsd = _locally_semicomplete(d)
+        d._lsd = is_semicomplete(d) or _locally_semicomplete(d)
     return d._lsd
 
 

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -314,6 +316,36 @@ def test_recognize_lsd_answers_from_the_stored_flag(monkeypatch):
     assert calls == [d]
 
 
+def random_semicomplete(rng, max_n):
+    """Every pair joined one way, the other way or both."""
+    n = rng.randint(0, max_n)
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            arcs += rng.choice(([(u, v)], [(v, u)], [(u, v), (v, u)]))
+    return build_digraph(n, arcs)
+
+
+def test_recognize_lsd_takes_a_semicomplete_digraph_without_the_row_unions(monkeypatch):
+    def refuse(g):
+        raise AssertionError("row-union check ran on a semicomplete digraph")
+
+    monkeypatch.setattr(digraph, "_locally_semicomplete", refuse)
+    rng = random.Random(97)
+    for _ in range(200):
+        assert recognize_lsd(random_semicomplete(rng, 14))
+
+
+def test_recognize_lsd_agrees_with_the_row_union_check():
+    rng = random.Random(101)
+    cases = [random_semicomplete(rng, 14) for _ in range(300)]
+    cases += [random_digraph(rng, 14) for _ in range(700)]
+    outcomes = [recognize_lsd(d) for d in cases]
+    assert outcomes == [digraph._locally_semicomplete(d) for d in cases]
+    # semicomplete, and of the rest both LSDs and not
+    assert Counter(zip(map(is_semicomplete, cases), outcomes)).keys() == {(True, True), (False, True), (False, False)}
+
+
 # the default cap packs all rows of these small digraphs in one block, 400
 # bytes a few rows, and 1 byte one row per block
 @pytest.mark.parametrize("block_bytes", [digraph._BLOCK_BYTES, 400, 1])
@@ -514,3 +546,121 @@ def test_generator_strongness_test_matches_is_strong():
         verdicts.append(is_strong(d))
         assert (strong_components(d).count == 1) == verdicts[-1], sorted(arcs)
     assert 100 < sum(verdicts) < 900
+
+
+# --- mask walks against the list-walking searches they replaced -------------
+
+
+def tarjan_by_lists(n, roots, out):
+    """Iterative Tarjan from roots in order, following the out-lists out[v];
+    components in emission order, each in pop order."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack, sccs, counter = [], [], 0
+    for root in roots:
+        if index[root] != -1:
+            continue
+        work = [(root, iter(out[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(out[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                    sccs.append(comp)
+    return sccs
+
+
+def two_connected_by_lists(d):
+    """Hopcroft-Tarjan low points over the out- then in-lists of each vertex."""
+    disc, low = [-1] * d.n, [0] * d.n
+    disc[0] = 0
+    counter, root_children = 1, 0
+    nbrs = [d.out_neighbors(v) + d.in_neighbors(v) for v in range(d.n)]
+    work = [(0, iter(nbrs[0]))]
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if disc[w] == -1:
+                disc[w] = low[w] = counter
+                counter += 1
+                work.append((w, iter(nbrs[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            work.pop()
+            if not work:
+                break
+            p = work[-1][0]
+            low[p] = min(low[p], low[v])
+            if p == 0:
+                root_children += 1
+            elif low[v] >= disc[p]:
+                return False
+    return counter == d.n and root_children == 1
+
+
+def test_mask_tarjan_emits_the_list_tarjan_components_in_order():
+    rng = random.Random(83)
+    for _ in range(600):
+        d = random_digraph(rng, 40)
+        keep = sum(1 << v for v in range(d.n) if rng.random() < 0.8) if rng.random() < 0.6 else (1 << d.n) - 1
+        roots = [v for v in range(d.n) if keep >> v & 1]
+        out = {v: [w for w in d.out_neighbors(v) if keep >> w & 1] for v in roots}
+        expected = [tuple(sorted(comp)) for comp in tarjan_by_lists(d.n, roots, out)]
+        assert digraph._sccs(d.out_mask, keep) == expected
+        if keep == (1 << d.n) - 1:
+            assert strong_components(d).components == tuple(reversed(expected))
+
+
+def test_mask_two_connectivity_matches_hopcroft_tarjan():
+    rng = random.Random(89)
+    outcomes = []
+    for _ in range(800):
+        n = rng.randint(3, 40)
+        # sparse enough for cut vertices to be common, dense enough for blocks
+        p = rng.choice((0.04, 0.08, 0.15, 0.4))
+        d = build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+        outcomes.append(underlying_is_2connected(d))
+        assert outcomes[-1] == two_connected_by_lists(d)
+    assert 150 < sum(outcomes) < len(outcomes) - 150
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_mask_walks_take_a_20000_vertex_path_or_cycle_without_recursion(closed):
+    # the depth-first searches go 20,000 deep, twenty times Python's default
+    # recursion limit, so a recursive search would fail here
+    n = 20_000
+    d = Digraph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 1, 0)] * closed)
+    start = time.perf_counter()
+    components = strong_components(d).components
+    two_connected = underlying_is_2connected(d)
+    inner = induced_components(d, (1 << n) - 2)
+    assert time.perf_counter() - start < 5.0
+    assert components == ((tuple(range(n)),) if closed else tuple((v,) for v in range(n)))
+    assert inner == tuple((v,) for v in range(1, n))
+    assert two_connected == closed
+    # each vertex on the search path holds masks no longer than its rows
+    assert traced_peak(lambda: digraph._sccs(d.out_mask, (1 << n) - 1)) < mask_row_bytes(d)
+    assert traced_peak(lambda: underlying_is_2connected(d)) < mask_row_bytes(d)

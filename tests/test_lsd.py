@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from mfaho.digraph import (
     underlying_is_2connected,
     validate_walk,
 )
-from mfaho.errors import InputError, StrongDigraphError
+from mfaho.errors import InputError, InternalVerificationError, StrongDigraphError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
 from mfaho.lsd import (
     _component_distance,
@@ -46,6 +47,92 @@ def test_decomposition_digon_component():
 def test_decomposition_four_singletons():
     dec = lsd_decomposition(build_digraph(4, FOUR_LSD))
     assert dec.components == ((0,), (1,), (2,), (3,))
+
+
+def interval_holds_pairwise(d, comps):
+    """The interval property checked arc pair by component pair: for each
+    arc from component i to a later component k, i dominates each of
+    i+1..k and each of i..k-1 dominates k."""
+    cn = {v: i for i, comp in enumerate(comps) for v in comp}
+
+    def dominates(a, b):
+        return all(d.has_arc(u, v) for u in comps[a] for v in comps[b])
+
+    pairs = {(cn[u], cn[v]) for u, v in d.arcs if cn[u] < cn[v]}
+    return all(
+        all(dominates(i, j) for j in range(i + 1, k + 1)) and all(dominates(t, k) for t in range(i, k))
+        for i, k in pairs
+    )
+
+
+@pytest.mark.parametrize(
+    "n, arcs",
+    [
+        # {0}, {1}, {2, 3}: 0 -> 2 but not 0 -> 3
+        (4, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 2), (0, 2)]),
+        # four singletons: 0 -> 3 but not 0 -> 2, every earlier one -> 3
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]),
+        # four singletons: 0 dominates every later one, but not 1 -> 3
+        (4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]),
+    ],
+)
+def test_decomposition_refuses_a_broken_interval_past_recognition(n, arcs):
+    # not locally semicomplete, but with consecutive domination and
+    # semicomplete components: only the interval check can refuse it
+    d = build_digraph(n, arcs)
+    assert not digraph._locally_semicomplete(d)
+    d._lsd = True
+    assert not interval_holds_pairwise(d, strong_components(d).components)
+    with pytest.raises(InternalVerificationError, match="^interval property fails$"):
+        lsd_decomposition(d)
+
+
+def random_forward_arc_digraph(rng):
+    """Semicomplete layers, each dominating every later layer up to a reach
+    that never decreases, with one forward arc then removed or added at
+    random; returns the digraph and its layers."""
+    layer_of = [i for i in range(rng.randint(2, 7)) for _ in range(rng.randint(1, 4))]
+    n, last = len(layer_of), layer_of[-1]
+    reach, r = [], 0
+    for i in range(last + 1):
+        r = min(last, max(r, i + 1, rng.randint(i, last) if rng.random() < 0.3 else 0))
+        reach.append(r)
+    arcs = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if layer_of[u] == layer_of[v]:
+                arcs.update(rng.choice(([(u, v)], [(v, u)], [(u, v), (v, u)])))
+            elif layer_of[v] <= reach[layer_of[u]]:
+                arcs.add((u, v))
+    forward = [(u, v) for u in range(n) for v in range(u + 1, n) if layer_of[u] < layer_of[v]]
+    if rng.random() < 0.5:
+        arcs.discard(rng.choice(forward))
+    if rng.random() < 0.5:
+        arcs.add(rng.choice(forward))
+    layers = [tuple(v for v in range(n) if layer_of[v] == i) for i in range(last + 1)]
+    return build_digraph(n, arcs), layers
+
+
+def test_interval_check_agrees_with_the_pairwise_check():
+    rng = random.Random(103)
+    outcomes = []
+    for _ in range(1500):
+        d, layers = random_forward_arc_digraph(rng)
+        outcomes.append(lsd._interval_property(d, layers, [_mask_of(c) for c in layers]))
+        assert outcomes[-1] == interval_holds_pairwise(d, layers)
+    assert 300 < sum(outcomes) < len(outcomes) - 300
+
+
+def test_mfahoc_solves_a_banded_2000_vertex_lsd_within_seconds():
+    # arcs i -> j for 0 < j - i <= 100: 2,000 singleton components, each
+    # dominating the next hundred, so about 200,000 arcs join components
+    n = 2000
+    d = Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 101))])
+    start = time.perf_counter()
+    sigma, walk, branch = mfahoc_lsd(d)
+    assert time.perf_counter() - start < 5.0
+    assert (sigma, branch) == (1980, "lsd-nonstrong-2connected")
+    assert walk.sigma_plus == sigma and strong_components(d).count == n
 
 
 def test_decomposition_rejects_strong():
