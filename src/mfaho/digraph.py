@@ -4,11 +4,11 @@ Vertices are dense integers 0..n-1.  A digon is the ordered pair (u,v) together
 with (v,u); self-loops and parallel copies of the same ordered pair are never
 stored.  A digraph is stored once, as integer bitmask rows, and never changes
 after construction; arc queries, the arc set and the neighbour lists are read
-from the rows.  The facts derived from it (local semicompleteness, the strong
-components, the arc index arrays) are computed on first use and kept on the
-object; each is a pure function of the rows, so concurrent callers can at
-worst compute one twice.  A digraph built from arc index arrays keeps those
-instead of reading them back from its rows.
+from the rows.  The facts derived from it (the partite sets, local
+semicompleteness, the strong components, the arc index arrays) are computed
+on first use and kept on the object; each is a pure function of the rows, so
+concurrent callers can at worst compute one twice.  A digraph built from arc
+index arrays keeps those instead of reading them back from its rows.
 
 The searches (strong components, 2-connectivity, reachability) walk the
 rows as masks, not arc lists: a depth-first step takes the lowest unvisited
@@ -41,7 +41,7 @@ class Digraph:
     the underlying graph.  Everything else is derived from these rows.
     """
 
-    __slots__ = ("n", "out_mask", "in_mask", "adj_mask", "_lsd", "_components", "_arc_arrays")
+    __slots__ = ("n", "out_mask", "in_mask", "adj_mask", "_parts", "_lsd", "_components", "_arc_arrays")
 
     def __init__(self, n: int, arcs=(), *, arc_arrays=None):
         """Build from ordered pairs of vertices 0..n-1, no self-loops; a
@@ -123,7 +123,7 @@ class Digraph:
         in-rows swapped, carrying none of this digraph's stored facts."""
         d = Digraph.__new__(Digraph)
         d.n, d.out_mask, d.in_mask, d.adj_mask = self.n, self.in_mask, self.out_mask, self.adj_mask
-        d._lsd = d._components = d._arc_arrays = None
+        d._parts = d._lsd = d._components = d._arc_arrays = None
         return d
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +150,7 @@ def _set_rows(d: Digraph, n: int, out: list[int], inn: list[int], arcs) -> None:
     d.n = n
     d.out_mask, d.in_mask = tuple(out), tuple(inn)
     d.adj_mask = tuple(map(or_, out, inn))
-    d._lsd = d._components = d._arc_arrays = None
+    d._parts = d._lsd = d._components = d._arc_arrays = None
 
 
 def _bit_rows(count: int, n: int, keys: np.ndarray, bits: np.ndarray) -> list[int]:
@@ -527,7 +527,14 @@ def recognize_smd(d: Digraph) -> PartiteStructure | None:
     candidate partition is then verified directly (same part: nonadjacent,
     different parts: adjacent).  Returns None when d is not semicomplete
     multipartite.  Parts come back sorted by (size desc, smallest vertex).
+    Computed once per digraph and stored, False standing for None.
     """
+    if d._parts is None:
+        d._parts = _partite_sets(d) or False
+    return d._parts or None
+
+
+def _partite_sets(d: Digraph) -> PartiteStructure | None:
     n = d.n
     if n < 2:
         return None
@@ -539,6 +546,8 @@ def recognize_smd(d: Digraph) -> PartiteStructure | None:
             continue
         cls = full & ~d.adj_mask[v] & ~assigned
         cls |= 1 << v
+        if cls == full:
+            return None  # vertex 0 is adjacent to none: a single part
         members = _mask_bits(cls)
         # verify: mutually nonadjacent inside, all adjacent across
         for u in members:
@@ -548,22 +557,67 @@ def recognize_smd(d: Digraph) -> PartiteStructure | None:
                 return None
         assigned |= cls
         parts.append(frozenset(members))
-    if len(parts) < 2:
-        return None
     parts.sort(key=lambda p: (-len(p), min(p)))
     return PartiteStructure.from_parts(n, parts)
 
 
 def recognize_lsd(d: Digraph) -> bool:
-    """True iff every out- and in-neighbourhood induces a semicomplete digraph.
+    """True iff every out- and in-neighbourhood induces a semicomplete digraph,
+    that is, iff no two nonadjacent vertices share an in- or out-neighbour.
 
-    A semicomplete digraph is one, which n row compares settle; any other
-    digraph takes the row-union check.  Computed once per digraph; later
-    calls return the stored flag.
+    The check is picked from the input: _smd_is_lsd for an SMD (which every
+    semicomplete digraph on two or more vertices is), _nonstrong_is_lsd for
+    a connected digraph that is not strong, else _locally_semicomplete.
+    Computed once per digraph; later calls return the stored flag.
     """
     if d._lsd is None:
-        d._lsd = is_semicomplete(d) or _locally_semicomplete(d)
+        parts = recognize_smd(d)
+        if parts is not None:
+            d._lsd = _smd_is_lsd(d, parts)
+        elif underlying_is_connected(d) and strong_components(d).count > 1:
+            d._lsd = _nonstrong_is_lsd(d, strong_components(d).components)
+        else:
+            d._lsd = d.n < 2 or _locally_semicomplete(d)
     return d._lsd
+
+
+def _smd_is_lsd(d: Digraph, parts: PartiteStructure) -> bool:
+    """The nonadjacent pairs of an SMD are its same-part pairs, so it is an
+    LSD iff in each part the out-rows are pairwise disjoint and so are the
+    in-rows: their popcounts sum to the popcount of their OR."""
+    for rows in (d.out_mask, d.in_mask):
+        for part in parts.parts:
+            part_rows = [rows[v] for v in part]
+            if sum(map(int.bit_count, part_rows)) != reduce(or_, part_rows).bit_count():
+                return False
+    return True
+
+
+def _nonstrong_is_lsd(d: Digraph, comps) -> bool:
+    """Whether the connected, not strong d with strong components comps, in
+    acyclic order, is an LSD: iff each component is semicomplete and, with
+    P_i the union of comps[0..i], one j(i) per component, never decreasing,
+    has out_mask[x] | P_i == P_j(i) for every x in comps[i] (the non-strong
+    case of Bang-Jensen, Guo, Gutin and Volkmann's classification of LSDs,
+    1997).  Connectivity gives j(i) > i but for the last; the in-neighbours
+    of comps[k] in earlier components are then those from the first i with
+    j(i) >= k up to k-1.  j only moves forward, and only P_i and P_j are
+    held: O(n + k) row operations.
+    """
+    out, adj = d.out_mask, d.adj_mask
+    upto, j, ahead = 0, 0, _mask_of(comps[0])  # ahead is P_j
+    for comp in comps:
+        cmask = _mask_of(comp)
+        upto |= cmask
+        reach = out[comp[0]] | upto
+        while reach & ~ahead:
+            j += 1
+            ahead |= _mask_of(comps[j])
+        if reach != ahead or any(
+            out[x] | upto != reach or adj[x] & cmask != cmask ^ 1 << x for x in comp
+        ):
+            return False
+    return True
 
 
 def _locally_semicomplete(d: Digraph) -> bool:

@@ -9,14 +9,12 @@ One builder, _ham_cycle_strong, makes every Hamilton cycle here: of a strong
 input, and of each strong component of a non-strong one, which is a strong
 semicomplete digraph and so a strong LSD.  It splices shortest returning
 paths into a growing cycle.
+
+lsd_decomposition returns the strong components kept on the digraph and
+checks none of their structure a second time: recognize_lsd answers for it.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
-from functools import reduce
-from itertools import accumulate
-from operator import or_
 
 from .digraph import (
     ComponentDecomposition,
@@ -37,69 +35,16 @@ from .digraph import (
 from .errors import InputError, InternalVerificationError, StrongDigraphError
 
 
-def _dominates(d: Digraph, source, tmask: int) -> bool:
-    """True iff every vertex of source has an arc to every vertex of tmask."""
-    return all(d.out_mask[u] & tmask == tmask for u in source)
-
-
 def lsd_decomposition(d: Digraph) -> ComponentDecomposition:
-    """Unique component ordering of a connected non-strong LSD, re-verified.
-
-    For such a digraph the ordering is unique, every component induces a
-    semicomplete digraph, each component fully dominates the next, and an
-    arc between distant components forces full domination of every layer in
-    between (interval property); all of this is checked, on component masks
-    and without listing arcs or component pairs, before the strong
-    components are returned.
-    """
+    """Unique component ordering of a connected non-strong LSD: its strong
+    components, which recognize_lsd answers for, with no second check."""
     if not recognize_lsd(d):
         raise InputError("digraph is not locally semicomplete")
     if not underlying_is_connected(d):
         raise InputError("digraph is disconnected")
     if is_strong(d):
         raise StrongDigraphError("digraph is strong; the decomposition is trivial")
-    dec = strong_components(d)
-    comps = dec.components
-    masks = list(map(_mask_of, comps))
-    for i in range(len(comps) - 1):
-        if not _dominates(d, comps[i], masks[i + 1]):
-            raise InternalVerificationError(
-                f"component {i} does not dominate component {i + 1}"
-            )
-    for comp, cmask in zip(comps, masks):
-        if any(d.adj_mask[v] & cmask != cmask & ~(1 << v) for v in comp):
-            raise InternalVerificationError("a strong component is not semicomplete")
-    if not _interval_property(d, comps, masks):
-        raise InternalVerificationError("interval property fails")
-    return dec
-
-
-def _interval_property(d: Digraph, comps, masks: list[int]) -> bool:
-    """True iff every arc from component i to a later component k comes with
-    i dominating each of i+1..k and each of i..k-1 dominating k.
-
-    For each component c two arcs settle it, as their ranges contain those
-    of every other arc at c: the one to the furthest component c reaches and
-    the one from the earliest component reaching c.  Each is found by a
-    binary search over the prefix unions of the components, with the OR of
-    c's out-rows (in-rows).  Then each vertex of c must dominate the
-    components after c up to the furthest, and be dominated by those from
-    the earliest up to c.  That is O(n + k log k) mask operations for n
-    vertices and k components.
-    """
-    prefix = list(accumulate(masks, or_))
-    for i, comp in enumerate(comps):
-        out = reduce(or_, map(d.out_mask.__getitem__, comp))
-        far = bisect_left(range(len(comps) - 1), True, key=lambda j: not out & ~prefix[j])
-        if far > i and not _dominates(d, comp, prefix[far] ^ prefix[i]):
-            return False
-        into = reduce(or_, map(d.in_mask.__getitem__, comp))
-        near = bisect_left(range(i), True, key=lambda j: into & prefix[j] != 0)
-        if near < i:
-            between = prefix[i - 1] ^ prefix[near] | masks[near]
-            if any(d.in_mask[v] & between != between for v in comp):
-                return False
-    return True
+    return strong_components(d)
 
 
 def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:

@@ -20,10 +20,11 @@ from mfaho.digraph import (
     recognize_smd,
     strong_components,
     underlying_is_2connected,
+    underlying_is_connected,
     validate_walk,
 )
 from mfaho.errors import InputError, NotAWalkError
-from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
+from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.instance_io import MAX_VERTICES
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -308,7 +309,8 @@ def test_recognize_lsd_matches_definition():
 
 
 def test_recognize_lsd_answers_from_the_stored_flag(monkeypatch):
-    d = build_digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    # a directed 5-cycle is strong and not an SMD, so the row unions answer
+    d = build_digraph(5, [(v, (v + 1) % 5) for v in range(5)])
     calls = []
     full_check = digraph._locally_semicomplete
     monkeypatch.setattr(digraph, "_locally_semicomplete", lambda g: calls.append(g) or full_check(g))
@@ -336,14 +338,49 @@ def test_recognize_lsd_takes_a_semicomplete_digraph_without_the_row_unions(monke
         assert recognize_lsd(random_semicomplete(rng, 14))
 
 
-def test_recognize_lsd_agrees_with_the_row_union_check():
+def test_recognize_lsd_agrees_with_the_row_union_check(monkeypatch):
     rng = random.Random(101)
     cases = [random_semicomplete(rng, 14) for _ in range(300)]
     cases += [random_digraph(rng, 14) for _ in range(700)]
-    outcomes = [recognize_lsd(d) for d in cases]
-    assert outcomes == [digraph._locally_semicomplete(d) for d in cases]
-    # semicomplete, and of the rest both LSDs and not
-    assert Counter(zip(map(is_semicomplete, cases), outcomes)).keys() == {(True, True), (False, True), (False, False)}
+    # SMDs, every other one acyclic (no digons, each arc from the lower part)
+    for i in range(300):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        probs = (0.0, 1.0) if i % 2 else (rng.random(), rng.random())
+        cases.append(gen_smd(sizes, rng.randrange(10**6), *probs)[0])
+    # connected non-strong LSDs, and LSDs with one arc removed or added
+    for _ in range(100):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 5))]
+        cases.append(gen_lsd_nonstrong(sizes, seed=rng.randrange(10**6), reach_prob=rng.random()))
+    cases += near_miss_lsds(rng, 300)
+    # disjoint unions of two digraphs, and the digraphs on 0 and 1 vertices
+    for _ in range(100):
+        a, b = random_digraph(rng, 7, min_n=1), random_digraph(rng, 7, min_n=1)
+        cases.append(Digraph(a.n + b.n, [*a.arcs, *((u + a.n, v + a.n) for u, v in b.arcs)]))
+    cases += [build_digraph(0, []), build_digraph(1, [])]
+    cases = [Digraph(d.n, d.arcs) for d in cases]  # no stored facts yet
+    expected = [digraph._locally_semicomplete(d) for d in cases]
+
+    routes = []
+    for name in ("_smd_is_lsd", "_nonstrong_is_lsd", "_locally_semicomplete"):
+        check = getattr(digraph, name)
+        monkeypatch.setattr(digraph, name, lambda *args, name=name, check=check: routes.append(name) or check(*args))
+    answered = Counter()
+    for d, lsd in zip(cases, expected):
+        routes.clear()
+        assert recognize_lsd(d) == lsd
+        assert len(routes) == (d.n > 1)
+        answered[routes[0] if routes else "fewer than two vertices", lsd] += 1
+    # every route ran and gave both answers
+    assert answered.keys() == {
+        *((name, lsd) for name in ("_smd_is_lsd", "_nonstrong_is_lsd", "_locally_semicomplete") for lsd in (True, False)),
+        ("fewer than two vertices", True),
+    }
+    # strong and acyclic SMDs, connected non-strong and disconnected digraphs
+    smds = [d for d in cases if recognize_smd(d) is not None]
+    assert {is_strong(d) for d in smds} == {True, False}
+    assert any(strong_components(d).count == d.n > 1 for d in smds)
+    assert {underlying_is_connected(d) for d in cases if not is_strong(d)} == {True, False}
+    assert Counter(zip(map(is_semicomplete, cases), expected)).keys() == {(True, True), (False, True), (False, False)}
 
 
 # the default cap packs all rows of these small digraphs in one block, 400
@@ -403,13 +440,15 @@ def test_with_arcs_equals_a_fresh_build():
         filled = trial % 2 == 1
         if filled:
             # stored facts of d must not carry over to the copy
-            recognize_lsd(d), strong_components(d), d.arc_arrays()
+            recognize_smd(d), recognize_lsd(d), strong_components(d), d.arc_arrays()
         got = d.with_arcs(extra)
+        assert (got._parts, got._lsd, got._components) == (None, None, None)
         expected = Digraph(max([d.n] + [max(a) + 1 for a in extra]), d.arcs | set(extra))
         assert (got.n, got.out_mask, got.in_mask, got.adj_mask) == (
             expected.n, expected.out_mask, expected.in_mask, expected.adj_mask,
         )
         assert [a.tolist() for a in got.arc_arrays()] == [a.tolist() for a in expected.arc_arrays()]
+        assert recognize_smd(got) == recognize_smd(expected)
         assert recognize_lsd(got) == lsd_by_definition(expected)
         assert strong_components(got) == strong_components(expected)
         if filled and got.n == d.n:

@@ -13,12 +13,15 @@ from mfaho.digraph import (
     _mask_of,
     build_digraph,
     is_strong,
+    recognize_lsd,
+    recognize_smd,
     strong_components,
     underlying_is_2connected,
+    underlying_is_connected,
     validate_walk,
 )
-from mfaho.errors import InputError, InternalVerificationError, StrongDigraphError
-from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong
+from mfaho.errors import InputError, StrongDigraphError
+from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.lsd import (
     _component_distance,
     _ham_cycle_strong,
@@ -78,12 +81,13 @@ def interval_holds_pairwise(d, comps):
 )
 def test_decomposition_refuses_a_broken_interval_past_recognition(n, arcs):
     # not locally semicomplete, but with consecutive domination and
-    # semicomplete components: only the interval check can refuse it
+    # semicomplete components: only the interval property fails, recognition
+    # refuses the digraph, and the decomposition stops at its guard
     d = build_digraph(n, arcs)
     assert not digraph._locally_semicomplete(d)
-    d._lsd = True
     assert not interval_holds_pairwise(d, strong_components(d).components)
-    with pytest.raises(InternalVerificationError, match="^interval property fails$"):
+    assert not recognize_lsd(d)
+    with pytest.raises(InputError, match="^digraph is not locally semicomplete$"):
         lsd_decomposition(d)
 
 
@@ -114,12 +118,20 @@ def random_forward_arc_digraph(rng):
 
 
 def test_interval_check_agrees_with_the_pairwise_check():
+    # recognition of a connected non-strong digraph that is not an SMD reads
+    # the interval property off its strong components
     rng = random.Random(103)
     outcomes = []
     for _ in range(1500):
         d, layers = random_forward_arc_digraph(rng)
-        outcomes.append(lsd._interval_property(d, layers, [_mask_of(c) for c in layers]))
-        assert outcomes[-1] == interval_holds_pairwise(d, layers)
+        if recognize_smd(d) is not None or not underlying_is_connected(d):
+            continue
+        # the arcs between layers run forward, so each strong component lies
+        # inside a layer and is semicomplete
+        comps = strong_components(d).components
+        outcomes.append(recognize_lsd(d))
+        assert outcomes[-1] == interval_holds_pairwise(d, comps) == digraph._locally_semicomplete(d)
+    assert len(outcomes) > 1000
     assert 300 < sum(outcomes) < len(outcomes) - 300
 
 
@@ -366,6 +378,17 @@ def test_lower_bound_on_oriented_component_paths():
     assert checked >= 15
 
 
+def count_calls(monkeypatch, calls, module, name, key):
+    """Count each call of module.name in calls, under key(args)."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls[key(args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.mark.parametrize(
     "problem, branch", [("mfahoc", "lsd-nonstrong-2connected"), ("mfahop", "lsd-path")]
 )
@@ -373,24 +396,30 @@ def test_solve_classifies_a_nonstrong_lsd_once(problem, branch, monkeypatch):
     g = gen_lsd_nonstrong((4, 5, 3, 4), seed=1, reach_prob=0.2)
     d = Digraph(g.n, g.arcs)  # the generator's recognizer calls filled g's caches
     calls = Counter()
-
-    def counted(module, name, key):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            calls[key(args)] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(digraph, "_tarjan", lambda args: "tarjan on d" if args[0] is d else "tarjan on a subdigraph")
-    counted(digraph, "_locally_semicomplete", lambda args: "lsd check")
-    counted(harness, "instance_digest", lambda args: "digest")
+    count_calls(monkeypatch, calls, digraph, "_tarjan", lambda args: "tarjan on d" if args[0] is d else "tarjan on a subdigraph")
+    count_calls(monkeypatch, calls, digraph, "_locally_semicomplete", lambda args: "lsd check")
+    count_calls(monkeypatch, calls, harness, "instance_digest", lambda args: "digest")
     report = harness.solve(d, problem)
     assert (report.detected_class, report.branch) == ("lsd", branch)
+    # recognition reads the strong components the solver then reuses
     assert calls["tarjan on d"] == 1
-    assert calls["lsd check"] == 1
+    assert calls["lsd check"] == 0
     assert calls["digest"] == 1
+
+
+def test_solve_classifies_an_acyclic_smd_once(monkeypatch):
+    # an SMD is recognised as an LSD, or not, from its stored partite sets:
+    # no row unions and no strong components
+    g, _ = gen_smd((4, 3, 3), seed=1, digon_prob=0.0, bias=1.0)
+    perm = random.Random(5).sample(range(g.n), g.n)
+    d = Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs])
+    calls = Counter()
+    count_calls(monkeypatch, calls, digraph, "_tarjan", lambda args: "tarjan")
+    count_calls(monkeypatch, calls, digraph, "_locally_semicomplete", lambda args: "lsd check")
+    count_calls(monkeypatch, calls, digraph, "_partite_sets", lambda args: "partition")
+    report = harness.solve(d, "mfahoc")
+    assert (report.detected_class, report.branch) == ("smd", "cycle-below-max")
+    assert calls == {"partition": 1}
 
 
 def test_component_cycles_match_the_relabelled_subdigraph():
