@@ -5,10 +5,13 @@ with (v,u); self-loops and parallel copies of the same ordered pair are never
 stored.  A digraph is stored once, as integer bitmask rows, and never changes
 after construction; arc queries, the arc set and the neighbour lists are read
 from the rows.  The facts derived from it (the partite sets, local
-semicompleteness, the strong components, the arc index arrays) are computed
-on first use and kept on the object; each is a pure function of the rows, so
+semicompleteness, the strong components, the arc index arrays and the
+report digest, which harness.instance_digest computes) are computed on first
+use and kept on the object; each is a pure function of the rows, so
 concurrent callers can at worst compute one twice.  A digraph built from arc
-index arrays keeps those instead of reading them back from its rows.
+index arrays keeps those instead of reading them back from its rows, and
+one the text parser read from canonical text carries the digest of that
+text.
 
 The searches (strong components, 2-connectivity, reachability) walk the
 rows as masks, not arc lists: a depth-first step takes the lowest unvisited
@@ -41,7 +44,10 @@ class Digraph:
     the underlying graph.  Everything else is derived from these rows.
     """
 
-    __slots__ = ("n", "out_mask", "in_mask", "adj_mask", "_parts", "_lsd", "_components", "_arc_arrays")
+    __slots__ = (
+        "n", "out_mask", "in_mask", "adj_mask", "_parts", "_lsd", "_components", "_arc_arrays",
+        "_digest",
+    )
 
     def __init__(self, n: int, arcs=(), *, arc_arrays=None):
         """Build from ordered pairs of vertices 0..n-1, no self-loops; a
@@ -123,7 +129,7 @@ class Digraph:
         in-rows swapped, carrying none of this digraph's stored facts."""
         d = Digraph.__new__(Digraph)
         d.n, d.out_mask, d.in_mask, d.adj_mask = self.n, self.in_mask, self.out_mask, self.adj_mask
-        d._parts = d._lsd = d._components = d._arc_arrays = None
+        d._parts = d._lsd = d._components = d._arc_arrays = d._digest = None
         return d
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +156,7 @@ def _set_rows(d: Digraph, n: int, out: list[int], inn: list[int], arcs) -> None:
     d.n = n
     d.out_mask, d.in_mask = tuple(out), tuple(inn)
     d.adj_mask = tuple(map(or_, out, inn))
-    d._parts = d._lsd = d._components = d._arc_arrays = None
+    d._parts = d._lsd = d._components = d._arc_arrays = d._digest = None
 
 
 def _bit_rows(count: int, n: int, keys: np.ndarray, bits: np.ndarray) -> list[int]:
@@ -448,8 +454,14 @@ def _sccs(rows: tuple[int, ...], keep: int) -> list[tuple[int, ...]]:
 
 
 def is_strong(d: Digraph) -> bool:
-    """True iff every vertex is reachable from vertex 0 and reaches it: two
-    walks over the rows, with no component decomposition."""
+    """True iff every vertex is reachable from vertex 0 and reaches it.
+
+    Read from the strong components when they are stored (at most one: the
+    empty digraph is strong), else two walks over the rows, with no
+    component decomposition.
+    """
+    if d._components is not None:
+        return d._components.count <= 1
     full = (1 << d.n) - 1
     return _reach_mask(d.out_mask, 1, full) == full and _reach_mask(d.in_mask, 1, full) == full
 

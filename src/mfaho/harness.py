@@ -71,7 +71,12 @@ def classify(d: Digraph) -> ClassReport:
 
 
 def instance_digest(d: Digraph) -> str:
-    return hashlib.sha256(serialize_instance(d).encode()).hexdigest()
+    """SHA-256 of serialize_instance(d), the instance text without part
+    lines; kept on d.  The text parser stores it when it read exactly that
+    text, so such a digraph is never rendered back to text."""
+    if d._digest is None:
+        d._digest = hashlib.sha256(serialize_instance(d).encode()).hexdigest()
+    return d._digest
 
 
 @dataclass

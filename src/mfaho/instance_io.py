@@ -17,10 +17,17 @@ that does not match the header, an endpoint out of range, a self-loop or a
 duplicate arc), is read by the line loop, which alone produces every error
 message, line number and warning.  Part lines after a clean block are also
 read by the line loop.
+
+A clean block whose header and arc lines are exactly what serialize_instance
+writes (arcs in increasing order, no leading zeros) is also hashed as read:
+the SHA-256 of the text up to the first "part" line is the report digest
+(harness.instance_digest), and it is stored on the digraph, so the digraph
+need not be rendered back to text to be hashed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -99,17 +106,19 @@ def _parse_text(text: str) -> ParsedInstance:
         # every arc in seen is already range- and self-loop-checked
         d = Digraph(n, seen)
     else:
-        n, tails, heads, rest = block
+        n, tails, heads, rest, digest = block
         # the rest opens with "part": the loop reads it as part lines or
         # rejects it, and reads no arc from it
         _, _, _, part_rows, warnings = _read_lines(rest, len(tails) + 2, (n, len(tails)))
         d = Digraph(n, arc_arrays=(tails, heads))
+        d._digest = digest
     parts = _build_parts(n, part_rows) if part_rows else None
     return ParsedInstance(d, parts, warnings)
 
 
 def _clean_arc_block(text: str):
-    """(n, tails, heads, rest) if text opens with a clean arc block, else None.
+    """(n, tails, heads, rest, digest) if text opens with a clean arc block,
+    else None.
 
     Clean means: an ASCII text whose first line is the header "n m" and
     whose next m lines, up to the first "part" or the end, are each "u v" in
@@ -117,11 +126,14 @@ def _clean_arc_block(text: str):
     in range and without self-loops.  That block is checked and read as a
     whole; rest is the text from the first "part" on.  Anything else, in
     the block or the header, gives None and is left to _read_lines, which
-    owns every message and warning.
+    owns every message and warning.  digest is the SHA-256 of the text
+    before rest when that text is byte for byte what serialize_instance
+    writes for the digraph (arcs in increasing order, no leading zeros),
+    else None.
     """
     if not text.isascii():
         return None
-    head, _, body = text.partition("\n")
+    head, newline, body = text.partition("\n")
     n_text, _, m_text = head.partition(" ")
     if not (n_text.isdigit() and m_text.isdigit()):
         return None
@@ -145,11 +157,22 @@ def _clean_arc_block(text: str):
     if np.count_nonzero(values >= n) or np.count_nonzero(tails == heads):
         return None
     keys = tails * n + heads
-    keys.sort()
-    if np.count_nonzero(keys[1:] == keys[:-1]):
-        return None
-    tails, heads = np.divmod(keys, n)
-    return n, tails, heads, body[cut:]
+    digest = None
+    if np.count_nonzero(keys[1:] <= keys[:-1]):
+        keys.sort()
+        if np.count_nonzero(keys[1:] == keys[:-1]):
+            return None
+        tails, heads = np.divmod(keys, n)
+    elif newline and head == f"{n} {m}" and len(data) == 2 * len(values) + sum(
+        np.count_nonzero(values >= 10**k) for k in range(1, len(n_text))
+    ):
+        # strictly increasing arcs and no leading zero (each endpoint has as
+        # many digits as its value needs): the text so far is exactly what
+        # serialize_instance writes for this digraph
+        sha = hashlib.sha256(f"{head}\n".encode())
+        sha.update(data)
+        digest = sha.hexdigest()
+    return n, tails, heads, body[cut:], digest
 
 
 def _read_lines(text: str, first: int = 1, header: tuple[int, int] | None = None):

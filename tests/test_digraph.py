@@ -25,7 +25,8 @@ from mfaho.digraph import (
 )
 from mfaho.errors import InputError, NotAWalkError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
-from mfaho.instance_io import MAX_VERTICES
+from mfaho.harness import instance_digest
+from mfaho.instance_io import MAX_VERTICES, parse_instance, serialize_instance
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -432,7 +433,9 @@ def test_with_arcs_equals_a_fresh_build():
     rng = random.Random(59)
     changed = {"lsd": 0, "components": 0}
     for trial in range(300):
-        d = random_digraph(rng, 12, min_n=1)
+        # parsed from canonical text, so d carries the digest of that text
+        d = parse_instance(serialize_instance(random_digraph(rng, 12, min_n=1))).digraph
+        assert d._digest is not None
         # a pair naming vertex n grows the copy by one vertex
         top = d.n + (trial % 5 == 0)
         extra = [(rng.randrange(top), rng.randrange(top)) for _ in range(rng.randint(0, 4))]
@@ -442,7 +445,7 @@ def test_with_arcs_equals_a_fresh_build():
             # stored facts of d must not carry over to the copy
             recognize_smd(d), recognize_lsd(d), strong_components(d), d.arc_arrays()
         got = d.with_arcs(extra)
-        assert (got._parts, got._lsd, got._components) == (None, None, None)
+        assert (got._parts, got._lsd, got._components, got._digest) == (None, None, None, None)
         expected = Digraph(max([d.n] + [max(a) + 1 for a in extra]), d.arcs | set(extra))
         assert (got.n, got.out_mask, got.in_mask, got.adj_mask) == (
             expected.n, expected.out_mask, expected.in_mask, expected.adj_mask,
@@ -451,6 +454,10 @@ def test_with_arcs_equals_a_fresh_build():
         assert recognize_smd(got) == recognize_smd(expected)
         assert recognize_lsd(got) == lsd_by_definition(expected)
         assert strong_components(got) == strong_components(expected)
+        assert instance_digest(got) == instance_digest(expected)
+        back = d.reversed()
+        assert (back._parts, back._lsd, back._components, back._digest) == (None, None, None, None)
+        assert instance_digest(back) == instance_digest(Digraph(d.n, {(v, u) for u, v in d.arcs}))
         if filled and got.n == d.n:
             changed["lsd"] += recognize_lsd(got) != recognize_lsd(d)
             changed["components"] += strong_components(got) != strong_components(d)
@@ -566,9 +573,10 @@ def test_2connected_matches_vertex_deletion_definition():
 
 
 def test_generator_strongness_test_matches_is_strong():
-    """is_strong's two reach-mask walks decide strongness exactly as the
-    strong component decomposition does, on candidates drawn the way the
-    generator draws them."""
+    """is_strong's two reach-mask walks, and its reading of the stored
+    components, decide strongness exactly as the strong component
+    decomposition does, on candidates drawn the way the generator draws
+    them."""
     rng = random.Random(909)
     verdicts = []
     for _ in range(1000):
@@ -584,7 +592,13 @@ def test_generator_strongness_test_matches_is_strong():
         d = Digraph(k, arcs)
         verdicts.append(is_strong(d))
         assert (strong_components(d).count == 1) == verdicts[-1], sorted(arcs)
+        assert is_strong(d) == verdicts[-1]
     assert 100 < sum(verdicts) < 900
+    # the empty digraph has no component and is strong either way
+    for n in (0, 1):
+        d = Digraph(n)
+        assert is_strong(d)
+        assert strong_components(d).count == n and is_strong(d)
 
 
 # --- mask walks against the list-walking searches they replaced -------------

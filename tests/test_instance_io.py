@@ -6,14 +6,16 @@ Both must give the same digraph, arc arrays, parts and warnings, or the same
 ParseError with the same line number.
 """
 
+import hashlib
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mfaho import digraph, instance_io
+from mfaho import digraph, harness, instance_io
 from mfaho.cli import main
 from mfaho.digraph import build_digraph
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
@@ -219,6 +221,61 @@ def test_parsed_arc_arrays_are_kept_and_used(monkeypatch):
     assert d.arc_arrays()[0] is tails
     assert list(d.out_lists()) == [[1], [2], [3], []]
     assert serialize_instance(d) == "4 3\n0 1\n1 2\n2 3\n"
+
+
+# --- the report digest -------------------------------------------------------
+
+def digest_texts(d, parts, rng):
+    """(name, text, hashed as read) for serialize_instance(d) and each of
+    its perturbations that changes the text."""
+    text = serialize_instance(d)
+    header, *arcs = text.splitlines(keepends=True)
+    yield "canonical", text, True
+    if d.n:
+        yield "part lines", text + "".join(
+            "part " + " ".join(map(str, sorted(p))) + "\n" for p in parts), True
+    yield "leading zero in the header", rng.choice(
+        ["0" + header, f"{d.n} 0{d.m}\n"]) + "".join(arcs), False
+    if arcs:
+        i = rng.randrange(len(arcs))
+        u, v = arcs[i].split()
+        zeroed = rng.choice([f"0{u} {v}\n", f"{u} 0{v}\n"])
+        yield "leading zero in an endpoint", header + "".join(arcs[:i] + [zeroed] + arcs[i + 1:]), False
+        yield "duplicate arc line", header + "".join(arcs[:i] + [arcs[i]] + arcs[i:]), False
+    if len(arcs) > 1:
+        yield "arc lines reversed", header + "".join(reversed(arcs)), False
+    lines = [header, *arcs]
+    lines.insert(rng.randint(0, len(lines)), rng.choice(["\n", "# note\n"]))
+    yield "blank or comment line", "".join(lines), False
+    yield "no final newline", text[:-1], False
+    yield "JSON", serialize_instance(d, fmt="json"), False
+
+
+def test_digest_agrees_with_a_fresh_rendering_on_every_text_form(monkeypatch):
+    # only canonical text, with or without part lines, is hashed as read;
+    # every other form is rendered, and all give the same digest
+    rendered = []
+    render = harness.serialize_instance
+    monkeypatch.setattr(harness, "serialize_instance",
+                        lambda *a, **k: rendered.append(1) or render(*a, **k))
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(0, 130)
+        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        arcs = [(u, v) for u, v in arcs if u != v]
+        expected = hashlib.sha256(serialize_instance(build_digraph(n, arcs)).encode()).hexdigest()
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3)))) if n else []
+        parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        for name, text, as_read in digest_texts(build_digraph(n, arcs), parts, rng):
+            d = parse_instance(text).digraph
+            rendered.clear()
+            assert harness.instance_digest(d) == expected, name
+            assert len(rendered) == (0 if as_read else 1), name
+            seen[name] += 1
+            seen["3-digit labels"] += as_read and n > 100 and len(arcs) > 0
+    assert min(seen.values()) > 300, seen
 
 
 # --- JSON shapes --------------------------------------------------------------

@@ -422,6 +422,25 @@ def test_solve_classifies_an_acyclic_smd_once(monkeypatch):
     assert calls == {"partition": 1}
 
 
+def test_strong_lsd_solve_reads_strongness_from_its_components(monkeypatch):
+    # recognition stores the components of a connected digraph that is not
+    # an SMD; is_strong then reads them instead of walking the rows.  Without
+    # the spread the generator gives a semicomplete digraph, an SMD, which
+    # never stores its components
+    g = gen_lsd_strong(60, 1, spread=10)
+    d = Digraph(g.n, g.arcs)
+    assert recognize_smd(d) is None
+    calls = Counter()
+    for module in (digraph, lsd):
+        if hasattr(module, "_reach_mask"):
+            count_calls(monkeypatch, calls, module, "_reach_mask", lambda args: "walk")
+    report = harness.solve(d, "mfahoc")
+    assert (report.detected_class, report.branch) == ("lsd", "lsd-strong")
+    # seven walks before is_strong read the stored components: three
+    # connectivity checks and is_strong's two walks, twice
+    assert calls["walk"] <= 3
+
+
 def test_component_cycles_match_the_relabelled_subdigraph():
     # the cycle of a component, found on d itself, is the cycle the public
     # routine finds on the induced subdigraph relabelled in vertex order
