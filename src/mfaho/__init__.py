@@ -47,6 +47,7 @@ from .lsd import (
     ham_path_lsd,
     lsd_decomposition,
     mfahoc_lsd,
+    mfahop_lsd,
 )
 from .oracle import (
     OracleResult,

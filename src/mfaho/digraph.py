@@ -5,11 +5,11 @@ with (v,u); self-loops and parallel copies of the same ordered pair are never
 stored.  A digraph is stored once, as integer bitmask rows, and never changes
 after construction; arc queries, the arc set and the neighbour lists are read
 from the rows.  The facts derived from it (the partite sets, local
-semicompleteness, the strong components, the arc index arrays and the
-report digest, which harness.instance_digest computes) are computed on first
-use and kept on the object; each is a pure function of the rows, so
-concurrent callers can at worst compute one twice.  A digraph built from arc
-index arrays keeps those instead of reading them back from its rows, and
+semicompleteness, connectivity, the strong components, the arc index arrays
+and the report digest, which harness.instance_digest computes) are computed
+on first use and kept on the object; each is a pure function of the rows,
+so concurrent callers can at worst compute one twice.  A digraph built from
+arc index arrays keeps those instead of reading them back from its rows, and
 one the text parser read from canonical text carries the digest of that
 text.
 
@@ -45,8 +45,8 @@ class Digraph:
     """
 
     __slots__ = (
-        "n", "out_mask", "in_mask", "adj_mask", "_parts", "_lsd", "_components", "_arc_arrays",
-        "_digest",
+        "n", "out_mask", "in_mask", "adj_mask", "_parts", "_lsd", "_connected", "_components",
+        "_arc_arrays", "_digest",
     )
 
     def __init__(self, n: int, arcs=(), *, arc_arrays=None):
@@ -129,7 +129,7 @@ class Digraph:
         in-rows swapped, carrying none of this digraph's stored facts."""
         d = Digraph.__new__(Digraph)
         d.n, d.out_mask, d.in_mask, d.adj_mask = self.n, self.in_mask, self.out_mask, self.adj_mask
-        d._parts = d._lsd = d._components = d._arc_arrays = d._digest = None
+        d._parts = d._lsd = d._connected = d._components = d._arc_arrays = d._digest = None
         return d
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +156,7 @@ def _set_rows(d: Digraph, n: int, out: list[int], inn: list[int], arcs) -> None:
     d.n = n
     d.out_mask, d.in_mask = tuple(out), tuple(inn)
     d.adj_mask = tuple(map(or_, out, inn))
-    d._parts = d._lsd = d._components = d._arc_arrays = d._digest = None
+    d._parts = d._lsd = d._connected = d._components = d._arc_arrays = d._digest = None
 
 
 def _bit_rows(count: int, n: int, keys: np.ndarray, bits: np.ndarray) -> list[int]:
@@ -486,10 +486,11 @@ def _reach_mask(adj: tuple[int, ...], start_mask: int, allowed: int) -> int:
 
 
 def underlying_is_connected(d: Digraph) -> bool:
-    if d.n == 0:
-        return True
-    full = (1 << d.n) - 1
-    return _reach_mask(d.adj_mask, 1, full) == full
+    """True iff U(d) is connected; one walk per digraph, then stored."""
+    if d._connected is None:
+        full = (1 << d.n) - 1
+        d._connected = _reach_mask(d.adj_mask, 1, full) == full
+    return d._connected
 
 
 def underlying_is_2connected(d: Digraph) -> bool:

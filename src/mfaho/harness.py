@@ -1,8 +1,10 @@
 """Class detection, solver dispatch, reports and independent verification.
 
-Every solve path re-validates its certificate from scratch against the input
-digraph before the report leaves this module; a mismatch is an internal
-error, never a reportable result.
+solve classifies its input once and makes one solver call per problem and
+class (both cycle solvers, which must agree, for a digraph in both); the
+solvers' own guards read the facts recognition stored.  Every certificate is
+re-validated from scratch against the input before the report leaves this
+module; a mismatch is an internal error, never a reportable result.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .digraph import (
 )
 from .errors import InputError, InternalVerificationError, NotAWalkError
 from .instance_io import serialize_instance
-from .lsd import ham_path_lsd, mfahoc_lsd
+from .lsd import mfahoc_lsd, mfahop_lsd
 from .smd import hc_majority, hp_majority, mfahoc_smd, mfahop_smd
 
 
@@ -152,49 +154,27 @@ def solve(
         raise InputError(f"unknown problem {problem!r}")
     start = time.perf_counter()
     detected, found_parts = _detect(d)
-    if parts is None:
-        parts = found_parts
-    outcome = None  # (sigma, walk, branch) or None
-    none_sigma: int | None = None
     if detected == "neither":
         raise UnsupportedClassError(
             "input is neither semicomplete multipartite nor locally semicomplete"
         )
+    parts = parts or found_parts
+    none_sigma = None  # 0 by convention for an LSD with no oriented cycle
     if problem == "mfahop":
-        if detected in ("smd", "both"):
-            outcome = mfahop_smd(d, parts)
-        else:
-            if not underlying_is_connected(d):
-                outcome = None
-            else:
-                seq = ham_path_lsd(d)
-                walk = validate_walk(d, seq, WalkKind.PATH)
-                outcome = (walk.sigma_plus, walk, "lsd-path")
+        outcome = mfahop_lsd(d) if detected == "lsd" else mfahop_smd(d, parts)
+    elif detected == "smd":
+        outcome = mfahoc_smd(d, parts)
+    elif detected == "lsd":
+        outcome, none_sigma = mfahoc_lsd(d), 0
     else:
-        if d.n < 3:
-            raise InputError("Hamilton oriented cycles need at least 3 vertices")
-        if detected == "both":
-            smd_res = mfahoc_smd(d, parts)
-            lsd_res = mfahoc_lsd(d)
-            s1 = None if smd_res is None else smd_res[0]
-            s2 = None if lsd_res is None else lsd_res[0]
-            if s1 != s2:
-                raise InternalVerificationError(
-                    f"solvers disagree on a semicomplete input: {s1} vs {s2}"
-                )
-            outcome = smd_res
-            if outcome is not None:
-                outcome = (outcome[0], outcome[1], "both:" + outcome[2])
-            else:
-                none_sigma = 0  # the input is an LSD, so the 0 convention applies
-        elif detected == "smd":
-            outcome = mfahoc_smd(d, parts)
-        else:
-            if not underlying_is_connected(d):
-                raise InputError("disconnected locally semicomplete digraph")
-            outcome = mfahoc_lsd(d)
-            if outcome is None:
-                none_sigma = 0  # the optimum is defined as 0 in this case
+        smd_res, lsd_res = mfahoc_smd(d, parts), mfahoc_lsd(d)
+        s1, s2 = (None if res is None else res[0] for res in (smd_res, lsd_res))
+        if s1 != s2:
+            raise InternalVerificationError(
+                f"solvers disagree on a semicomplete input: {s1} vs {s2}"
+            )
+        outcome = None if smd_res is None else (s1, smd_res[1], "both:" + smd_res[2])
+        none_sigma = 0
     elapsed = (time.perf_counter() - start) * 1000.0
     sigma, walk, branch = outcome or (none_sigma, None, "no-hamilton-oriented-structure")
     report = SolveReport(

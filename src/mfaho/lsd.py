@@ -1,9 +1,11 @@
 """Solvers for locally semicomplete digraphs.
 
-For a strong input the optimum is all-forward; otherwise the deficit equals
+A connected LSD has a directed Hamilton path, so the path optimum is n - 1.
+For the cycle, a strong input is all-forward; otherwise the deficit equals
 the component distance between the first and last strong components, and the
 certificate is a Hamilton path of the digraph minus the interior of a
-shortest first-to-last path, closed by walking that path backwards.
+shortest first-to-last path, closed by walking that path backwards.  The
+guards read the class, connectivity and strongness stored on the digraph.
 
 One builder, _ham_cycle_strong, makes every Hamilton cycle here: of a strong
 input, and of each strong component of a non-strong one, which is a strong
@@ -75,6 +77,19 @@ def ham_path_lsd(d: Digraph) -> tuple[int, ...]:
     if walk.sigma_minus:
         raise InternalVerificationError("component concatenation used a missing arc")
     return seq
+
+
+def mfahop_lsd(d: Digraph):
+    """Maximum forward arcs over Hamilton oriented paths of an LSD: (n - 1,
+    walk, "lsd-path") with ham_path_lsd's path, or None if it is disconnected."""
+    if not recognize_lsd(d):
+        raise InputError("digraph is not locally semicomplete")
+    if not underlying_is_connected(d):
+        return None
+    walk = validate_walk(d, ham_path_lsd(d), WalkKind.PATH)
+    if walk.sigma_minus:
+        raise InternalVerificationError("Hamilton path certificate has a backward step")
+    return d.n - 1, walk, "lsd-path"
 
 
 def _component_path(d, comps, first_vertex=None, last_vertex=None) -> tuple[int, ...]:

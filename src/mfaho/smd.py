@@ -35,6 +35,7 @@ from .digraph import (
     _mask_bits,
     _mask_of,
     is_strong,
+    recognize_smd,
     validate_walk,
 )
 from .errors import InputError, InternalVerificationError
@@ -60,19 +61,17 @@ def hc_majority(sizes) -> bool:
 
 
 def check_smd(d: Digraph, parts: PartiteStructure) -> None:
-    """Verify that parts is the partite structure of d as an SMD."""
-    if parts.p < 2:
-        raise InputError("a semicomplete multipartite digraph needs p >= 2 parts")
-    if sum(parts.sizes) != d.n:
-        raise InputError("partite sets do not cover the vertex set")
-    full = (1 << d.n) - 1
-    for part in parts.parts:
-        pmask = _mask_of(part)
-        for v in part:
-            if d.adj_mask[v] & pmask:
-                raise InputError(f"vertex {v} is adjacent inside its partite set")
-            if (d.adj_mask[v] | pmask) != full:
-                raise InputError(f"vertex {v} is missing a cross-part adjacency")
+    """Raise InputError unless d is an SMD and parts its partite sets, in any
+    order.
+
+    The partition is the one recognize_smd finds and verifies (and stores),
+    the only partition of an SMD; parts that came from it pass by identity.
+    """
+    found = recognize_smd(d)
+    if found is None:
+        raise InputError("digraph is not semicomplete multipartite")
+    if parts is not found and set(parts.parts) != set(found.parts):
+        raise InputError("parts are not the partite sets of the digraph")
 
 
 def has_ham_oriented_path_smd(d: Digraph, parts: PartiteStructure) -> bool:

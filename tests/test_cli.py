@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from mfaho.cli import build_parser, main
-from mfaho.digraph import build_digraph
+from mfaho.digraph import PartiteStructure, build_digraph
 from mfaho.errors import InputError, InternalVerificationError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.harness import SolveReport, classify, solve, verify_report
@@ -121,6 +121,52 @@ def test_solve_none_case_reports_zero_for_lsd_cycle():
     assert rep.detected_class == "lsd"
     assert rep.status == "none"
     assert rep.sigma == 0
+
+
+TWO_TRIANGLES = "6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"
+
+
+def test_disconnected_lsd_has_no_path_and_refuses_a_cycle(tmp_path, capsys):
+    d = parse_instance(TWO_TRIANGLES).digraph
+    rep = solve(d, "mfahop")
+    assert (rep.detected_class, rep.status, rep.sigma) == ("lsd", "none", None)
+    with pytest.raises(InputError):
+        solve(d, "mfahoc")
+    inst = tmp_path / "triangles.dg"
+    inst.write_text(TWO_TRIANGLES)
+    code, out, _ = run_cli(capsys, "solve", str(inst), "--problem", "mfahop")
+    assert code == 2 and json.loads(out)["sigma"] is None
+    code, out, _ = run_cli(capsys, "solve", str(inst), "--problem", "mfahoc")
+    assert code == 3 and out == ""
+
+
+def _report_fields(rep):
+    return {k: v for k, v in rep.to_dict().items() if k != "elapsed_ms"}
+
+
+@pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
+def test_solve_ignores_the_order_of_the_part_lines(problem):
+    d, parts = gen_smd((3, 2, 2, 1), seed=4)
+    text = serialize_instance(d, parts)
+    lines = text.splitlines(keepends=True)
+    arc_lines = [line for line in lines if not line.startswith("part")]
+    shuffled = [
+        "part " + " ".join(map(str, sorted(p, reverse=True))) + "\n" for p in reversed(parts.parts)
+    ]
+    inst, moved = parse_instance(text), parse_instance("".join(arc_lines + shuffled))
+    assert moved.parts.parts != inst.parts.parts
+    expected = _report_fields(solve(parse_instance(text).digraph, problem))
+    assert _report_fields(solve(inst.digraph, problem, inst.parts)) == expected
+    assert _report_fields(solve(moved.digraph, problem, moved.parts)) == expected
+
+
+@pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
+def test_solve_refuses_a_partition_with_a_part_split_in_two(problem):
+    d, parts = gen_smd((3, 2, 2), seed=4)
+    first = sorted(parts.parts[0])
+    split = PartiteStructure.from_parts(d.n, [first[:1], first[1:], *parts.parts[1:]])
+    with pytest.raises(InputError):
+        solve(d, problem, split)
 
 
 def test_verify_detects_tampered_sigma():

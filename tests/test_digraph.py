@@ -443,9 +443,10 @@ def test_with_arcs_equals_a_fresh_build():
         filled = trial % 2 == 1
         if filled:
             # stored facts of d must not carry over to the copy
-            recognize_smd(d), recognize_lsd(d), strong_components(d), d.arc_arrays()
+            recognize_smd(d), recognize_lsd(d), underlying_is_connected(d), strong_components(d)
+            d.arc_arrays()
         got = d.with_arcs(extra)
-        assert (got._parts, got._lsd, got._components, got._digest) == (None, None, None, None)
+        assert (got._parts, got._lsd, got._connected, got._components, got._digest) == (None,) * 5
         expected = Digraph(max([d.n] + [max(a) + 1 for a in extra]), d.arcs | set(extra))
         assert (got.n, got.out_mask, got.in_mask, got.adj_mask) == (
             expected.n, expected.out_mask, expected.in_mask, expected.adj_mask,
@@ -453,10 +454,12 @@ def test_with_arcs_equals_a_fresh_build():
         assert [a.tolist() for a in got.arc_arrays()] == [a.tolist() for a in expected.arc_arrays()]
         assert recognize_smd(got) == recognize_smd(expected)
         assert recognize_lsd(got) == lsd_by_definition(expected)
+        assert underlying_is_connected(got) == underlying_is_connected(expected)
         assert strong_components(got) == strong_components(expected)
         assert instance_digest(got) == instance_digest(expected)
         back = d.reversed()
-        assert (back._parts, back._lsd, back._components, back._digest) == (None, None, None, None)
+        facts = (back._parts, back._lsd, back._connected, back._components, back._digest)
+        assert facts == (None,) * 5
         assert instance_digest(back) == instance_digest(Digraph(d.n, {(v, u) for u, v in d.arcs}))
         if filled and got.n == d.n:
             changed["lsd"] += recognize_lsd(got) != recognize_lsd(d)

@@ -20,7 +20,7 @@ from mfaho.digraph import (
     underlying_is_connected,
     validate_walk,
 )
-from mfaho.errors import InputError, StrongDigraphError
+from mfaho.errors import InputError, InternalVerificationError, StrongDigraphError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.lsd import (
     _component_distance,
@@ -31,6 +31,7 @@ from mfaho.lsd import (
     ham_path_lsd,
     lsd_decomposition,
     mfahoc_lsd,
+    mfahop_lsd,
 )
 from mfaho.oracle import oracle_mfahoc
 
@@ -422,23 +423,57 @@ def test_solve_classifies_an_acyclic_smd_once(monkeypatch):
     assert calls == {"partition": 1}
 
 
+def count_walks(monkeypatch):
+    """Counter of the reachability walks over the rows, under "walk"."""
+    calls = Counter()
+    for module in (digraph, lsd):
+        if hasattr(module, "_reach_mask"):
+            count_calls(monkeypatch, calls, module, "_reach_mask", lambda args: "walk")
+    return calls
+
+
 def test_strong_lsd_solve_reads_strongness_from_its_components(monkeypatch):
     # recognition stores the components of a connected digraph that is not
     # an SMD; is_strong then reads them instead of walking the rows.  Without
     # the spread the generator gives a semicomplete digraph, an SMD, which
     # never stores its components
     g = gen_lsd_strong(60, 1, spread=10)
+    calls = count_walks(monkeypatch)
+    for problem, branch in (("mfahoc", "lsd-strong"), ("mfahop", "lsd-path")):
+        d = Digraph(g.n, g.arcs)
+        assert recognize_smd(d) is None
+        calls.clear()
+        report = harness.solve(d, problem)
+        assert (report.detected_class, report.branch) == ("lsd", branch)
+        # the one connectivity walk of recognition, whose answer is stored
+        assert calls["walk"] == 1
+
+
+@pytest.mark.parametrize(
+    "problem, branch, walks",
+    [("mfahoc", "lsd-nonstrong-2connected", 2), ("mfahop", "lsd-path", 1)],
+)
+def test_nonstrong_lsd_solve_walks_for_connectivity_once(problem, branch, walks, monkeypatch):
+    # recognition's connectivity walk, plus, for a cycle, the check that
+    # removing the shortest path's interior leaves the rest connected
+    g = gen_lsd_nonstrong((4, 5, 3, 4), 1, reach_prob=0.2)
     d = Digraph(g.n, g.arcs)
-    assert recognize_smd(d) is None
-    calls = Counter()
-    for module in (digraph, lsd):
-        if hasattr(module, "_reach_mask"):
-            count_calls(monkeypatch, calls, module, "_reach_mask", lambda args: "walk")
-    report = harness.solve(d, "mfahoc")
-    assert (report.detected_class, report.branch) == ("lsd", "lsd-strong")
-    # seven walks before is_strong read the stored components: three
-    # connectivity checks and is_strong's two walks, twice
-    assert calls["walk"] <= 3
+    calls = count_walks(monkeypatch)
+    report = harness.solve(d, problem)
+    assert (report.detected_class, report.branch) == ("lsd", branch)
+    assert calls["walk"] == walks
+
+
+def test_path_solve_checks_the_optimum(monkeypatch):
+    # a connected LSD has a directed Hamilton path, so a path certificate
+    # with a backward step is refused, not reported
+    g = gen_lsd_strong(40, 3, spread=4)
+    strong_cycle = lsd._ham_cycle_strong
+    monkeypatch.setattr(lsd, "_ham_cycle_strong", lambda d, keep: strong_cycle(d, keep)[::-1])
+    with pytest.raises(InternalVerificationError):
+        harness.solve(Digraph(g.n, g.arcs), "mfahop")
+    with pytest.raises(InternalVerificationError, match="backward step"):
+        mfahop_lsd(Digraph(g.n, g.arcs))
 
 
 def test_component_cycles_match_the_relabelled_subdigraph():
