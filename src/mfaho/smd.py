@@ -6,16 +6,18 @@ machinery works out the weak-domination witness of a cycle pair from the
 bitmask rows when a merge round first reaches the pair, and keeps it for
 later rounds; it merges pairs unwitnessed in both directions into one cycle
 (Yeo's lemma says their union is hamiltonian; _merge_pair builds the cycle
-in polynomial time) and reads the dominance order off the witnesses.  The cycle
-solver merges its maximum cycle factor once, in the digraph plus the
-factor's cost-0 arcs: a Hamilton cycle there is the certificate; otherwise
-the ordered factor is opened at one broken arc and the other cycles are
-absorbed into that path one at a time, to the right and then to the left,
-keeping its ends in different partite sets.  The path certificate may end
-anywhere: each factor cycle is spliced whole into the factor's path, or
+in polynomial time) and reads the dominance order off the witnesses.  Every
+cycle certificate comes from one construction, ham_path_distinct_ends: the
+maximum cycle factor is opened at one arc (a cost-0 arc if there is one),
+the resulting path is closed and merged once with the other cycles, and a
+Hamilton cycle there gives the path directly; otherwise the ordered factor
+is opened at that arc and the other cycles are absorbed into the path one
+at a time, to the right and then to the left, keeping its ends in different
+partite sets.  The closed path is the certificate.  The path certificate may
+end anywhere: each factor cycle is spliced whole into the factor's path, or
 failing that the path comes from merging with a universal apex vertex.  No
 step depends on the size of the input except one: when a full-cost cycle
-factor merges only to an ordered factor, _hamilton_cycle_by_dp decides
+factor yields a path that closes backward, _hamilton_cycle_by_dp decides
 Hamiltonicity by the subset DP of oracle_mfahoc, which refuses n above
 MAX_WALK_VERTICES.  Solver outputs are always re-validated before being
 returned.
@@ -89,6 +91,8 @@ def has_ham_oriented_cycle_smd(d: Digraph, parts: PartiteStructure) -> bool:
 def _check_cycle(d: Digraph, cyc: tuple[int, ...]) -> None:
     if len(cyc) < 2 or len(set(cyc)) != len(cyc):
         raise InputError(f"not a simple cycle: {cyc}")
+    if min(cyc) < 0 or max(cyc) >= d.n:
+        raise InputError(f"cycle {cyc} names a vertex outside 0..{d.n - 1}")
     for i, u in enumerate(cyc):
         v = cyc[(i + 1) % len(cyc)]
         if not d.has_arc(u, v):
@@ -148,23 +152,13 @@ class OrderedCycleFactor:
     witness_parts: dict[tuple[int, int], int]
 
 
-def _check_factor(d: Digraph, factor: SpanningFactor, with_path: bool) -> None:
-    """Check that factor is a cycle factor of d or, with with_path, a
-    1-path-cycle factor of d with a nonempty path."""
-    path = factor.path
-    if not with_path and path is not None:
+def _check_factor(d: Digraph, factor: SpanningFactor) -> None:
+    """Check that factor is a cycle factor of d."""
+    if factor.path is not None:
         raise InputError("expected a cycle factor, got a path component")
-    if with_path and not path:
-        raise InputError("a 1-path-cycle factor needs a nonempty path")
-    path = path or ()
-    for u, v in zip(path, path[1:]):
-        if not d.has_arc(u, v):
-            raise InputError(f"path uses missing arc ({u}, {v})")
-    covered = list(path)
     for cyc in factor.cycles:
         _check_cycle(d, tuple(cyc))
-        covered.extend(cyc)
-    if sorted(covered) != list(range(d.n)):
+    if sorted(chain.from_iterable(factor.cycles)) != list(range(d.n)):
         raise InputError("factor does not partition the vertex set")
 
 
@@ -198,7 +192,7 @@ def irreducible_ordered_cycle_factor(
     merges.  Every round removes a cycle, so a factor of t cycles takes
     fewer than t rounds.
     """
-    _check_factor(d, factor, with_path=False)
+    _check_factor(d, factor)
     cycles = sorted((tuple(c) for c in factor.cycles), key=min)
     ids = list(range(len(cycles)))
     fresh = count(len(cycles))
@@ -347,28 +341,31 @@ def ham_path_distinct_ends(
 ) -> tuple[int, ...]:
     """A directed Hamilton path of d with endpoints in different partite sets.
 
-    Requires a 1-path-cycle factor whose path already has endpoints in
-    different partite sets.  The path's closing arc is added if missing, the
-    resulting cycle factor is merged/ordered, and an ordered factor is
-    opened at that arc and absorbed by _absorb_ordered.
+    Requires a 1-path-cycle factor whose path, of at least 2 vertices, has
+    endpoints in different partite sets.  The path is closed by its arc
+    pl -> p1 (added to d if missing) and merged once with the cycles by
+    irreducible_ordered_cycle_factor, which checks the closed factor.  A
+    Hamilton cycle is opened at the added arc if it kept it, else before its
+    smallest vertex; an ordered factor is opened at that arc and absorbed
+    by _absorb_ordered.  This is the one construction behind every cycle
+    certificate of mfahoc_smd.
     """
-    _check_factor(d, factor, with_path=True)
-    path = tuple(factor.path)
-    if len(path) < 2 or parts.same_part(path[0], path[-1]):
-        raise InputError("factor path must have endpoints in different partite sets")
-    if not factor.cycles:
-        return _finish_path(d, parts, path)
+    path = tuple(factor.path or ())
+    if len(path) < 2 or not (0 <= path[0] < d.n and 0 <= path[-1] < d.n):
+        raise InputError("factor path needs at least 2 vertices, its ends in 0..n-1")
     p1, pl = path[0], path[-1]
+    if parts.same_part(p1, pl):
+        raise InputError("factor path must have endpoints in different partite sets")
     added = not d.has_arc(pl, p1)
     d2 = d.with_arcs([(pl, p1)]) if added else d
     cyc_factor = SpanningFactor(None, tuple(factor.cycles) + (path,), 0)
     res = irreducible_ordered_cycle_factor(d2, parts, cyc_factor)
-    if not isinstance(res, OrderedCycleFactor):
-        # open at the added arc if it was kept; else every step is a d-arc and
-        # the cycle breaks before its smallest vertex
-        seq = added and _opened_at(res, pl, p1) or _rotate(res, min(res))
-        return _finish_path(d, parts, seq)
-    return _absorb_ordered(d, parts, res.cycles, (pl, p1))
+    if isinstance(res, OrderedCycleFactor):
+        return _absorb_ordered(d, parts, res.cycles, (pl, p1))
+    # open at the added arc if it was kept; else every step is a d-arc and
+    # the cycle breaks before its smallest vertex
+    seq = added and _opened_at(res, pl, p1) or _rotate(res, min(res))
+    return _finish_path(d, parts, seq)
 
 
 def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...]:
@@ -531,26 +528,16 @@ def mfahop_smd(d: Digraph, parts: PartiteStructure):
 
 
 def is_hamiltonian_smd(d: Digraph, parts: PartiteStructure):
-    """A directed Hamilton cycle of d, or None.
-
-    A cycle factor of d is a maximum-cost cycle factor of the symmetric
-    (0,1)-digraph whose cost is n; a lower cost, or none at all, means d has
-    no cycle factor and so no Hamilton cycle.  A strong d has its factor
-    merged; an ordered factor leaves the question to _hamilton_cycle_by_dp.
-    """
-    check_smd(d, parts)
-    if d.n < 3:
-        raise InputError("hamiltonicity needs at least 3 vertices")
-    factor = max_cost_cycle_factor(symmetric_01(d))
-    if factor is None or factor.cost < d.n or not is_strong(d):
-        return None
-    res = irreducible_ordered_cycle_factor(d, parts, factor)
-    return _hamilton_cycle_by_dp(d) if isinstance(res, OrderedCycleFactor) else res
+    """A directed Hamilton cycle of d, or None: the certificate of
+    mfahoc_smd when its optimum is n, a cycle with no backward step."""
+    res = mfahoc_smd(d, parts)
+    return res[1].seq if res is not None and res[0] == d.n else None
 
 
 def _hamilton_cycle_by_dp(d):
-    """A Hamilton cycle of d or None, for a d whose cycle factor merged only
-    to an ordered factor, which does not settle the question.
+    """A Hamilton cycle of d or None, for a d with a full-cost cycle factor
+    whose constructed Hamilton path closes backward, which does not settle
+    the question.
 
     A digraph that is not strong has none.  Otherwise the subset DP of
     oracle_mfahoc decides: a value of n means its witness is a directed
@@ -574,14 +561,18 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
     Returns (sigma, walk, branch) or None when no Hamilton oriented cycle
     exists.  sigma is the maximum cost c_max of a cycle factor of the
     symmetric (0,1)-digraph, except that a full-cost factor in a
-    non-hamiltonian digraph caps sigma at n-1.  The factor is merged once,
-    in d plus its set Z of cost-0 arcs.  A Hamilton cycle of that digraph
-    uses every arc of Z (a cycle factor avoiding one would cost more than
-    c_max), so it has c_max forward steps and is the certificate.  Otherwise
-    the ordered factor is opened at the broken arc e, the first arc of Z or,
-    when Z is empty and the digraph is not hamiltonian, the first factor
-    arc, and the other cycles are absorbed in d plus Z - e.  The cycle
-    holding e enters the merge rotated to start at e's head.
+    non-hamiltonian digraph caps sigma at n-1.  The factor is opened at one
+    arc e, the first arc of its set Z of cost-0 arcs or, when Z is empty,
+    the arc closing its first cycle, and ham_path_distinct_ends turns that
+    1-path-cycle factor of d + Z - e into a Hamilton path whose ends lie in
+    different partite sets, so are adjacent, and the path closes into a
+    Hamilton oriented cycle.  Its steps outside Z - e are arcs of d, at
+    least n - |Z| = c_max of them; as a cycle of the (0,1)-digraph it costs
+    at most c_max.  So with Z nonempty it has exactly c_max forward steps
+    and is the certificate.  With Z empty it is a Hamilton cycle of d when
+    its closing step is an arc of d (merged, whether by the merge or by
+    absorption), and otherwise _hamilton_cycle_by_dp decides between a
+    Hamilton cycle (exact-search) and n - 1.
     """
     check_smd(d, parts)
     if d.n < 3:
@@ -596,22 +587,19 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
         )
     c_max = factor.cost
     zero = [a for a in factor.arcs() if not d.has_arc(*a)]
-    e = zero[0] if zero else next(factor.arcs())
-    cycles, df = factor.cycles, d
+    c0 = factor.cycles[0]
+    e = zero[0] if zero else (c0[-1], c0[0])
+    opened = [_opened_at(c, *e) for c in factor.cycles]
+    path = next(p for p in opened if p)
+    cycles = tuple(c for c, p in zip(factor.cycles, opened) if not p)
+    seq = ham_path_distinct_ends(d.with_arcs(zero[1:]), parts, SpanningFactor(path, cycles, c_max))
     if zero:
-        cycles = tuple(_rotate(c, e[1]) if e[1] in c else c for c in cycles)
-        df = d.with_arcs(zero)
-    res = irreducible_ordered_cycle_factor(df, parts, SpanningFactor(None, cycles, c_max))
-    if not isinstance(res, OrderedCycleFactor):
-        seq = _rotate(res, e[1]) if zero else res
-        sigma, branch = c_max, "cycle-below-max" if zero else "cycle-hamiltonian-merged"
-    elif zero:
-        seq = _absorb_ordered(d.with_arcs(zero[1:]), parts, res.cycles, e)
         sigma, branch = c_max, "cycle-below-max"
-    elif (seq := _hamilton_cycle_by_dp(d)) is not None:
-        sigma, branch = n, "cycle-hamiltonian-exact-search"
+    elif d.has_arc(seq[-1], seq[0]):
+        sigma, branch = n, "cycle-hamiltonian-merged"
+    elif (ham := _hamilton_cycle_by_dp(d)) is not None:
+        seq, sigma, branch = ham, n, "cycle-hamiltonian-exact-search"
     else:
-        seq = _absorb_ordered(d, parts, res.cycles, e)
         sigma, branch = n - 1, "cycle-nonhamiltonian"
     walk = validate_walk(d, seq, WalkKind.CYCLE)
     if walk.sigma_plus != sigma:

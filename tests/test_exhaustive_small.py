@@ -6,8 +6,10 @@ shape (3,3) through the path solver, and every digraph on up to four
 vertices that the LSD recognizer accepts, at sizes that keep the suite fast.
 Larger sweeps are not part of the suite.  Only the mfahoc solves still fail
 on the shapes (3,3) and (2,2,2): some raise InternalVerificationError in the
-one merge of mfahoc_smd, where the cycle factor is three digons with cyclic
-weak domination and no pair merges (ROADMAP, first open item).
+one merge behind every cycle certificate (ham_path_distinct_ends), where the
+cycle factor is three digons with cyclic weak domination and no pair merges
+(ROADMAP, first open item).  is_hamiltonian_smd reads its answer off
+mfahoc_smd, so it fails on the same instances.
 """
 
 from itertools import permutations, product
@@ -57,8 +59,9 @@ def all_smds(sizes):
 def _has_ham_cycle(d):
     """Whether some order of the vertices after 0 closes a directed cycle.
 
-    Checked directly rather than by the oracle: when merging stops at an
-    ordered factor, is_hamiltonian_smd itself asks the oracle."""
+    Checked directly rather than by the oracle: when the constructed
+    Hamilton path closes backward, is_hamiltonian_smd (through mfahoc_smd)
+    itself asks the oracle's subset DP."""
     return any(
         all(d.has_arc(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
         for seq in ((0, *p) for p in permutations(range(1, d.n)))

@@ -3,7 +3,8 @@
 Random instances rarely need these branches, so each gets a hand-built
 fixture: the append and swap shapes of absorption on both path ends, the
 apex reduction, the Hamiltonicity decision that merging leaves open, and
-each branch of the cycle solver, which merges its cycle factor exactly once.
+each branch of the cycle solver, which builds every certificate through the
+distinct-ends construction and merges its cycle factor exactly once.
 The merge of two cycles with no weak-domination witness is checked on seeded
 random pairs and on the instances that needed an exhaustive search before it
 was total.
@@ -198,7 +199,10 @@ def test_undecided_hamiltonicity_above_the_oracle_maximum_is_refused(
 
 # (arcs, branch, whether the merge stops at an ordered factor), one per
 # branch of mfahoc_smd; every digraph is strong, so the nonhamiltonian one
-# is decided by the subset DP
+# is decided by the subset DP.  In the last, a full-cost factor of three
+# digons merges only to an ordered factor, and absorbing it gives a
+# Hamilton path that closes forward: a Hamilton cycle found by construction,
+# with no DP
 ONE_MERGE_CASES = [
     ([(0, 2), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", False),
     ([(0, 2), (0, 3), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", True),
@@ -209,28 +213,42 @@ ONE_MERGE_CASES = [
         "cycle-hamiltonian-exact-search",
         True,
     ),
+    (
+        [(0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 0), (3, 1), (3, 4),
+         (4, 0), (4, 2), (5, 0), (5, 3)],
+        "cycle-hamiltonian-merged",
+        True,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "arcs, branch, ordered",
     ONE_MERGE_CASES,
-    ids=["below-max-merged", "below-max-ordered", "hamiltonian-merged", "nonhamiltonian", "exact-search"],
+    ids=["below-max-merged", "below-max-ordered", "hamiltonian-merged", "nonhamiltonian", "exact-search",
+         "hamiltonian-absorbed"],
 )
 def test_mfahoc_merges_the_cycle_factor_once(monkeypatch, arcs, branch, ordered):
-    merges = []
-    merge = smd_mod.irreducible_ordered_cycle_factor
+    # every branch builds its certificate through ham_path_distinct_ends,
+    # which merges once; only a full-cost factor whose path closes backward
+    # asks the subset DP
+    calls = {"ham_path_distinct_ends": [], "irreducible_ordered_cycle_factor": [],
+             "_hamilton_cycle_by_dp": []}
+    for name, seen in calls.items():
+        def counted(*args, _fn=getattr(smd_mod, name), _seen=seen):
+            _seen.append(_fn(*args))
+            return _seen[-1]
 
-    def counted(*args):
-        merges.append(merge(*args))
-        return merges[-1]
-
-    monkeypatch.setattr(smd_mod, "irreducible_ordered_cycle_factor", counted)
+        monkeypatch.setattr(smd_mod, name, counted)
     d = build_digraph(max(map(max, arcs)) + 1, arcs)
     assert is_strong(d)
     sigma, walk, got = mfahoc_smd(d, recognize_smd(d))
     assert got == branch
+    assert len(calls["ham_path_distinct_ends"]) == 1
+    merges = calls["irreducible_ordered_cycle_factor"]
     assert [isinstance(m, OrderedCycleFactor) for m in merges] == [ordered]
+    dp_runs = branch in ("cycle-nonhamiltonian", "cycle-hamiltonian-exact-search")
+    assert len(calls["_hamilton_cycle_by_dp"]) == dp_runs
     assert sigma == walk.sigma_plus == oracle_mfahoc(d).value
 
 

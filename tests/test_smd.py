@@ -446,9 +446,11 @@ def test_distinct_ends_returns_lone_path():
     assert ham_path_distinct_ends(d, parts, f) == (0, 1, 2)
 
 
+DISTINCT_ENDS_ARCS = [(0, 1), (2, 3), (3, 4), (4, 2), (0, 2), (0, 4), (1, 2), (1, 3)]
+
+
 def test_distinct_ends_hand_instance():
-    arcs = [(0, 1), (2, 3), (3, 4), (4, 2), (0, 2), (0, 4), (1, 2), (1, 3)]
-    d = build_digraph(5, arcs)
+    d = build_digraph(5, DISTINCT_ENDS_ARCS)
     parts = PartiteStructure.from_parts(5, [{0, 3}, {1, 4}, {2}])
     f = SpanningFactor((0, 1), ((2, 3, 4),), 0)
     seq = ham_path_distinct_ends(d, parts, f)
@@ -462,6 +464,29 @@ def test_distinct_ends_requires_distinct_part_ends():
     parts = recognize_smd(d)
     with pytest.raises(InputError):
         ham_path_distinct_ends(d, parts, SpanningFactor((0, 2, 1), (), 0))
+
+
+@pytest.mark.parametrize(
+    "path, cycles",
+    [
+        ((1, 0), ((2, 3, 4),)),  # 1 -> 0 is not an arc
+        ((0, 1, 2), ((2, 3, 4),)),  # the cycle shares 2 with the path
+        ((0, 5), ((2, 3, 4),)),  # an end past the last vertex
+        ((5, 0), ((2, 3, 4),)),
+        ((-1, 0), ((2, 3, 4),)),  # a negative end
+        ((0, -1), ((2, 3, 4),)),
+        ((0, -1, 1), ((2, 3, 4),)),  # a negative vertex inside the path
+        ((0, 1), ((2, 3, -1),)),  # and on a cycle
+        ((0,), ((1, 2, 3, 4),)),  # one vertex
+    ],
+    ids=["missing-arc", "shared-vertex", "end-n-last", "end-n-first", "end-minus-1-first",
+         "end-minus-1-last", "inner-minus-1", "cycle-minus-1", "one-vertex"],
+)
+def test_distinct_ends_refuses_a_bad_factor(path, cycles):
+    d = build_digraph(5, DISTINCT_ENDS_ARCS)
+    parts = PartiteStructure.from_parts(5, [{0, 3}, {1, 4}, {2}])
+    with pytest.raises(InputError):
+        ham_path_distinct_ends(d, parts, SpanningFactor(path, cycles, 0))
 
 
 def test_distinct_ends_random_property():
@@ -551,6 +576,8 @@ def test_is_hamiltonian_matches_oracle():
         assert (cyc is not None) == oracle_ham_cycle(d)
         if cyc is not None:
             assert validate_walk(d, cyc, WalkKind.CYCLE).sigma_minus == 0
+        res = mfahoc_smd(d, parts)
+        assert cyc == (res[1].seq if res is not None and res[0] == d.n else None)
 
 
 # --- cycle solver -----------------------------------------------------------
