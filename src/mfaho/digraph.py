@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 from operator import or_
 
 import numpy as np
@@ -56,17 +57,21 @@ class Digraph:
         arc_arrays=(tails, heads) gives the arcs instead as distinct intp
         index arrays ordered by tail then head, exactly as arc_arrays()
         returns them: the rows are packed from them in bulk, and they are
-        kept on the digraph.
+        kept on the digraph.  Out-row u and in-row v are rows u and n + v
+        of one packing of rows w bits wide (n rounded up to whole bytes), so
+        bit v of out-row u is flat bit u*w + v and bit u of in-row v is flat
+        bit (n + v)*w + u.  The first are in order as given; the second are
+        sorted, which is exact without a stable sort since the arcs are
+        distinct.
         """
         if arc_arrays is None:
             _set_rows(self, n, [0] * n, [0] * n, arcs)
             return
         tails, heads = arc_arrays
-        order = np.argsort(heads, kind="stable")
-        # out-rows are rows 0..n-1 and in-rows rows n..2n-1 of one packing
-        rows = _bit_rows(
-            2 * n, n, np.concatenate((tails, heads[order] + n)), np.concatenate((heads, tails[order]))
-        )
+        w = (n + 7) // 8 * 8
+        ins = heads * w + tails
+        ins.sort()
+        rows = _bit_rows(2 * n, w, np.concatenate((tails * w + heads, ins + n * w)))
         _set_rows(self, n, rows[:n], rows[n:], ())
         self._arc_arrays = arc_arrays
 
@@ -159,28 +164,28 @@ def _set_rows(d: Digraph, n: int, out: list[int], inn: list[int], arcs) -> None:
     d._parts = d._lsd = d._connected = d._components = d._arc_arrays = d._digest = None
 
 
-def _bit_rows(count: int, n: int, keys: np.ndarray, bits: np.ndarray) -> list[int]:
-    """Bitmask rows 0..count-1 in which row keys[i] holds bit bits[i] < n;
-    keys sorted.
+def _bit_rows(count: int, w: int, bits: np.ndarray) -> list[int]:
+    """Bitmask rows 0..count-1, w bits wide (w a multiple of 8), in which
+    flat bit r*w + b, for each such value in the sorted array bits, is bit
+    b of row r.
 
-    Rows are packed a block at a time from a (rows, n) bool array of at most
-    _BLOCK_BYTES (at least one row), and each block starts at the next row
-    holding a bit, so the working memory beyond the rows and the index
-    arrays is bounded independently of n.
+    Rows are packed a block at a time from a flat bool array of at most
+    _BLOCK_BYTES (at least one row), and each block starts at the row of the
+    next bit, so the working memory beyond the rows and the index arrays is
+    bounded independently of the row width.
     """
     rows = [0] * count
-    step = max(1, _BLOCK_BYTES // max(n, 1))
+    step = max(1, _BLOCK_BYTES // max(w, 1))
+    width = w // 8
     a = 0
-    while a < len(keys):
-        base = int(keys[a])
-        b = int(keys.searchsorted(base + step))
-        block = np.zeros((min(step, count - base), n), dtype=bool)
-        block[keys[a:b] - base, bits[a:b]] = True
-        packed = np.packbits(block, axis=1, bitorder="little")
-        width, buf = packed.shape[1], packed.tobytes()
-        rows[base:base + len(packed)] = [
-            int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)
-        ]
+    while a < len(bits):
+        base = int(bits[a]) // w
+        b = int(bits.searchsorted((base + step) * w))
+        block = np.zeros(min(step, count - base) * w, dtype=bool)
+        block[bits[a:b] - base * w] = True
+        # each row is width packed bytes, one void item of the packed array
+        packed = np.packbits(block, bitorder="little").view(f"V{width}").tolist()
+        rows[base:base + len(packed)] = map(int.from_bytes, packed, repeat("little"))
         a = b
     return rows
 
@@ -351,23 +356,32 @@ def validate_walk(d: Digraph, seq, kind: WalkKind) -> OrientedHamWalk:
 
     Raises NotAWalkError on the first consecutive pair that is nonadjacent in
     the underlying graph, and InputError if seq is not a permutation of V.
+    Every step is read from the out-rows once, and only a step that is not
+    forward is read again, reversed, in step order.
     """
     seq = tuple(seq)
     if sorted(seq) != list(range(d.n)):
         raise InputError("sequence is not a permutation of the vertex set")
-    n = d.n
-    steps = n if kind is WalkKind.CYCLE else n - 1
-    mask = []
-    for i in range(steps):
-        u, v = seq[i], seq[(i + 1) % n]
-        if d.has_arc(u, v):
-            mask.append(True)
-        elif d.has_arc(v, u):
-            mask.append(False)
-        else:
-            raise NotAWalkError(u, v)
-    plus = sum(mask)
-    return OrientedHamWalk(kind, seq, tuple(mask), plus, steps - plus)
+    out = d.out_mask
+    nxt = seq[1:] + seq[:1] if kind is WalkKind.CYCLE else seq[1:]
+    try:
+        forward = [True if out[u] >> v & 1 == 1 else False for u, v in zip(seq, nxt)]
+    except Exception:
+        # an entry that is not an int failed a test: test the steps again one
+        # at a time below, so that the first failing step raises
+        forward = [None] * len(nxt)
+    if not all(forward):
+        # a step that is not forward must be backward, tested in step order
+        for i, f in enumerate(forward):
+            if not f:
+                u, v = seq[i], nxt[i]
+                if f is None:
+                    f = forward[i] = True if out[u] >> v & 1 == 1 else False
+                if not f and not out[v] >> u & 1 == 1:
+                    raise NotAWalkError(u, v)
+    plus = sum(forward)
+    steps = d.n if kind is WalkKind.CYCLE else d.n - 1
+    return OrientedHamWalk(kind, seq, tuple(forward), plus, steps - plus)
 
 
 def strong_components(d: Digraph) -> ComponentDecomposition:

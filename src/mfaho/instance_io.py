@@ -9,14 +9,17 @@ Both round-trip losslessly through parse/serialize.
 A text is read in one of two ways, with the same result.  If it opens with
 a clean arc block, as serialize_instance writes it (the header on the first
 line, then the m arc lines, each two ASCII digit runs joined by one space,
-up to the first "part" line or the end), the block is checked and tokenised
-as a whole with a few bytes and numpy calls, and the digraph's rows are
-packed from the resulting arc arrays.  Any other text, and any block that
-fails a check (a comment or blank line, other whitespace, signs, a count
-that does not match the header, an endpoint out of range, a self-loop or a
-duplicate arc), is read by the line loop, which alone produces every error
-message, line number and warning.  Part lines after a clean block are also
-read by the line loop.
+up to the first "part" line or the end), the block is read in one pass over
+its bytes, the same way at every size: one bytes.translate checks its
+layout, one numpy search finds the spaces and newlines that end the
+endpoints' digit runs, and the endpoints are decoded from the runs one
+digit place at a time.  The digraph's rows are packed from the resulting
+arc arrays, which it keeps.  Any other text, and any block that fails a
+check (a comment or blank line, other whitespace, signs, a count that does
+not match the header, an endpoint out of range, a self-loop or a duplicate
+arc), is read by the line loop, which alone produces every error message,
+line number and warning.  Part lines after a clean block are also read by
+the line loop.
 
 A clean block whose header and arc lines are exactly what serialize_instance
 writes (arcs in increasing order, no leading zeros) is also hashed as read:
@@ -124,7 +127,8 @@ def _clean_arc_block(text: str):
     whose next m lines, up to the first "part" or the end, are each "u v" in
     ASCII digits with one space, ending in a newline, naming m distinct arcs
     in range and without self-loops.  That block is checked and read as a
-    whole; rest is the text from the first "part" on.  Anything else, in
+    whole, its layout by one bytes.translate and its endpoints by
+    _endpoints; rest is the text from the first "part" on.  Anything else, in
     the block or the header, gives None and is left to _read_lines, which
     owns every message and warning.  digest is the SHA-256 of the text
     before rest when that text is byte for byte what serialize_instance
@@ -140,20 +144,23 @@ def _clean_arc_block(text: str):
     n, m = int(n_text), int(m_text)
     if n > MAX_VERTICES:
         return None
-    cut = body.find("part")
+    # the block ends at the first "part"; a "p" before it leaves the block
+    # unclean anyway
+    cut = body.find("p")
     if cut < 0:
         cut = len(body)
+    elif not body.startswith("part", cut):
+        return None
     data = body[:cut].encode()
-    # without its digits, the block must read " \n" once per line
+    # without its digits, the block must read " \n" once per line, and no
+    # digit may follow the last newline
     seps = data.translate(None, b"0123456789")
-    if len(seps) != 2 * m or seps != b" \n" * m:
+    if len(seps) != 2 * m or seps != b" \n" * m or data[-1:].isdigit():
         return None
-    # and no digit run between or after them may be empty or left over
-    if data[:1] == b" " or b" \n" in data or b"\n " in data or data[-1:].isdigit():
+    values = _endpoints(data, m)
+    if values is None:
         return None
-    values = np.fromstring(data, dtype=np.intp, sep=" ")
     tails, heads = values[0::2], values[1::2]
-    # a too-long endpoint reads as the int64 maximum and fails the range check
     if np.count_nonzero(values >= n) or np.count_nonzero(tails == heads):
         return None
     keys = tails * n + heads
@@ -163,7 +170,7 @@ def _clean_arc_block(text: str):
         if np.count_nonzero(keys[1:] == keys[:-1]):
             return None
         tails, heads = np.divmod(keys, n)
-    elif newline and head == f"{n} {m}" and len(data) == 2 * len(values) + sum(
+    elif newline and head == f"{n} {m}" and len(data) == 4 * m + sum(
         np.count_nonzero(values >= 10**k) for k in range(1, len(n_text))
     ):
         # strictly increasing arcs and no leading zero (each endpoint has as
@@ -173,6 +180,49 @@ def _clean_arc_block(text: str):
         sha.update(data)
         digest = sha.hexdigest()
     return n, tails, heads, body[cut:], digest
+
+
+def _endpoints(data: bytes, m: int):
+    """The 2m endpoints of an arc block, in text order, as one intp array.
+
+    data holds only ASCII digits, spaces and newlines, reads " \n" m times
+    without its digits and, unless empty, ends in a newline.  Each endpoint
+    is the digit run that ends just before a space or newline.  None if a
+    run is empty, or longer than 18 digits, which an int64 may not hold.
+
+    One pass over the bytes finds the last digit of every run.  The runs
+    are then read right to left, one digit place at a time for all of them
+    at once, and the places are summed from the most significant down.
+    That is one gather per digit of the longest run: len(str(n - 1)) on
+    canonical text.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # spaces and newlines are the only bytes below "0": the last digit of
+    # each run is a digit followed by one
+    at = ((buf[:-1] >= 48) & (buf[1:] < 48)).nonzero()[0]
+    if len(at) != 2 * m:
+        return None
+    places = [buf[at] - 48]
+    left = len(data) - 4 * m  # the digits not yet read
+    live = True  # every run has a last digit
+    while left > 0:
+        if len(places) == 18:
+            return None
+        # a run has a digit at the next place to the left if it had one at
+        # every place so far and the byte there is a digit: a space or
+        # newline wraps above 9, and the first run, wrapping round to the
+        # end of data, meets the final newline
+        at -= 1
+        digits = buf[at] - 48
+        live &= digits < 10
+        left -= np.count_nonzero(live)
+        digits *= live
+        places.append(digits)
+    values = places.pop().astype(np.intp)
+    for digits in reversed(places):
+        values *= 10
+        values += digits
+    return values
 
 
 def _read_lines(text: str, first: int = 1, header: tuple[int, int] | None = None):

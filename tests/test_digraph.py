@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,63 @@ def test_validate_walk_rejects_non_permutation():
     d = build_digraph(3, TRIANGLE)
     with pytest.raises(InputError):
         validate_walk(d, (0, 1, 1), WalkKind.PATH)
+
+
+def walk_step_by_step(d, seq, kind):
+    """validate_walk as one test per step, in order: the reference."""
+    seq = tuple(seq)
+    if sorted(seq) != list(range(d.n)):
+        raise InputError("sequence is not a permutation of the vertex set")
+    n = d.n
+    steps = n if kind is WalkKind.CYCLE else n - 1
+    mask = []
+    for i in range(steps):
+        u, v = seq[i], seq[(i + 1) % n]
+        if d.has_arc(u, v):
+            mask.append(True)
+        elif d.has_arc(v, u):
+            mask.append(False)
+        else:
+            raise NotAWalkError(u, v)
+    return kind, seq, tuple(mask), sum(mask), steps - sum(mask)
+
+
+def walk_outcome(validate, d, seq, kind):
+    try:
+        w = validate(d, seq, kind)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc), getattr(exc, "pair", None)
+    if not isinstance(w, tuple):
+        w = (w.kind, w.seq, w.forward_mask, w.sigma_plus, w.sigma_minus)
+    return (*w, tuple(map(type, w[2])), type(w[3]))
+
+
+# an int's value as another type; bool only for 0 and 1
+ENTRY_TYPES = [float, Fraction, np.int64, np.uint8, lambda v: v == 1 if v < 2 else v]
+
+
+def test_validate_walk_matches_a_step_by_step_walk():
+    # entries that equal ints without being ints (floats, fractions, numpy
+    # integers, which overflow against rows of 64 bits or more) pass the
+    # permutation check and must fail at the same step, with the same error
+    rng = random.Random(97)
+    seen = Counter()
+    for _ in range(2500):
+        n = rng.choice([0, 1, 2, 3, 5, 8, 20, 64, 70])
+        p = rng.random()
+        d = build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+        seq = rng.sample(range(n), n)
+        for _ in range(rng.choice([0, 0, 1, 3])):
+            if n:
+                i = rng.randrange(n)
+                seq[i] = rng.choice(ENTRY_TYPES)(int(seq[i]))
+        if n and rng.random() < 0.05:
+            seq[0] = n
+        for kind in WalkKind:
+            got = walk_outcome(validate_walk, d, seq, kind)
+            assert got == walk_outcome(walk_step_by_step, d, seq, kind), (n, seq, kind)
+            seen[got[0] if isinstance(got[0], type) else "walk"] += 1
+    assert seen.keys() == {"walk", NotAWalkError, InputError, TypeError, OverflowError}, seen
 
 
 def test_2connected_triangle():

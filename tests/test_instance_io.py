@@ -184,6 +184,99 @@ def test_rows_packed_across_blocks_match_the_loop(monkeypatch):
     assert parse_instance(text).digraph == d
 
 
+@pytest.mark.parametrize("endpoint", [
+    "9" * 18,  # the longest run decoded, out of range
+    "1" * 19,  # one digit more is left to the loop
+    "0" * 17 + "3",  # 18 digits, in range once the zeros are read
+    "0" * 18 + "3",
+])
+def test_long_endpoints_read_alike(endpoint, monkeypatch):
+    decodes = len(endpoint) <= 18
+    for lines in (["0 1", f"2 {endpoint}"], [f"{endpoint} 4", "4 1"]):
+        block = "".join(line + "\n" for line in lines).encode()
+        values = instance_io._endpoints(block, 2)
+        assert (values is not None) == decodes
+        if decodes:
+            assert values.tolist() == [int(v) for line in lines for v in line.split()]
+        text = "5 2\n" + block.decode()
+        assert (instance_io._clean_arc_block(text) is not None) == (decodes and int(endpoint) < 5)
+        assert outcome(text) == loop_outcome(text, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 10, 100, 1000])
+def test_an_endpoint_equal_to_n_reads_alike(n, monkeypatch):
+    for text in (f"{n} 2\n0 1\n1 {n}\n", f"{n} 2\n{n} 0\n0 1\n", f"{n} 1\n{n - 1} {n}\n"):
+        assert instance_io._clean_arc_block(text) is None
+        got = outcome(text)
+        assert got == loop_outcome(text, monkeypatch)
+        assert got[0] == "error" and "out of range" in got[1]
+
+
+@pytest.mark.parametrize("lines", [
+    ["0 01", "1 002", "10 0", "10 9"],  # sorted
+    ["10 9", "0 01", "010 0", "1 002"],  # unsorted
+])
+def test_leading_zero_endpoints_read_in_bulk_without_a_digest(lines, monkeypatch):
+    text = "11 4\n" + "".join(line + "\n" for line in lines)
+    block = instance_io._clean_arc_block(text)
+    assert block is not None and block[4] is None
+    assert outcome(text) == loop_outcome(text, monkeypatch)
+    d = parse_instance(text).digraph
+    assert d.arcs == {(0, 1), (1, 2), (10, 0), (10, 9)}
+    canonical = serialize_instance(d)
+    assert canonical == "11 4\n0 1\n1 2\n10 0\n10 9\n"
+    assert harness.instance_digest(d) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("header", ["03 2", "3 02", "003 002"])
+def test_a_header_with_leading_zeros_reads_in_bulk_without_a_digest(header, monkeypatch):
+    text = header + "\n0 1\n1 2\n"
+    block = instance_io._clean_arc_block(text)
+    assert block is not None and block[4] is None
+    assert outcome(text) == loop_outcome(text, monkeypatch)
+    d = parse_instance(text).digraph
+    assert harness.instance_digest(d) == hashlib.sha256(b"3 2\n0 1\n1 2\n").hexdigest()
+
+
+@pytest.mark.parametrize("text", ["3 0\n7", "3 0\n12", "0 0\n0", "3 1\n0 1\n2"])
+def test_digits_after_the_last_newline_read_alike(text, monkeypatch):
+    assert instance_io._clean_arc_block(text) is None
+    assert outcome(text) == loop_outcome(text, monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    "3 1\n0 1\np\npart 0 1 2\n",
+    "3 1\n0 1\npar 0 1 2\npart 0 1 2\n",
+    "3 1\n0 p\npart 0 1 2\n",
+    "3 1\n0 1\n# p\npart 0 1 2\n",
+    "3 1\n0 1\npart 0 1 2\np\n",
+])
+def test_a_p_before_or_after_the_first_part_line_reads_alike(text, monkeypatch):
+    # the block ends at the first "p", which must open a part line
+    in_bulk = text.startswith("3 1\n0 1\npart")
+    assert (instance_io._clean_arc_block(text) is not None) == in_bulk
+    assert outcome(text) == loop_outcome(text, monkeypatch)
+
+
+@pytest.mark.parametrize("block_bytes", ["one row", 1 << 16])
+def test_many_arcs_into_one_head_pack_alike(block_bytes, monkeypatch):
+    # the in-row of vertex 7 holds almost every bit of the in-row half, in
+    # one block of its own, or in a block shared with neighbouring rows
+    n = 1500
+    width = -(-n // 8) * 8
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", width if block_bytes == "one row" else block_bytes)
+    rng = random.Random(13)
+    arcs = {(v, 7) for v in range(n) if v != 7}
+    arcs |= {(7, v) for v in rng.sample(range(n), 40) if v != 7}
+    arcs |= {(u, v) for u, v in ((rng.randrange(n), rng.randrange(n)) for _ in range(300)) if u != v}
+    d = build_digraph(n, arcs)
+    text = serialize_instance(d)
+    assert instance_io._clean_arc_block(text) is not None
+    assert outcome(text) == loop_outcome(text, monkeypatch)
+    parsed = parse_instance(text).digraph
+    assert parsed == d and parsed.in_mask[7] == sum(1 << v for v in range(n) if v != 7)
+
+
 def test_parse_memory_does_not_grow_with_n_squared():
     # n*n bits would be 1.25 GB; the rows themselves are three tuples of n
     # references plus a few 12.5 kB ints
