@@ -59,15 +59,11 @@ from .oracle import (
 from .smd import (
     OrderedCycleFactor,
     ham_path_distinct_ends,
-    has_ham_oriented_cycle_smd,
-    has_ham_oriented_path_smd,
     hc_majority,
     hp_majority,
     irreducible_ordered_cycle_factor,
-    is_hamiltonian_smd,
     mfahoc_smd,
     mfahop_smd,
-    weakly_dominates,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from operator import or_
 
 import numpy as np
 
-from .errors import InputError, NotAWalkError
+from .errors import InputError, InternalVerificationError, NotAWalkError
 
 _bit = (1).__lshift__
 
@@ -382,6 +382,27 @@ def validate_walk(d: Digraph, seq, kind: WalkKind) -> OrientedHamWalk:
     plus = sum(forward)
     steps = d.n if kind is WalkKind.CYCLE else d.n - 1
     return OrientedHamWalk(kind, seq, tuple(forward), plus, steps - plus)
+
+
+def _certified_walk(d: Digraph, seq, kind: WalkKind, sigma: int) -> OrientedHamWalk:
+    """The walk of a solver's certificate seq, the one check a solver makes.
+
+    seq must be a Hamilton walk of d with sigma forward steps; anything else
+    is a solver fault, so it raises InternalVerificationError, never an
+    InputError.
+    """
+    try:
+        walk = validate_walk(d, seq, kind)
+    except InputError as exc:
+        raise InternalVerificationError(
+            f"{kind.value} certificate is not a Hamilton walk: {exc}"
+        ) from exc
+    if walk.sigma_plus != sigma:
+        raise InternalVerificationError(
+            f"{kind.value} certificate has {walk.sigma_plus} forward and "
+            f"{walk.sigma_minus} backward steps, expected {sigma} forward"
+        )
+    return walk
 
 
 def strong_components(d: Digraph) -> ComponentDecomposition:

@@ -2,9 +2,11 @@
 
 solve classifies its input once and makes one solver call per problem and
 class (both cycle solvers, which must agree, for a digraph in both); the
-solvers' own guards read the facts recognition stored.  Every certificate is
+solvers' own guards read the facts recognition stored.  Each solver checks
+its certificate once; solve then runs verify_report, the check that
+`mfaho verify` runs, on the report it built, so every certificate is
 re-validated from scratch against the input before the report leaves this
-module; a mismatch is an internal error, never a reportable result.
+module.  A mismatch there is an internal error, never a reportable result.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def solve(
         branch=branch,
         elapsed_ms=elapsed,
     )
-    problems = verify_certificate(d, report)
+    problems = verify_report(d, report)
     if problems:
         raise InternalVerificationError(
             "solver emitted an invalid certificate: " + "; ".join(problems)
@@ -198,36 +200,31 @@ def solve(
 
 def verify_report(d: Digraph, report: SolveReport) -> list[str]:
     """Check the report's digest against d, then its certificate from scratch;
-    returns failure descriptions, and an empty list means the report verifies."""
-    problems: list[str] = []
-    if report.digest != instance_digest(d):
-        problems.append("digest does not match the instance")
-    return problems + verify_certificate(d, report)
-
-
-def verify_certificate(d: Digraph, report: SolveReport) -> list[str]:
-    """Recompute the certificate from scratch; returns failure descriptions.
+    returns failure descriptions, and an empty list means the report verifies.
 
     Nothing from the solvers is reused: the forward mask and sigma are
-    rebuilt from the walk alone.  The digest is not looked at, so solve(),
-    which has just computed it, runs this part of verify_report alone.
+    rebuilt from the walk alone.  The digest is the one kept on d, computed
+    only when d has none, so in solve(), which has just computed it, its
+    check is a comparison.
     """
+    problems: list[str] = []
+    if report.digest != (d._digest or instance_digest(d)):
+        problems.append("digest does not match the instance")
     if report.status == "none":
         if report.walk is not None or report.forward_mask is not None:
-            return ["a 'none' report must not carry a walk"]
-        if report.sigma not in (None, 0):
-            return [f"a 'none' report must have sigma null or 0, not {report.sigma}"]
-        return []
+            problems.append("a 'none' report must not carry a walk")
+        elif report.sigma not in (None, 0):
+            problems.append(f"a 'none' report must have sigma null or 0, not {report.sigma}")
+        return problems
     if report.walk is None or report.sigma is None:
-        return ["an 'ok' report needs a walk and a sigma"]
+        return problems + ["an 'ok' report needs a walk and a sigma"]
     kind = WalkKind.CYCLE if report.problem == "mfahoc" else WalkKind.PATH
     try:
         walk = validate_walk(d, tuple(report.walk), kind)
     except NotAWalkError as exc:
-        return [f"walk is invalid: consecutive nonadjacent pair {exc.pair}"]
+        return problems + [f"walk is invalid: consecutive nonadjacent pair {exc.pair}"]
     except InputError as exc:
-        return [f"walk is invalid: {exc}"]
-    problems: list[str] = []
+        return problems + [f"walk is invalid: {exc}"]
     if walk.sigma_plus != report.sigma:
         problems.append(
             f"sigma mismatch: walk has {walk.sigma_plus} forward arcs, "

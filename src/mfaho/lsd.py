@@ -22,6 +22,7 @@ from .digraph import (
     ComponentDecomposition,
     Digraph,
     WalkKind,
+    _certified_walk,
     _mask_of,
     _out_of,
     _reach_mask,
@@ -32,7 +33,6 @@ from .digraph import (
     strong_components,
     underlying_is_2connected,
     underlying_is_connected,
-    validate_walk,
 )
 from .errors import InputError, InternalVerificationError, StrongDigraphError
 
@@ -61,7 +61,11 @@ def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:
 
 
 def ham_path_lsd(d: Digraph) -> tuple[int, ...]:
-    """Hamilton path of a connected LSD: per-component cycles, concatenated."""
+    """Hamilton path of a connected LSD: per-component cycles, concatenated.
+
+    The path is not walked here; mfahop_lsd, the caller, checks it as its
+    certificate.
+    """
     if d.n == 0:
         raise InputError("a Hamilton path needs at least 1 vertex, the digraph has 0")
     if not recognize_lsd(d):
@@ -72,11 +76,7 @@ def ham_path_lsd(d: Digraph) -> tuple[int, ...]:
         return (0,)
     if is_strong(d):
         return ham_cycle_strong_lsd(d)
-    seq = _component_path(d, strong_components(d).components)
-    walk = validate_walk(d, seq, WalkKind.PATH)
-    if walk.sigma_minus:
-        raise InternalVerificationError("component concatenation used a missing arc")
-    return seq
+    return _component_path(d, strong_components(d).components)
 
 
 def mfahop_lsd(d: Digraph):
@@ -86,10 +86,8 @@ def mfahop_lsd(d: Digraph):
         raise InputError("digraph is not locally semicomplete")
     if not underlying_is_connected(d):
         return None
-    walk = validate_walk(d, ham_path_lsd(d), WalkKind.PATH)
-    if walk.sigma_minus:
-        raise InternalVerificationError("Hamilton path certificate has a backward step")
-    return d.n - 1, walk, "lsd-path"
+    sigma = d.n - 1
+    return sigma, _certified_walk(d, ham_path_lsd(d), WalkKind.PATH, sigma), "lsd-path"
 
 
 def _component_path(d, comps, first_vertex=None, last_vertex=None) -> tuple[int, ...]:
@@ -223,10 +221,7 @@ def mfahoc_lsd(d: Digraph):
     if not underlying_is_connected(d):
         raise InputError("digraph is disconnected")
     if is_strong(d):
-        seq = ham_cycle_strong_lsd(d)
-        walk = validate_walk(d, seq, WalkKind.CYCLE)
-        if walk.sigma_minus:
-            raise InternalVerificationError("strong-case cycle has a backward step")
+        walk = _certified_walk(d, ham_cycle_strong_lsd(d), WalkKind.CYCLE, d.n)
         return d.n, walk, "lsd-strong"
     if not underlying_is_2connected(d):
         return None
@@ -244,12 +239,8 @@ def mfahoc_lsd(d: Digraph):
     if q[0] != p[0] or q[-1] != p[-1]:
         raise InternalVerificationError("forward path misses the anchor vertices")
     seq = tuple(q) + tuple(p[i] for i in range(dist - 1, 0, -1))
-    walk = validate_walk(d, seq, WalkKind.CYCLE)
     sigma = d.n - dist
-    if walk.sigma_plus != sigma:
-        raise InternalVerificationError(
-            f"certificate has {walk.sigma_plus} forward arcs, expected {sigma}"
-        )
+    walk = _certified_walk(d, seq, WalkKind.CYCLE, sigma)
     backward_steps = {
         step for step, fwd_flag in zip(walk.steps(), walk.forward_mask) if not fwd_flag
     }

@@ -19,8 +19,9 @@ failing that the path comes from merging with a universal apex vertex.  No
 step depends on the size of the input except one: when a full-cost cycle
 factor yields a path that closes backward, _hamilton_cycle_by_dp decides
 Hamiltonicity by the subset DP of oracle_mfahoc, which refuses n above
-MAX_WALK_VERTICES.  Solver outputs are always re-validated before being
-returned.
+MAX_WALK_VERTICES.  Each solver walks its certificate once, through
+_certified_walk, which checks it against d and the optimum; no step inside
+the construction walks it again.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .digraph import (
     Digraph,
     PartiteStructure,
     WalkKind,
+    _certified_walk,
     _mask_bits,
     _mask_of,
     is_strong,
     recognize_smd,
-    validate_walk,
 )
 from .errors import InputError, InternalVerificationError
 from .factor_flow import (
@@ -76,18 +77,6 @@ def check_smd(d: Digraph, parts: PartiteStructure) -> None:
         raise InputError("parts are not the partite sets of the digraph")
 
 
-def has_ham_oriented_path_smd(d: Digraph, parts: PartiteStructure) -> bool:
-    check_smd(d, parts)
-    return hp_majority(parts.sizes)
-
-
-def has_ham_oriented_cycle_smd(d: Digraph, parts: PartiteStructure) -> bool:
-    check_smd(d, parts)
-    if d.n < 3:
-        raise InputError("Hamilton oriented cycles need at least 3 vertices")
-    return hc_majority(parts.sizes)
-
-
 def _check_cycle(d: Digraph, cyc: tuple[int, ...]) -> None:
     if len(cyc) < 2 or len(set(cyc)) != len(cyc):
         raise InputError(f"not a simple cycle: {cyc}")
@@ -99,31 +88,17 @@ def _check_cycle(d: Digraph, cyc: tuple[int, ...]) -> None:
             raise InputError(f"cycle {cyc} uses missing arc ({u}, {v})")
 
 
-def weakly_dominates(
-    d: Digraph, parts: PartiteStructure, c1, c2
-) -> int | None:
-    """Witness part index for c1 weakly dominating c2, or None.
-
-    Every arc from c2 to c1 must have the tail's successor (on c2) and the
-    head's predecessor (on c1) in one common partite set.  With no arc from
-    c2 to c1 the condition holds vacuously and index 0 is returned.
-    """
-    c1 = tuple(c1)
-    c2 = tuple(c2)
-    _check_cycle(d, c1)
-    _check_cycle(d, c2)
-    if set(c1) & set(c2):
-        raise InputError("cycles overlap")
-    w = _witness(d, parts, c1, c2)
-    return None if w < 0 else w
-
-
 def _witness(d: Digraph, parts: PartiteStructure, c1, c2) -> int:
-    """The witness for c1 weakly dominating c2 as weakly_dominates defines
-    it, for disjoint cycles of d: -1 when there is none, 0 when no arc runs
-    from c2 to c1.  Each u on c2 with arcs into c1 (its hits) fixes
-    a = part(successor of u), and every hit must have its predecessor on c1
-    in part a; that is O(|c1| + |c2|) operations on n-bit masks.
+    """The witness part index for c1 weakly dominating c2, disjoint cycles
+    of d, or -1 when there is none.
+
+    c1 weakly dominates c2 when every arc from c2 to c1 has the tail's
+    successor (on c2) and the head's predecessor (on c1) in one common
+    partite set, the witness; with no arc from c2 to c1 the condition holds
+    vacuously and the witness is 0.  Each u on c2 with arcs into c1 (its
+    hits) fixes a = part(successor of u), and every hit must have its
+    predecessor on c1 in part a; that is O(|c1| + |c2|) operations on n-bit
+    masks.
     """
     part = parts.part_index
     on_c1 = _mask_of(c1)
@@ -348,7 +323,8 @@ def ham_path_distinct_ends(
     Hamilton cycle is opened at the added arc if it kept it, else before its
     smallest vertex; an ordered factor is opened at that arc and absorbed
     by _absorb_ordered.  This is the one construction behind every cycle
-    certificate of mfahoc_smd.
+    certificate of mfahoc_smd.  Only the ends' partite sets are checked
+    here; the caller checks the path, as a walk of its certificate.
     """
     path = tuple(factor.path or ())
     if len(path) < 2 or not (0 <= path[0] < d.n and 0 <= path[-1] < d.n):
@@ -361,11 +337,14 @@ def ham_path_distinct_ends(
     cyc_factor = SpanningFactor(None, tuple(factor.cycles) + (path,), 0)
     res = irreducible_ordered_cycle_factor(d2, parts, cyc_factor)
     if isinstance(res, OrderedCycleFactor):
-        return _absorb_ordered(d, parts, res.cycles, (pl, p1))
-    # open at the added arc if it was kept; else every step is a d-arc and
-    # the cycle breaks before its smallest vertex
-    seq = added and _opened_at(res, pl, p1) or _rotate(res, min(res))
-    return _finish_path(d, parts, seq)
+        seq = _absorb_ordered(d, parts, res.cycles, (pl, p1))
+    else:
+        # open at the added arc if it was kept; else every step is a d-arc
+        # and the cycle breaks before its smallest vertex
+        seq = added and _opened_at(res, pl, p1) or _rotate(res, min(res))
+    if parts.same_part(seq[0], seq[-1]):
+        raise InternalVerificationError("assembled path endpoints share a partite set")
+    return seq
 
 
 def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...]:
@@ -380,16 +359,7 @@ def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...]:
         cur = _absorb_after(d, parts, cur, cycles[k])
     for k in range(r - 1, -1, -1):
         cur = _absorb_before(d, parts, cur, cycles[k])
-    return _finish_path(d, parts, tuple(cur))
-
-
-def _finish_path(d, parts, seq: tuple[int, ...]) -> tuple[int, ...]:
-    walk = validate_walk(d, seq, WalkKind.PATH)
-    if walk.sigma_minus:
-        raise InternalVerificationError("assembled path contains a backward step")
-    if parts.same_part(seq[0], seq[-1]):
-        raise InternalVerificationError("assembled path endpoints share a partite set")
-    return seq
+    return tuple(cur)
 
 
 def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int]:
@@ -519,19 +489,7 @@ def mfahop_smd(d: Digraph, parts: PartiteStructure):
     sigma = factor.cost
     df = d.with_arcs(factor.arcs())
     seq = _assemble_ham_path(df, parts, factor)
-    walk = validate_walk(d, seq, WalkKind.PATH)
-    if walk.sigma_plus != sigma:
-        raise InternalVerificationError(
-            f"path certificate has {walk.sigma_plus} forward arcs, expected {sigma}"
-        )
-    return sigma, walk, "path-factor"
-
-
-def is_hamiltonian_smd(d: Digraph, parts: PartiteStructure):
-    """A directed Hamilton cycle of d, or None: the certificate of
-    mfahoc_smd when its optimum is n, a cycle with no backward step."""
-    res = mfahoc_smd(d, parts)
-    return res[1].seq if res is not None and res[0] == d.n else None
+    return sigma, _certified_walk(d, seq, WalkKind.PATH, sigma), "path-factor"
 
 
 def _hamilton_cycle_by_dp(d):
@@ -572,7 +530,11 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
     and is the certificate.  With Z empty it is a Hamilton cycle of d when
     its closing step is an arc of d (merged, whether by the merge or by
     absorption), and otherwise _hamilton_cycle_by_dp decides between a
-    Hamilton cycle (exact-search) and n - 1.
+    Hamilton cycle (exact-search) and n - 1.  The path is not walked on its
+    own; the cycle's one walk checks it.  With Z empty a backward step on
+    the path leaves fewer than sigma forward steps; with Z nonempty any
+    cycle with c_max forward steps is optimal; and ends in one partite set
+    make the closing step nonadjacent.
     """
     check_smd(d, parts)
     if d.n < 3:
@@ -601,9 +563,4 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
         seq, sigma, branch = ham, n, "cycle-hamiltonian-exact-search"
     else:
         sigma, branch = n - 1, "cycle-nonhamiltonian"
-    walk = validate_walk(d, seq, WalkKind.CYCLE)
-    if walk.sigma_plus != sigma:
-        raise InternalVerificationError(
-            f"cycle certificate has {walk.sigma_plus} forward arcs, expected {sigma}"
-        )
-    return sigma, walk, branch
+    return sigma, _certified_walk(d, seq, WalkKind.CYCLE, sigma), branch

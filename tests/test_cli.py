@@ -5,9 +5,12 @@ import sys
 
 import pytest
 
+import mfaho.digraph as digraph_mod
+import mfaho.lsd as lsd_mod
+import mfaho.smd as smd_mod
 from mfaho.cli import build_parser, main
-from mfaho.digraph import PartiteStructure, build_digraph
-from mfaho.errors import InputError, InternalVerificationError
+from mfaho.digraph import PartiteStructure, WalkKind, build_digraph, validate_walk
+from mfaho.errors import InputError, InternalVerificationError, NotAWalkError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.harness import SolveReport, classify, solve, verify_report
 from mfaho.instance_io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
@@ -279,6 +282,85 @@ def test_cli_verify_fail_exits_4(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(inst), str(rep))
     assert code == 4
     assert json.loads(out)["verified"] is False
+
+
+def _nonadjacent_first(d):
+    """A vertex order of d whose first two vertices are nonadjacent."""
+    u, w = next((u, w) for u in range(d.n) for w in range(u + 1, d.n) if not d.adjacent(u, w))
+    return (u, w, *(v for v in range(d.n) if v not in (u, w)))
+
+
+@pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
+def test_a_solver_fault_is_an_internal_error_and_exits_4(tmp_path, capsys, monkeypatch, problem):
+    # a builder that puts two nonadjacent vertices next to each other: an
+    # acyclic SMD's cycle (two same-part vertices) and a non-strong LSD's
+    # path; the solver's certificate check reports a fault, not bad input
+    if problem == "mfahoc":
+        d = gen_smd((3, 2, 2), seed=5, digon_prob=0.0, bias=1.0)[0]
+        module, builder, kind = smd_mod, "ham_path_distinct_ends", WalkKind.CYCLE
+    else:
+        d = gen_lsd_nonstrong((4, 5, 3, 4), 1, reach_prob=0.2)
+        module, builder, kind = lsd_mod, "_component_path", WalkKind.PATH
+    monkeypatch.setattr(module, builder, lambda d, *args: _nonadjacent_first(d))
+    with pytest.raises(NotAWalkError):
+        validate_walk(d, _nonadjacent_first(d), kind)
+    with pytest.raises(InternalVerificationError, match="not a Hamilton walk"):
+        solve(d, problem)
+    inst = tmp_path / "i.dg"
+    inst.write_text(serialize_instance(d))
+    code, out, err = run_cli(capsys, "solve", str(inst), "--problem", problem)
+    assert (code, out) == (4, "")
+    assert "internal verification failure" in err
+
+
+def count_certificate_walks(monkeypatch):
+    """The kinds of the validate_walk calls made, patched wherever mfaho binds it."""
+    kinds = []
+    original = digraph_mod.validate_walk
+
+    def counted(d, seq, kind):
+        kinds.append(kind)
+        return original(d, seq, kind)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mfaho" and getattr(module, "validate_walk", None) is original:
+            monkeypatch.setattr(module, "validate_walk", counted)
+    return kinds
+
+
+WALK_COUNT_INSTANCES = {
+    "smd": lambda: gen_smd((3, 2, 2), seed=5)[0],
+    "strong-lsd": lambda: gen_lsd_strong(40, 3, spread=4),
+    "nonstrong-lsd": lambda: gen_lsd_nonstrong((4, 5, 3, 4), 1, reach_prob=0.2),
+    # the rotational tournament on 5 vertices: semicomplete, so class both
+    "tournament": lambda: build_digraph(5, [(i, (i + k) % 5) for i in range(5) for k in (1, 2)]),
+}
+
+
+@pytest.mark.parametrize(
+    "instance, problem, detected, walks",
+    [
+        ("smd", "mfahoc", "smd", 2),
+        ("smd", "mfahop", "smd", 2),
+        ("strong-lsd", "mfahoc", "lsd", 2),
+        ("strong-lsd", "mfahop", "lsd", 2),
+        ("nonstrong-lsd", "mfahoc", "lsd", 2),
+        ("nonstrong-lsd", "mfahop", "lsd", 2),
+        ("tournament", "mfahoc", "both", 3),
+        ("tournament", "mfahop", "both", 2),
+    ],
+)
+def test_solve_walks_each_certificate_once_per_solver_and_once_to_verify(
+    monkeypatch, instance, problem, detected, walks
+):
+    # each solver call walks its certificate once and verify_report once
+    # more; class both runs both cycle solvers
+    d = WALK_COUNT_INSTANCES[instance]()
+    kinds = count_certificate_walks(monkeypatch)
+    report = solve(d, problem)
+    assert (report.detected_class, report.status) == (detected, "ok")
+    kind = WalkKind.CYCLE if problem == "mfahoc" else WalkKind.PATH
+    assert kinds == [kind] * walks
 
 
 # Runs `main` in a child process capped at 4 GB of address space, so a parser

@@ -8,8 +8,9 @@ Larger sweeps are not part of the suite.  Only the mfahoc solves still fail
 on the shapes (3,3) and (2,2,2): some raise InternalVerificationError in the
 one merge behind every cycle certificate (ham_path_distinct_ends), where the
 cycle factor is three digons with cyclic weak domination and no pair merges
-(ROADMAP, first open item).  is_hamiltonian_smd reads its answer off
-mfahoc_smd, so it fails on the same instances.
+(ROADMAP, first open item).  Hamiltonicity is read off mfahoc_smd, an
+optimum of n with its walk as the directed Hamilton cycle, so it is not
+decided on those instances either.
 """
 
 from itertools import permutations, product
@@ -27,7 +28,7 @@ from mfaho.digraph import (
 )
 from mfaho.lsd import ham_path_lsd, mfahoc_lsd
 from mfaho.oracle import oracle_mfahoc, oracle_mfahop
-from mfaho.smd import is_hamiltonian_smd, mfahoc_smd, mfahop_smd
+from mfaho.smd import mfahoc_smd, mfahop_smd
 
 
 def all_smds(sizes):
@@ -60,8 +61,8 @@ def _has_ham_cycle(d):
     """Whether some order of the vertices after 0 closes a directed cycle.
 
     Checked directly rather than by the oracle: when the constructed
-    Hamilton path closes backward, is_hamiltonian_smd (through mfahoc_smd)
-    itself asks the oracle's subset DP."""
+    Hamilton path closes backward, mfahoc_smd itself asks the oracle's
+    subset DP."""
     return any(
         all(d.has_arc(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
         for seq in ((0, *p) for p in permutations(range(1, d.n)))
@@ -81,7 +82,7 @@ def test_every_small_smd_matches_the_oracle():
                 res = mfahoc_smd(d, parts)
                 got = None if res is None else res[0]
                 assert got == oracle_mfahoc(d).value, (sizes, sorted(d.arcs))
-                ham = is_hamiltonian_smd(d, parts)
+                ham = res[1].seq if res is not None and res[0] == d.n else None
                 assert (ham is not None) == _has_ham_cycle(d), (sizes, sorted(d.arcs))
                 if ham is not None:
                     assert validate_walk(d, ham, WalkKind.CYCLE).sigma_minus == 0

@@ -28,15 +28,11 @@ from mfaho.smd import (
     _merge_pair,
     _witness,
     ham_path_distinct_ends,
-    has_ham_oriented_cycle_smd,
-    has_ham_oriented_path_smd,
     hc_majority,
     hp_majority,
     irreducible_ordered_cycle_factor,
-    is_hamiltonian_smd,
     mfahoc_smd,
     mfahop_smd,
-    weakly_dominates,
 )
 
 from conftest import EXCEPTIONAL_ARCS, figure_cycles_digraph, random_cycles_smd
@@ -52,20 +48,21 @@ def test_majority_inequalities():
 
 
 def test_existence_tests_delegate():
+    # the solvers answer None exactly when the majority inequality fails
     tri = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
     parts = recognize_smd(tri)
-    assert has_ham_oriented_cycle_smd(tri, parts)
+    assert hc_majority(parts.sizes) and mfahoc_smd(tri, parts) is not None
     d = build_digraph(3, [(0, 2), (1, 2)])  # parts {0,1}, {2}
     parts = recognize_smd(d)
-    assert not has_ham_oriented_cycle_smd(d, parts)
-    assert has_ham_oriented_path_smd(d, parts)
+    assert not hc_majority(parts.sizes) and mfahoc_smd(d, parts) is None
+    assert hp_majority(parts.sizes) and mfahop_smd(d, parts) is not None
 
 
 def test_existence_tests_reject_wrong_parts():
     tri = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
     bad = PartiteStructure.from_parts(3, [{0, 1}, {2}])
     with pytest.raises(InputError):
-        has_ham_oriented_path_smd(tri, bad)
+        mfahop_smd(tri, bad)
 
 
 def test_existence_matches_underlying_hamiltonicity():
@@ -75,12 +72,12 @@ def test_existence_matches_underlying_hamiltonicity():
         d, parts = gen_smd(sizes, seed=rng.randrange(10**6))
         if d.n < 3:
             continue
-        assert has_ham_oriented_cycle_smd(d, parts) == (
-            oracle_mfahoc(d).value is not None
-        )
-        assert has_ham_oriented_path_smd(d, parts) == (
-            oracle_mfahop(d).value is not None
-        )
+        has_cycle = oracle_mfahoc(d).value is not None
+        assert hc_majority(parts.sizes) == has_cycle
+        assert (mfahoc_smd(d, parts) is not None) == has_cycle
+        has_path = oracle_mfahop(d).value is not None
+        assert hp_majority(parts.sizes) == has_path
+        assert (mfahop_smd(d, parts) is not None) == has_path
 
 
 # --- weak domination -------------------------------------------------------
@@ -88,29 +85,23 @@ def test_existence_matches_underlying_hamiltonicity():
 
 def test_weak_domination_figure_first_pair():
     d, parts, c1, c2, c3 = figure_cycles_digraph()
-    assert weakly_dominates(d, parts, c1, c2) == 0  # the {0,4,6} part
+    assert _witness(d, parts, c1, c2) == 0  # the {0,4,6} part
 
 
 def test_weak_domination_figure_second_pair():
     d, parts, c1, c2, c3 = figure_cycles_digraph()
-    assert weakly_dominates(d, parts, c2, c3) == 2  # the {2,3,5,8} part
+    assert _witness(d, parts, c2, c3) == 2  # the {2,3,5,8} part
 
 
 def test_weak_domination_figure_vacuous_pair():
     d, parts, c1, c2, c3 = figure_cycles_digraph()
-    assert weakly_dominates(d, parts, c1, c3) == 0
-
-
-def test_weak_domination_rejects_overlap():
-    d, parts, c1, c2, _ = figure_cycles_digraph()
-    with pytest.raises(InputError):
-        weakly_dominates(d, parts, c1, (2, 3, 4, 5))
+    assert _witness(d, parts, c1, c3) == 0
 
 
 def test_weak_domination_failure_direction():
     d, parts, c1, c2, _ = figure_cycles_digraph()
     # forward arcs from the first cycle break the reversed relation
-    assert weakly_dominates(d, parts, c2, c1) is None
+    assert _witness(d, parts, c2, c1) == -1
 
 
 def test_witness_needs_one_common_part():
@@ -124,7 +115,6 @@ def test_witness_needs_one_common_part():
         d = build_digraph(6, cycle_arcs + across)
         assert _witness(d, parts, c1, c2) == (-1 if expected is None else expected)
         assert _witness(d, parts, c2, c1) == 0  # no arc from c1 to c2
-        assert weakly_dominates(d, parts, c1, c2) == expected
 
 
 def _reference_witness(d, parts, c1, c2):
@@ -198,7 +188,6 @@ def test_witness_matches_definition():
                 if i != j:
                     _, expected = _reference_witness(df, parts, c1, c2)
                     assert _witness(df, parts, c1, c2) == (-1 if expected is None else expected)
-                    assert weakly_dominates(df, parts, c1, c2) == expected
     assert two_cycles > 0
     assert min(seen.values()) > 0, seen
 
@@ -265,8 +254,8 @@ def test_irreducible_orders_figure_configuration():
     assert res.cycles == (c1, c2, c3)
     for i in range(3):
         for j in range(i + 1, 3):
-            w = weakly_dominates(d, parts, res.cycles[i], res.cycles[j])
-            assert w is not None
+            w = _witness(d, parts, res.cycles[i], res.cycles[j])
+            assert w >= 0
             assert res.witness_parts[(i, j)] == w
 
 
@@ -299,10 +288,7 @@ def test_irreducible_postconditions_on_random_instances():
             t = len(res.cycles)
             for i in range(t):
                 for j in range(i + 1, t):
-                    assert (
-                        weakly_dominates(d, parts, res.cycles[i], res.cycles[j])
-                        is not None
-                    )
+                    assert _witness(d, parts, res.cycles[i], res.cycles[j]) >= 0
         else:
             w = validate_walk(d, res, WalkKind.CYCLE)
             assert w.sigma_minus == 0
@@ -489,6 +475,16 @@ def test_distinct_ends_refuses_a_bad_factor(path, cycles):
         ham_path_distinct_ends(d, parts, SpanningFactor(path, cycles, 0))
 
 
+def test_distinct_ends_refuses_absorbed_ends_in_one_part(monkeypatch):
+    # the one check left inside the construction: a path whose ends share a
+    # partite set would close with a nonadjacent step, so it is a fault
+    d = build_digraph(5, DISTINCT_ENDS_ARCS)
+    parts = PartiteStructure.from_parts(5, [{0, 3}, {1, 4}, {2}])
+    monkeypatch.setattr(smd_mod, "_absorb_ordered", lambda *args: (0, 1, 2, 4, 3))
+    with pytest.raises(InternalVerificationError, match="share a partite set"):
+        ham_path_distinct_ends(d, parts, SpanningFactor((0, 1), ((2, 3, 4),), 0))
+
+
 def test_distinct_ends_random_property():
     from conftest import find_distinct_ends_1pcf
 
@@ -546,23 +542,23 @@ def test_mfahop_matches_oracle_random():
 
 
 # --- hamiltonicity ----------------------------------------------------------
+# d is hamiltonian exactly when mfahoc_smd's optimum is n, and its walk is
+# then a directed Hamilton cycle
 
 
 def test_is_hamiltonian_strong_tournament():
     n = 5
     arcs = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
     d = build_digraph(n, arcs)
-    parts = recognize_smd(d)
-    cyc = is_hamiltonian_smd(d, parts)
-    assert cyc is not None
-    w = validate_walk(d, cyc, WalkKind.CYCLE)
-    assert w.sigma_minus == 0
+    sigma, walk, _ = mfahoc_smd(d, recognize_smd(d))
+    assert sigma == n
+    assert validate_walk(d, walk.seq, WalkKind.CYCLE).sigma_minus == 0
 
 
 def test_is_hamiltonian_rejects_source_vertex():
     d = build_digraph(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
-    parts = recognize_smd(d)
-    assert is_hamiltonian_smd(d, parts) is None
+    sigma, _, _ = mfahoc_smd(d, recognize_smd(d))
+    assert sigma < d.n
 
 
 def test_is_hamiltonian_matches_oracle():
@@ -572,12 +568,11 @@ def test_is_hamiltonian_matches_oracle():
         d, parts = gen_smd(sizes, seed=rng.randrange(10**6), digon_prob=0.2)
         if d.n < 3:
             continue
-        cyc = is_hamiltonian_smd(d, parts)
+        res = mfahoc_smd(d, parts)
+        cyc = res[1].seq if res is not None and res[0] == d.n else None
         assert (cyc is not None) == oracle_ham_cycle(d)
         if cyc is not None:
             assert validate_walk(d, cyc, WalkKind.CYCLE).sigma_minus == 0
-        res = mfahoc_smd(d, parts)
-        assert cyc == (res[1].seq if res is not None and res[0] == d.n else None)
 
 
 # --- cycle solver -----------------------------------------------------------
