@@ -2,32 +2,34 @@
 
 The maximum-forward-arc optima come from optimal factors of the symmetric
 (0,1)-digraph; certificates are assembled constructively.  The ordered-factor
-machinery works out the weak-domination witness of a cycle pair from the
-bitmask rows when a merge round first reaches the pair, and keeps it for
-later rounds; it merges pairs unwitnessed in both directions into one cycle
-(Yeo's lemma says their union is hamiltonian; _merge_pair builds the cycle
-in polynomial time) and reads the dominance order off the witnesses.  Every
-cycle certificate comes from one construction, ham_path_distinct_ends: the
-maximum cycle factor is opened at one arc (a cost-0 arc if there is one),
+machinery keeps masks of the cycles' vertices, in-rows and out-rows and of the
+vertices whose successor or predecessor lies in each partite set; from them a
+few big-int operations give a cycle pair's weak-domination witness, kept once
+a merge round first reaches the pair.  It merges pairs unwitnessed in both
+directions into one cycle (Yeo's lemma says their union is hamiltonian;
+_merge_pair builds the cycle in polynomial time and names the steps it adds,
+which update the masks) and reads the dominance order off the witnesses.
+Every cycle certificate comes from one construction, ham_path_distinct_ends:
+the maximum cycle factor is opened at one arc (a cost-0 arc if there is one),
 the resulting path is closed and merged once with the other cycles, and a
-Hamilton cycle there gives the path directly; otherwise the ordered factor
-is opened at that arc and the other cycles are absorbed into the path one
-at a time, to the right and then to the left, keeping its ends in different
-partite sets.  The closed path is the certificate.  The path certificate may
-end anywhere: each factor cycle is spliced whole into the factor's path, or
+Hamilton cycle there gives the path directly; otherwise the ordered factor is
+opened at that arc and the other cycles are absorbed into the path one at a
+time, to the right and then to the left, keeping its ends in different partite
+sets.  The closed path is the certificate.  The path certificate may end
+anywhere: each factor cycle is spliced whole into the factor's path, or
 failing that the path comes from merging with a universal apex vertex.  No
 step depends on the size of the input except one: when a full-cost cycle
 factor yields a path that closes backward, _hamilton_cycle_by_dp decides
 Hamiltonicity by the subset DP of oracle_mfahoc, which refuses n above
 MAX_WALK_VERTICES.  Each solver walks its certificate once, through
-_certified_walk, which checks it against d and the optimum; no step inside
-the construction walks it again.
+_certified_walk, which checks it against d and the optimum; no step inside the
+construction walks it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, count
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -77,45 +79,6 @@ def check_smd(d: Digraph, parts: PartiteStructure) -> None:
         raise InputError("parts are not the partite sets of the digraph")
 
 
-def _check_cycle(d: Digraph, cyc: tuple[int, ...]) -> None:
-    if len(cyc) < 2 or len(set(cyc)) != len(cyc):
-        raise InputError(f"not a simple cycle: {cyc}")
-    if min(cyc) < 0 or max(cyc) >= d.n:
-        raise InputError(f"cycle {cyc} names a vertex outside 0..{d.n - 1}")
-    for i, u in enumerate(cyc):
-        v = cyc[(i + 1) % len(cyc)]
-        if not d.has_arc(u, v):
-            raise InputError(f"cycle {cyc} uses missing arc ({u}, {v})")
-
-
-def _witness(d: Digraph, parts: PartiteStructure, c1, c2) -> int:
-    """The witness part index for c1 weakly dominating c2, disjoint cycles
-    of d, or -1 when there is none.
-
-    c1 weakly dominates c2 when every arc from c2 to c1 has the tail's
-    successor (on c2) and the head's predecessor (on c1) in one common
-    partite set, the witness; with no arc from c2 to c1 the condition holds
-    vacuously and the witness is 0.  Each u on c2 with arcs into c1 (its
-    hits) fixes a = part(successor of u), and every hit must have its
-    predecessor on c1 in part a; that is O(|c1| + |c2|) operations on n-bit
-    masks.
-    """
-    part = parts.part_index
-    on_c1 = _mask_of(c1)
-    after: dict[int, int] = {}  # part a: vertices of c1 whose predecessor is in a
-    for v, w in zip(c1[-1:] + c1[:-1], c1):
-        after[part[v]] = after.get(part[v], 0) | 1 << w
-    common = None
-    for u, u_succ in zip(c2, c2[1:] + c2[:1]):
-        hits = d.out_mask[u] & on_c1
-        if hits:
-            a = part[u_succ]
-            if common not in (None, a) or hits & after.get(a, 0) != hits:
-                return -1
-            common = a
-    return 0 if common is None else common
-
-
 @dataclass(frozen=True)
 class OrderedCycleFactor:
     """Cycle factor ordered so every earlier cycle weakly dominates every later.
@@ -125,16 +88,6 @@ class OrderedCycleFactor:
 
     cycles: tuple[tuple[int, ...], ...]
     witness_parts: dict[tuple[int, int], int]
-
-
-def _check_factor(d: Digraph, factor: SpanningFactor) -> None:
-    """Check that factor is a cycle factor of d."""
-    if factor.path is not None:
-        raise InputError("expected a cycle factor, got a path component")
-    for cyc in factor.cycles:
-        _check_cycle(d, tuple(cyc))
-    if sorted(chain.from_iterable(factor.cycles)) != list(range(d.n)):
-        raise InputError("factor does not partition the vertex set")
 
 
 def _rotate(cyc: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -149,36 +102,99 @@ def _opened_at(cyc: tuple[int, ...], u: int, v: int) -> tuple[int, ...] | None:
     return path if path and path[-1] == u else None
 
 
+class _CycleMasks:
+    """A cycle factor being merged, checked against d: cycles sorted by
+    smallest vertex, ids[i] naming cycles[i], and rows[k] the vertex mask
+    and the OR of the in-rows and of the out-rows of the cycle named k.
+    succ[v] is v's successor; succ_in[a] and pred_in[a] hold the vertices
+    whose successor, and whose predecessor, lies in part a."""
+
+    def __init__(self, d: Digraph, parts: PartiteStructure, factor: SpanningFactor):
+        if factor.path is not None:
+            raise InputError("expected a cycle factor, got a path component")
+        n, part = d.n, parts.part_index
+        self.part, self.succ, self.memo = part, [0] * n, {}
+        self.succ_in, self.pred_in = [0] * parts.p, [0] * parts.p
+        built = []
+        for cyc in map(tuple, factor.cycles):
+            if len(cyc) < 2 or len(set(cyc)) != len(cyc):
+                raise InputError(f"not a simple cycle: {cyc}")
+            if min(cyc) < 0 or max(cyc) >= n:
+                raise InputError(f"cycle {cyc} names a vertex outside 0..{n - 1}")
+            on = into = out = 0
+            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+                if not d.has_arc(u, v):
+                    raise InputError(f"cycle {cyc} uses missing arc ({u}, {v})")
+                self.succ[u] = v
+                self.succ_in[part[v]] |= 1 << u
+                self.pred_in[part[u]] |= 1 << v
+                on, into, out = on | 1 << u, into | d.in_mask[u], out | d.out_mask[u]
+            built.append((cyc, (on, into, out)))
+        # n vertices and every one covered: the cycles are disjoint
+        if sum(len(c) for c, _ in built) != n or sum(r[0] for _, r in built) != (1 << n) - 1:
+            raise InputError("factor does not partition the vertex set")
+        self.cycles, self.rows = map(list, zip(*sorted(built, key=lambda cr: min(cr[0]))))
+        self.ids = list(range(len(built)))
+
+    def witness(self, i: int, j: int) -> int:
+        """The witness part index for c1 = cycles[i] weakly dominating
+        c2 = cycles[j], or -1 when there is none, kept by the cycles' ids.
+
+        c1 weakly dominates c2 when every arc from c2 to c1 has the tail's
+        successor and the head's predecessor in one common partite set, the
+        witness; with no such arc it is 0.  For a the part of the lowest
+        tail's successor, tails (c2's vertices in c1's in-row union) must be
+        in succ_in[a], heads (c1's in c2's out-row union) in pred_in[a].
+        """
+        key = self.ids[i], self.ids[j]
+        if key not in self.memo:
+            (on1, into1, _), (on2, _, out2) = self.rows[key[0]], self.rows[key[1]]
+            tails = on2 & into1  # none exactly when there are no heads
+            a = self.part[self.succ[(tails & -tails).bit_length() - 1]] if tails else 0
+            bad = tails & ~self.succ_in[a] or on1 & out2 & ~self.pred_in[a]
+            self.memo[key] = -1 if bad else a
+        return self.memo[key]
+
+    def merge(self, a: int, b: int, merged: tuple[int, ...], arcs) -> None:
+        """Put merged, the cycle on cycles[a] and cycles[b] (a < b) whose
+        steps outside theirs are arcs, in a's place under a fresh id, its
+        rows the OR of theirs.  The arcs' tails lose their old successor
+        bits in one pass and get the new ones in a second, as a cleared and
+        a set bit can share a part's mask."""
+        part, succ, rows = self.part, self.succ, self.rows
+        rows.append(tuple(x | y for x, y in zip(rows[self.ids[a]], rows[self.ids[b]])))
+        for u, _ in arcs:
+            self.succ_in[part[succ[u]]] &= ~(1 << u)
+            self.pred_in[part[u]] &= ~(1 << succ[u])
+        for u, v in arcs:
+            succ[u] = v
+            self.succ_in[part[v]] |= 1 << u
+            self.pred_in[part[u]] |= 1 << v
+        # the merged cycle's smallest vertex is cycles[a]'s, so it keeps a's place
+        self.cycles[a], self.ids[a] = merged, len(rows) - 1
+        del self.cycles[b], self.ids[b]
+
+
 def irreducible_ordered_cycle_factor(
     d: Digraph, parts: PartiteStructure, factor: SpanningFactor
 ):
     """Either a Hamilton cycle of d or an OrderedCycleFactor.
 
     Each round walks the pairs of the cycles, sorted by their smallest
-    vertex, in lexicographic order, working out each pair's weak-domination
-    witnesses (_witness) only when the walk reaches it.  The first pair with
-    no witness in either direction that merges into one cycle (_merge_pair;
-    by Yeo's lemma such a pair always has a hamiltonian union) is replaced
-    by the merged cycle.  A witness depends only on the two cycles, so the
-    witnesses are kept across rounds, keyed by an id given to each cycle
-    when it is made.  Once every pair is witnessed in some direction a
-    dominant-first linear order is read off the witness matrix; a
-    domination cycle triggers further merging of the first pair that
-    merges.  Every round removes a cycle, so a factor of t cycles takes
-    fewer than t rounds.
+    vertex, in lexicographic order, and reads a pair's weak-domination
+    witnesses off _CycleMasks only when the walk reaches it.  The first pair
+    with no witness in either direction that merges into one cycle
+    (_merge_pair; by Yeo's lemma such a pair always has a hamiltonian union)
+    is replaced by the merged cycle, whose masks follow from its parents'
+    and the steps the merge adds.  A witness depends only on the two cycles,
+    so the witnesses are kept across rounds, keyed by an id given to each
+    cycle when it is made.  Once every pair is witnessed in some direction a
+    dominant-first linear order is read off the witness matrix; a domination
+    cycle triggers further merging of the first pair that merges.  Every
+    round removes a cycle, so a factor of t cycles takes fewer than t rounds.
     """
-    _check_factor(d, factor)
-    cycles = sorted((tuple(c) for c in factor.cycles), key=min)
-    ids = list(range(len(cycles)))
-    fresh = count(len(cycles))
-    memo: dict[tuple[int, int], int] = {}
-
-    def witness(i: int, j: int) -> int:
-        key = ids[i], ids[j]
-        if key not in memo:
-            memo[key] = _witness(d, parts, cycles[i], cycles[j])
-        return memo[key]
-
+    masks = _CycleMasks(d, parts, factor)
+    cycles, witness = masks.cycles, masks.witness
     while len(cycles) > 1:
         t = len(cycles)
         pairs = combinations(range(t), 2)
@@ -199,14 +215,13 @@ def irreducible_ordered_cycle_factor(
             raise InternalVerificationError(
                 "cycle factor could neither be merged further nor ordered"
             )
-        # the merged cycle's smallest vertex is cycles[a]'s, so it keeps a's place
-        cycles[a], ids[a] = merged, next(fresh)
-        del cycles[b], ids[b]
+        masks.merge(a, b, *merged)
     return _rotate(cycles[0], min(cycles[0]))
 
 
 def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
-    """One cycle on the union of two disjoint cycles, or None.
+    """One cycle on the union of two disjoint cycles, with its steps that
+    are steps of neither, or None.
 
     Yeo's lemma (A. Yeo, "One-diregular subgraphs in semicomplete
     multipartite digraphs", JGT 24, 1997) says that the union of two disjoint
@@ -221,7 +236,8 @@ def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
     pair with no witness in either direction is checked by a seeded test,
     not proven here; a pair with a witness may return None.  With
     s = |x| + |y| the splice costs O(s^2) arc tests and the blocks O(s^2)
-    operations on s-bit masks.
+    operations on s-bit masks.  A splice adds 2 steps and each block 2; the
+    merge loop updates its masks from them, not from the merged cycle.
     """
     for ca, cb in ((x, y), (y, x)):
         pos_b = {v: i for i, v in enumerate(cb)}
@@ -232,7 +248,8 @@ def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
                 j = pos_b[v]
                 if d.has_arc(cb[j - 1], u_succ):
                     # v .. v_pred around cb, then u_succ .. u around ca, close u -> v
-                    return tuple(cb[j:] + cb[:j] + ca[i + 1 :] + ca[: i + 1])
+                    merged = cb[j:] + cb[:j] + ca[i + 1 :] + ca[: i + 1]
+                    return tuple(merged), ((u, v), (cb[j - 1], u_succ))
     for c, other in ((x, y), (y, x)):
         merged = _insert_blocks(d, c, other)
         if merged is not None:
@@ -241,7 +258,8 @@ def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
 
 
 def _insert_blocks(d: Digraph, c: tuple[int, ...], other: tuple[int, ...]):
-    """A cycle on c and other, keeping c's order, or None.
+    """A cycle on c and other, keeping c's order, and its steps into and
+    out of the blocks, or None.
 
     Gap i of c is its arc c[i] -> c[i+1]; a run of vertices fits gap i when
     c[i] -> first and last -> c[i+1].  For each arc of `other` at which it
@@ -254,8 +272,9 @@ def _insert_blocks(d: Digraph, c: tuple[int, ...], other: tuple[int, ...]):
     its own: the multi-insertion of a path into a cycle.
     """
     # bit i of into[v]: c[i] -> v; bit i of out_of[v]: v -> c[i+1]
+    after = c[1:] + c[:1]
     into = {v: sum(1 << i for i, u in enumerate(c) if d.has_arc(u, v)) for v in other}
-    out_of = {v: sum(1 << i for i, u in enumerate(c[1:] + c[:1]) if d.has_arc(v, u)) for v in other}
+    out_of = {v: sum(1 << i for i, u in enumerate(after) if d.has_arc(v, u)) for v in other}
     for b in range(len(other)):
         path = other[b:] + other[:b]
         cut = [True]  # cut[e]: path[:e] splits into fitting blocks
@@ -273,7 +292,8 @@ def _insert_blocks(d: Digraph, c: tuple[int, ...], other: tuple[int, ...]):
             fit = into[path[s]] & out_of[path[e - 1]]
             placed[(fit & -fit).bit_length() - 1] = path[s:e]
             e = s
-        return tuple(chain.from_iterable((u, *placed.get(i, ())) for i, u in enumerate(c)))
+        merged = tuple(chain.from_iterable((u, *placed.get(i, ())) for i, u in enumerate(c)))
+        return merged, [arc for i, p in placed.items() for arc in ((c[i], p[0]), (p[-1], after[i]))]
     return None
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from mfaho.digraph import Digraph, PartiteStructure, build_digraph
 from mfaho.factor_flow import SpanningFactor, min_cost_assignment
+from mfaho.smd import _CycleMasks
 
 # pinned by instance search: two digons give a full-cost cycle factor, but
 # vertex 0 only ever reaches 3 and comes straight back, so there is no
@@ -114,3 +115,18 @@ def random_cycles_smd(rng, count):
     sets = [{v for v in range(n) if part[v] == i} for i in set(labels)]
     parts = PartiteStructure.from_parts(n, sets)
     return build_digraph(n, arcs), parts, cycles
+
+
+def masks_witness(d, parts, cycles):
+    """(c1, c2) -> the witness part for c1 weakly dominating c2, or -1, as
+    the merge loop's masks give it, over cycles that partition d's vertices."""
+    masks = _CycleMasks(d, parts, SpanningFactor(None, tuple(cycles), 0))
+    return lambda c1, c2: masks.witness(masks.cycles.index(c1), masks.cycles.index(c2))
+
+
+def added_steps(merged, x, y):
+    """The steps of the cycle merged that are steps of neither x nor y."""
+    def steps(c):
+        return {(c[i - 1], c[i]) for i in range(len(c))}
+
+    return steps(merged) - steps(x) - steps(y)

@@ -34,14 +34,13 @@ from mfaho.lsd import (
 from mfaho.oracle import oracle_factor_cost, oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
     OrderedCycleFactor,
-    _witness,
     ham_path_distinct_ends,
     irreducible_ordered_cycle_factor,
     mfahoc_smd,
     mfahop_smd,
 )
 
-from conftest import EXCEPTIONAL_ARCS, find_distinct_ends_1pcf
+from conftest import EXCEPTIONAL_ARCS, find_distinct_ends_1pcf, masks_witness
 
 SMD_SHAPES = [
     (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1),
@@ -202,9 +201,10 @@ def _verify_ordered(d, parts, res):
     t = len(res.cycles)
     covered = sorted(v for cyc in res.cycles for v in cyc)
     assert covered == list(range(d.n))
+    witness = masks_witness(d, parts, res.cycles)
     for i in range(t):
         for j in range(i + 1, t):
-            w = _witness(d, parts, res.cycles[i], res.cycles[j])
+            w = witness(res.cycles[i], res.cycles[j])
             assert w >= 0, (sorted(d.arcs), res.cycles, i, j)
             assert res.witness_parts[(i, j)] == w
     return 1

@@ -39,12 +39,11 @@ from mfaho.smd import (
     _apex_ham_path,
     _insert_blocks,
     _merge_pair,
-    _witness,
     mfahoc_smd,
     mfahop_smd,
 )
 
-from conftest import random_cycles_smd
+from conftest import added_steps, masks_witness, random_cycles_smd
 
 
 def _parts(n, sets):
@@ -164,10 +163,10 @@ def test_merge_pair_splice_and_failure():
     # adding one return arc with the splice condition merges them
     arcs2 = arcs + [(3, 0)]
     d2 = build_digraph(6, arcs2)
-    merged = _merge_pair(d2, (0, 1, 2), (3, 4, 5))
-    assert merged is not None
+    merged, added = _merge_pair(d2, (0, 1, 2), (3, 4, 5))
     assert sorted(merged) == list(range(6))
     validate_walk(d2, merged, WalkKind.CYCLE)
+    assert sorted(added) == sorted(added_steps(merged, (0, 1, 2), (3, 4, 5))) == [(2, 4), (3, 0)]
 
 
 def test_undecided_hamiltonicity_at_n17_goes_to_the_subset_dp():
@@ -292,7 +291,7 @@ def test_merge_pair_takes_the_first_splice():
         d = build_digraph(n, arcs)
         expected = _first_splice(d, x, y)
         if expected is not None:
-            assert _merge_pair(d, x, y) == expected
+            assert _merge_pair(d, x, y)[0] == expected
             spliced += 1
     assert spliced > 100
 
@@ -304,8 +303,9 @@ def test_insert_blocks_gives_each_block_its_own_gap():
     # block here
     cycles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     d = build_digraph(6, cycles + [(0, 3), (3, 1), (0, 5), (5, 1), (1, 4), (4, 2)])
-    merged = _insert_blocks(d, (0, 1, 2), (3, 4, 5))
+    merged, added = _insert_blocks(d, (0, 1, 2), (3, 4, 5))
     assert merged == (0, 3, 4, 5, 1, 2)
+    assert added == [(0, 3), (5, 1)]
     assert validate_walk(d, merged, WalkKind.CYCLE).sigma_minus == 0
 
 
@@ -348,11 +348,14 @@ def test_merge_pair_merges_every_unwitnessed_pair():
     unwitnessed = unspliced = 0
     for _ in range(6000):
         d, parts, (x, y) = random_cycles_smd(rng, 2)
-        if _witness(d, parts, x, y) >= 0 or _witness(d, parts, y, x) >= 0:
+        witness = masks_witness(d, parts, (x, y))
+        if witness(x, y) >= 0 or witness(y, x) >= 0:
             continue
         unwitnessed += 1
         unspliced += _first_splice(d, x, y) is None
-        merged = _merge_pair(d, x, y)
+        merged, added = _merge_pair(d, x, y) or (None, None)
         assert merged is not None, (x, y, sorted(d.arcs))
         assert validate_walk(d, merged, WalkKind.CYCLE).sigma_minus == 0
+        # the merge loop updates its masks from these steps alone
+        assert sorted(added) == sorted(added_steps(merged, x, y))
     assert unwitnessed > 3000 and unspliced > 20

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -24,9 +25,9 @@ from mfaho.generate import gen_smd
 from mfaho.oracle import oracle_ham_cycle, oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
     OrderedCycleFactor,
+    _apex_ham_path,
     _dominance_order,
     _merge_pair,
-    _witness,
     ham_path_distinct_ends,
     hc_majority,
     hp_majority,
@@ -35,7 +36,14 @@ from mfaho.smd import (
     mfahop_smd,
 )
 
-from conftest import EXCEPTIONAL_ARCS, figure_cycles_digraph, random_cycles_smd
+from conftest import (
+    EXCEPTIONAL_ARCS,
+    added_steps,
+    figure_cycles_digraph,
+    masks_witness,
+    random_cycles_smd,
+)
+from test_acceptance import _chained_blocks_smd
 
 
 def test_majority_inequalities():
@@ -85,23 +93,23 @@ def test_existence_matches_underlying_hamiltonicity():
 
 def test_weak_domination_figure_first_pair():
     d, parts, c1, c2, c3 = figure_cycles_digraph()
-    assert _witness(d, parts, c1, c2) == 0  # the {0,4,6} part
+    assert masks_witness(d, parts, (c1, c2, c3))(c1, c2) == 0  # the {0,4,6} part
 
 
 def test_weak_domination_figure_second_pair():
     d, parts, c1, c2, c3 = figure_cycles_digraph()
-    assert _witness(d, parts, c2, c3) == 2  # the {2,3,5,8} part
+    assert masks_witness(d, parts, (c1, c2, c3))(c2, c3) == 2  # the {2,3,5,8} part
 
 
 def test_weak_domination_figure_vacuous_pair():
     d, parts, c1, c2, c3 = figure_cycles_digraph()
-    assert _witness(d, parts, c1, c3) == 0
+    assert masks_witness(d, parts, (c1, c2, c3))(c1, c3) == 0
 
 
 def test_weak_domination_failure_direction():
-    d, parts, c1, c2, _ = figure_cycles_digraph()
+    d, parts, c1, c2, c3 = figure_cycles_digraph()
     # forward arcs from the first cycle break the reversed relation
-    assert _witness(d, parts, c2, c1) == -1
+    assert masks_witness(d, parts, (c1, c2, c3))(c2, c1) == -1
 
 
 def test_witness_needs_one_common_part():
@@ -112,9 +120,9 @@ def test_witness_needs_one_common_part():
     parts = PartiteStructure.from_parts(6, [{1, 3}, {0, 5}, {2, 4}])
     cycle_arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 4)]
     for across, expected in (([(4, 1)], 1), ([(5, 3)], 2), ([(4, 1), (5, 3)], None)):
-        d = build_digraph(6, cycle_arcs + across)
-        assert _witness(d, parts, c1, c2) == (-1 if expected is None else expected)
-        assert _witness(d, parts, c2, c1) == 0  # no arc from c1 to c2
+        witness = masks_witness(build_digraph(6, cycle_arcs + across), parts, (c1, c2))
+        assert witness(c1, c2) == (-1 if expected is None else expected)
+        assert witness(c2, c1) == 0  # no arc from c1 to c2
 
 
 def _reference_witness(d, parts, c1, c2):
@@ -172,22 +180,14 @@ def test_witness_matches_definition():
         # the solver orders factors of d plus the factor's own arcs
         steps = {(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))}
         df = Digraph(d.n, d.arcs | steps)
-        t = len(cycles)
-        for i in range(t):
-            for j in range(t):
-                if i == j:
+        witness = masks_witness(df, parts, cycles)
+        for c1 in cycles:
+            for c2 in cycles:
+                if c1 == c2:
                     continue
-                kind, expected = _reference_witness(df, parts, cycles[i], cycles[j])
+                kind, expected = _reference_witness(df, parts, c1, c2)
                 seen[kind] += 1
-                got = _witness(df, parts, cycles[i], cycles[j])
-                assert got == (-1 if expected is None else expected)
-        # a subset of the cycles that leaves vertices uncovered
-        sub = rng.sample(cycles, rng.randint(2, min(t, 4)))
-        for i, c1 in enumerate(sub):
-            for j, c2 in enumerate(sub):
-                if i != j:
-                    _, expected = _reference_witness(df, parts, c1, c2)
-                    assert _witness(df, parts, c1, c2) == (-1 if expected is None else expected)
+                assert witness(c1, c2) == (-1 if expected is None else expected)
     assert two_cycles > 0
     assert min(seen.values()) > 0, seen
 
@@ -252,9 +252,10 @@ def test_irreducible_orders_figure_configuration():
     res = irreducible_ordered_cycle_factor(d, parts, f)
     assert isinstance(res, OrderedCycleFactor)
     assert res.cycles == (c1, c2, c3)
+    witness = masks_witness(d, parts, res.cycles)
     for i in range(3):
         for j in range(i + 1, 3):
-            w = _witness(d, parts, res.cycles[i], res.cycles[j])
+            w = witness(res.cycles[i], res.cycles[j])
             assert w >= 0
             assert res.witness_parts[(i, j)] == w
 
@@ -266,6 +267,11 @@ def test_irreducible_rejects_invalid_factor():
         irreducible_ordered_cycle_factor(
             tri, parts, SpanningFactor(None, ((0, 1),), 0)
         )
+    # overlapping digons whose vertex masks sum to the mask of all 4 vertices
+    d = build_digraph(4, [(0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 3)])
+    overlapping = SpanningFactor(None, ((0, 1), (0, 1), (0, 3)), 0)
+    with pytest.raises(InputError, match="does not partition"):
+        irreducible_ordered_cycle_factor(d, recognize_smd(d), overlapping)
 
 
 def test_irreducible_postconditions_on_random_instances():
@@ -288,7 +294,7 @@ def test_irreducible_postconditions_on_random_instances():
             t = len(res.cycles)
             for i in range(t):
                 for j in range(i + 1, t):
-                    assert _witness(d, parts, res.cycles[i], res.cycles[j]) >= 0
+                    assert _reference_witness(d, parts, res.cycles[i], res.cycles[j])[1] is not None
         else:
             w = validate_walk(d, res, WalkKind.CYCLE)
             assert w.sigma_minus == 0
@@ -319,7 +325,7 @@ def _reference_merge(d, parts, factor):
                 return OrderedCycleFactor(tuple(cycles[i] for i in order), witness_parts), wit
             pairs = every
         merges = ((a, b, m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
-        a, b, merged = next(merges, (0, 0, None))
+        a, b, (merged, _) = next(merges, (0, 0, (None, None)))
         if merged is None:
             raise InternalVerificationError("no pair merges")
         cycles = sorted([c for i, c in enumerate(cycles) if i not in (a, b)] + [merged], key=min)
@@ -420,6 +426,97 @@ def test_irreducible_cyclic_domination_fails_as_the_reference():
         _reference_merge(d, parts, factor)
     with pytest.raises(InternalVerificationError):
         irreducible_ordered_cycle_factor(d, parts, factor)
+
+
+# the (3,3) reproducer of ROADMAP item 1: three digons, cyclically dominated
+CYCLIC_DOMINATION_ARCS = [
+    (0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 0), (3, 2), (4, 1), (4, 2), (5, 0), (5, 1)
+]
+
+
+def _chained_blocks_with_back_arcs(rng):
+    """Chained cycle blocks with some back arcs added as digons (the partite
+    sets stay), and the blocks as the cycle factor, which then merges.  Any
+    back arc w -> z gives the splice pred(z) -> succ(w), as every forward
+    arc is present, so these merges never reach block insertion."""
+    sizes = [rng.randint(2, 4) for _ in range(rng.randint(3, 5))]
+    d, parts, blocks = _chained_blocks_smd(sizes, rng)
+    block_of = {v: i for i, cycle in enumerate(blocks) for v in cycle}
+    back = [(v, u) for u, v in sorted(d.arcs) if block_of[u] < block_of[v]]
+    prob = rng.choice((0.05, 0.2, 0.5))
+    return d.with_arcs([arc for arc in back if rng.random() < prob]), parts, blocks
+
+
+def test_masks_give_the_reference_witnesses_after_every_merge(monkeypatch):
+    # the masks the merge loop builds, then updates from the steps each merge
+    # adds, equal the masks built afresh from the current cycles and give
+    # every ordered pair of them the witness read off the definition; each
+    # merge names exactly the steps it adds.  A stale successor bit changes
+    # a witness only on rare pairs, so the masks are compared too
+    seen = Counter()
+    graph = {}
+    init, merge = smd_mod._CycleMasks.__init__, smd_mod._CycleMasks.merge
+    insert_blocks = smd_mod._insert_blocks
+
+    def check(masks):
+        d, parts = graph["d"], graph["parts"]
+        fresh = object.__new__(smd_mod._CycleMasks)
+        init(fresh, d, parts, SpanningFactor(None, tuple(masks.cycles), 0))
+        assert masks.succ == fresh.succ
+        assert (masks.succ_in, masks.pred_in) == (fresh.succ_in, fresh.pred_in)
+        assert [masks.rows[k] for k in masks.ids] == fresh.rows
+        for i, c1 in enumerate(masks.cycles):
+            for j, c2 in enumerate(masks.cycles):
+                if i != j:
+                    w = _reference_witness(d, parts, c1, c2)[1]
+                    assert masks.witness(i, j) == (-1 if w is None else w), (c1, c2, sorted(d.arcs))
+
+    def checked_init(self, d, parts, factor):
+        init(self, d, parts, factor)
+        graph.update(d=d, parts=parts)
+        seen["n+1" if d.n == graph["n"] + 1 else "n"] += 1
+        check(self)
+
+    def checked_merge(self, a, b, merged, arcs):
+        assert sorted(arcs) == sorted(added_steps(merged, self.cycles[a], self.cycles[b]))
+        merge(self, a, b, merged, arcs)
+        seen["merge"] += 1
+        check(self)
+
+    def counted_insert_blocks(*args):
+        res = insert_blocks(*args)
+        seen["blocks"] += res is not None
+        return res
+
+    monkeypatch.setattr(smd_mod._CycleMasks, "__init__", checked_init)
+    monkeypatch.setattr(smd_mod._CycleMasks, "merge", checked_merge)
+    monkeypatch.setattr(smd_mod, "_insert_blocks", counted_insert_blocks)
+    rng = random.Random(3)
+    for _ in range(300):
+        d, parts, cycles = random_cycles_smd(rng, rng.randint(3, 7))
+        graph["n"] = d.n
+        try:
+            irreducible_ordered_cycle_factor(d, parts, SpanningFactor(None, tuple(cycles), 0))
+        except InternalVerificationError:
+            seen["cyclic"] += 1
+    merges_before = seen["merge"]
+    for _ in range(60):
+        d, parts, blocks = _chained_blocks_with_back_arcs(rng)
+        graph["n"] = d.n
+        irreducible_ordered_cycle_factor(d, parts, SpanningFactor(None, blocks, 0))
+    seen["chained merges"] = seen["merge"] - merges_before
+    for _ in range(40):
+        # the apex route merges on n + 1 vertices with one more part
+        d, parts, cycles = random_cycles_smd(rng, rng.randint(2, 5))
+        graph["n"] = d.n
+        path = _apex_ham_path(d, parts, SpanningFactor(cycles[0], tuple(cycles[1:]), 0))
+        assert validate_walk(d, path, WalkKind.PATH).sigma_minus == 0
+    d = build_digraph(6, CYCLIC_DOMINATION_ARCS)
+    graph["n"] = 6
+    factor = max_cost_cycle_factor(symmetric_01(d))
+    with pytest.raises(InternalVerificationError):
+        irreducible_ordered_cycle_factor(d, recognize_smd(d), factor)
+    assert min(seen[k] for k in ("n", "n+1", "merge", "blocks", "chained merges")) > 0, seen
 
 
 # --- distinct-ends Hamilton path -------------------------------------------
