@@ -8,16 +8,17 @@ few big-int operations give a cycle pair's weak-domination witness, kept once
 a merge round first reaches the pair.  It merges pairs unwitnessed in both
 directions into one cycle (Yeo's lemma says their union is hamiltonian;
 _merge_pair builds the cycle in polynomial time and names the steps it adds,
-which update the masks) and reads the dominance order off the witnesses.
-Every cycle certificate comes from one construction, ham_path_distinct_ends:
-the maximum cycle factor is opened at one arc (a cost-0 arc if there is one),
-the resulting path is closed and merged once with the other cycles, and a
+which update the masks) and reads the dominance order off the witnesses; no
+witnessed pair can merge, so cyclic domination raises.  Every cycle
+certificate comes from one construction, ham_path_distinct_ends: the maximum
+cycle factor is opened at one arc (a cost-0 arc if there is one), the
+resulting path is closed and merged once with the other cycles, and a
 Hamilton cycle there gives the path directly; otherwise the ordered factor is
 opened at that arc and the other cycles are absorbed into the path one at a
-time, to the right and then to the left, keeping its ends in different partite
-sets.  The closed path is the certificate.  The path certificate may end
-anywhere: each factor cycle is spliced whole into the factor's path, or
-failing that the path comes from merging with a universal apex vertex.  No
+time, right and then left, by two rules that provably keep its ends in
+different partite sets.  The closed path is the certificate.  The path
+certificate may end anywhere: each factor cycle is spliced whole into the
+factor's path, or the path comes from merging with a universal apex vertex.  No
 step depends on the size of the input except one: when a full-cost cycle
 factor yields a path that closes backward, _hamilton_cycle_by_dp decides
 Hamiltonicity by the subset DP of oracle_mfahoc, which refuses n above
@@ -81,13 +82,9 @@ def check_smd(d: Digraph, parts: PartiteStructure) -> None:
 
 @dataclass(frozen=True)
 class OrderedCycleFactor:
-    """Cycle factor ordered so every earlier cycle weakly dominates every later.
-
-    witness_parts[(i, j)] is a certifying part index for each pair i < j.
-    """
+    """Cycle factor ordered so every earlier cycle weakly dominates every later."""
 
     cycles: tuple[tuple[int, ...], ...]
-    witness_parts: dict[tuple[int, int], int]
 
 
 def _rotate(cyc: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -188,35 +185,29 @@ def irreducible_ordered_cycle_factor(
     is replaced by the merged cycle, whose masks follow from its parents'
     and the steps the merge adds.  A witness depends only on the two cycles,
     so the witnesses are kept across rounds, keyed by an id given to each
-    cycle when it is made.  Once every pair is witnessed in some direction a
-    dominant-first linear order is read off the witness matrix; a domination
-    cycle triggers further merging of the first pair that merges.  Every
-    round removes a cycle, so a factor of t cycles takes fewer than t rounds.
+    cycle when it is made.  When no unwitnessed pair merges, no pair can
+    (_merge_pair), and a dominant-first order is read off the witness matrix;
+    a domination cycle raises.  Every round removes a cycle, so a factor of t
+    cycles takes fewer than t rounds.
     """
     masks = _CycleMasks(d, parts, factor)
     cycles, witness = masks.cycles, masks.witness
     while len(cycles) > 1:
-        t = len(cycles)
-        pairs = combinations(range(t), 2)
+        pairs = combinations(range(len(cycles)), 2)
         unwitnessed = ((a, b) for a, b in pairs if witness(a, b) < 0 and witness(b, a) < 0)
-        first = next(unwitnessed, None)
-        if first is not None:
-            pairs = chain([first], unwitnessed)
-        else:
-            wit = np.array([[witness(i, j) if i != j else 0 for j in range(t)] for i in range(t)])
-            order = _dominance_order(wit)
-            if order is not None:
-                return _ordered_factor(cycles, wit, order)
-            # domination is cyclic; merging any pair can break the cycle
-            pairs = combinations(range(t), 2)
-        merges = ((a, b, m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
+        merges = ((a, b, m) for a, b in unwitnessed if (m := _merge_pair(d, cycles[a], cycles[b])))
         a, b, merged = next(merges, (0, 0, None))
         if merged is None:
-            raise InternalVerificationError(
-                "cycle factor could neither be merged further nor ordered"
-            )
+            break
         masks.merge(a, b, *merged)
-    return _rotate(cycles[0], min(cycles[0]))
+    if len(cycles) == 1:
+        return _rotate(cycles[0], min(cycles[0]))
+    t = len(cycles)
+    wit = np.array([[witness(i, j) if i != j else 0 for j in range(t)] for i in range(t)])
+    order = _dominance_order(wit)
+    if order is None:
+        raise InternalVerificationError("cycle factor could neither be merged further nor ordered")
+    return OrderedCycleFactor(tuple(cycles[i] for i in order))
 
 
 def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
@@ -234,10 +225,21 @@ def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
     other cycle c (c[i] -> first vertex, last vertex -> c[i+1]), and the
     blocks are inserted (_insert_blocks).  That such blocks exist for every
     pair with no witness in either direction is checked by a seeded test,
-    not proven here; a pair with a witness may return None.  With
-    s = |x| + |y| the splice costs O(s^2) arc tests and the blocks O(s^2)
-    operations on s-bit masks.  A splice adds 2 steps and each block 2; the
-    merge loop updates its masks from them, not from the merged cycle.
+    not proven here.  With s = |x| + |y| the splice costs O(s^2) arc tests
+    and the blocks O(s^2) operations on s-bit masks.  A splice adds 2 steps
+    and each block 2; the merge loop updates its masks from them, not from
+    the merged cycle.
+
+    A pair witnessed either way never merges.  Say D weakly dominates E with
+    witness part a: every arc x -> w from E to D has succ_E(x) and pred_D(w)
+    in a.  Each merge needs an arc inside a.  Splice, u on D: pred_E(v) ->
+    succ_D(u) puts v and u in a, yet u -> v.  Splice, u on E: u -> v puts
+    succ_E(u) and pred_D(v) in a, yet pred_D(v) -> succ_E(u).  Blocks B_j of
+    E in gaps g_j of c = D (j mod the block count): the exit arc of B_j puts
+    first(B_{j+1}) in a, that of B_{j+1} puts c[g_{j+1}] in a, yet c[g_{j+1}]
+    -> first(B_{j+1}).  Blocks of D in gaps of c = E: the entry arc of B_j
+    puts last(B_{j-1}) in a, that of B_{j-1} puts c[g_{j-1}+1] in a, yet
+    last(B_{j-1}) -> c[g_{j-1}+1].
     """
     for ca, cb in ((x, y), (y, x)):
         pos_b = {v: i for i, v in enumerate(cb)}
@@ -318,15 +320,6 @@ def _dominance_order(wit: np.ndarray) -> list[int] | None:
     return order
 
 
-def _ordered_factor(cycles, wit: np.ndarray, order: list[int]) -> OrderedCycleFactor:
-    sub = wit[np.ix_(order, order)].tolist()
-    t = len(order)
-    return OrderedCycleFactor(
-        tuple(cycles[i] for i in order),
-        {(a, b): sub[a][b] for a in range(t) for b in range(a + 1, t)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # distinct-ends Hamilton path assembly
 
@@ -383,9 +376,27 @@ def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...]:
 
 
 def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int]:
-    """Extend the path by the whole cycle, its ends in different parts: after
-    the terminal t from the first y with t -> y and part(pred y) != part(s),
-    else with an entering z moved before t (q -> z -> t), else anywhere."""
+    """Extend the path s .. q t by the whole cycle C, keeping its ends in
+    different parts, S = part(s): rule 1 appends C after t from the first y
+    with t -> y and pred(y) outside S; else rule 2 moves an entering z before
+    t, q -> z -> t -> succ(z): z is in S as rule 1 failed on succ(z), so the
+    new end pred(z) is not.
+
+    From _absorb_ordered (or _absorb_before: reversing the digraph and the
+    cycles keeps every witness) one rule applies.  Every path vertex lies in
+    a cycle that weakly dominates C, and q = pred(t) on t's cycle C_j unless
+    rule 2 just put a 2-cycle (z0, t) last.  Let C_j's witness over C be a:
+    an arc x -> t from C puts succ(x) and pred_{C_j}(t) in a, so a is not
+    part(t).  Let rule 1 fail.  Some y has t -> y: else each x of C outside
+    part(t) has x -> t, putting succ(x), then succ(succ(x)), in a.  Then
+    pred(y) is in S, pred(y) -> t (t -> pred(y) would put pred(pred(y)) in
+    S) and y is in a.  z = pred(y) passes rule 2 but for q -> z.  If q =
+    pred_{C_j}(t), q is in a, which holds y and so is not S: z -> q, putting
+    pred_{C_j}(q) in a next to q.  Else z0 = pred_{C_j}(t) is in S, as rule
+    1 failed on t when (z0, t) came in, so a = S holds y and pred(y).  Rule
+    2 never fires on a 2-vertex path: q = s and z (rule 1 failed on succ(z))
+    lie in S.  So the front pair is a step of its cycle for _absorb_before.
+    """
     s, t = path[0], path[-1]
     ps = parts.part_of(s)
     for i, y in enumerate(cycle):
@@ -395,20 +406,10 @@ def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int
         q = path[-2]
         for i, z in enumerate(cycle):
             z_succ = cycle[(i + 1) % len(cycle)]
-            if (
-                parts.part_of(cycle[i - 1]) != ps
-                and d.has_arc(q, z)
-                and d.has_arc(z, t)
-                and d.has_arc(t, z_succ)
-            ):
+            if d.has_arc(q, z) and d.has_arc(z, t) and d.has_arc(t, z_succ):
                 # q -> z -> t, then z_succ .. z_pred around the cycle
                 return path[:-1] + [z, t, *_rotate(cycle, z_succ)[:-1]]
-    res = _absorb_generic(d, parts, path, cycle, require_distinct=True)
-    if res is None:
-        raise InternalVerificationError(
-            f"could not absorb a {len(cycle)}-cycle into the working path"
-        )
-    return res
+    raise InternalVerificationError(f"could not absorb a {len(cycle)}-cycle into the working path")
 
 
 def _absorb_before(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int]:
@@ -417,21 +418,15 @@ def _absorb_before(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[in
     return _absorb_after(d.reversed(), parts, path[::-1], cycle[::-1])[::-1]
 
 
-def _absorb_generic(d, parts, path, cycle, require_distinct: bool):
+def _absorb_generic(d, path, cycle):
     """Whole-segment splice of the cycle at any path position, or None."""
     s, t = path[0], path[-1]
-    ps, pt = parts.part_of(s), parts.part_of(t)
-    k = len(cycle)
-    for shift in range(k):
+    for shift in range(len(cycle)):
         seg = list(cycle[shift:] + cycle[:shift])
         y, ym = seg[0], seg[-1]
-        if d.has_arc(t, y) and (
-            not require_distinct or parts.part_of(ym) != ps
-        ):
+        if d.has_arc(t, y):
             return path + seg
-        if d.has_arc(ym, s) and (
-            not require_distinct or parts.part_of(y) != pt
-        ):
+        if d.has_arc(ym, s):
             return seg + path
         for i in range(len(path) - 1):
             if d.has_arc(path[i], y) and d.has_arc(ym, path[i + 1]):
@@ -452,7 +447,7 @@ def _assemble_ham_path(
     route."""
     path = list(factor.path)
     for cyc in sorted(factor.cycles, key=min):
-        path = _absorb_generic(d, parts, path, cyc, require_distinct=False)
+        path = _absorb_generic(d, path, cyc)
         if path is None:
             return _apex_ham_path(d, parts, factor)
     return tuple(path)

@@ -117,6 +117,49 @@ def random_cycles_smd(rng, count):
     return build_digraph(n, arcs), parts, cycles
 
 
+def planted_ordered_factor(rng):
+    """2-5 disjoint cycles of 2-4 vertices, each weakly dominating every
+    later one, and a random SMD on their union: between an earlier cycle D
+    and a later E, with a random witness part a, each cross pair w of D, x
+    of E gets x -> w (half of these also w -> x) with probability 1/2 when
+    succ(x) and pred(w) lie in a, and w -> x otherwise."""
+    p = rng.randint(2, 4)
+    cycles, part, n = [], {}, 0
+    for _ in range(rng.randint(2, 5)):
+        k = rng.randint(2, 4)
+        k += k % 2 if p == 2 else 0  # a cycle alternates between the two parts
+        while True:
+            labels = [rng.randrange(p) for _ in range(k)]
+            if all(labels[i] != labels[i - 1] for i in range(k)):
+                break
+        cycles.append(tuple(range(n, n + k)))
+        part.update(zip(cycles[-1], labels))
+        n += k
+    succ = {c[i - 1]: c[i] for c in cycles for i in range(len(c))}
+    pred = {v: u for u, v in succ.items()}
+    arcs = set(succ.items())
+    for i, dom in enumerate(cycles):
+        for sub in cycles[i + 1 :]:
+            a = rng.randrange(p)
+            for w in dom:
+                for x in sub:
+                    if part[w] == part[x]:
+                        continue
+                    r = rng.random()
+                    if part[succ[x]] == a == part[pred[w]] and r < 0.5:
+                        arcs |= {(x, w), (w, x)} if r < 0.25 else {(x, w)}
+                    else:
+                        arcs.add((w, x))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    sets = [{perm[v] for v in part if part[v] == q} for q in set(part.values())]
+    return (
+        build_digraph(n, [(perm[u], perm[v]) for u, v in arcs]),
+        PartiteStructure.from_parts(n, sets),
+        [tuple(perm[v] for v in c) for c in cycles],
+    )
+
+
 def masks_witness(d, parts, cycles):
     """(c1, c2) -> the witness part for c1 weakly dominating c2, or -1, as
     the merge loop's masks give it, over cycles that partition d's vertices."""

@@ -204,9 +204,7 @@ def _verify_ordered(d, parts, res):
     witness = masks_witness(d, parts, res.cycles)
     for i in range(t):
         for j in range(i + 1, t):
-            w = witness(res.cycles[i], res.cycles[j])
-            assert w >= 0, (sorted(d.arcs), res.cycles, i, j)
-            assert res.witness_parts[(i, j)] == w
+            assert witness(res.cycles[i], res.cycles[j]) >= 0, (sorted(d.arcs), res.cycles, i, j)
     return 1
 
 

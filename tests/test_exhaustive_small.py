@@ -7,10 +7,10 @@ vertices that the LSD recognizer accepts, at sizes that keep the suite fast.
 Larger sweeps are not part of the suite.  Only the mfahoc solves still fail
 on the shapes (3,3) and (2,2,2): some raise InternalVerificationError in the
 one merge behind every cycle certificate (ham_path_distinct_ends), where the
-cycle factor is three digons with cyclic weak domination and no pair merges
-(ROADMAP, first open item).  Hamiltonicity is read off mfahoc_smd, an
-optimum of n with its walk as the directed Hamilton cycle, so it is not
-decided on those instances either.
+cycle factor is three digons with cyclic weak domination and no pair can
+merge, as every pair is witnessed (ROADMAP, first open item).  Hamiltonicity
+is read off mfahoc_smd, an optimum of n with its walk as the directed
+Hamilton cycle, so it is not decided on those instances either.
 """
 
 from itertools import permutations, product

@@ -11,6 +11,7 @@ was total.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -36,14 +37,16 @@ from mfaho.smd import (
     OrderedCycleFactor,
     _absorb_after,
     _absorb_before,
+    _absorb_ordered,
     _apex_ham_path,
     _insert_blocks,
     _merge_pair,
+    irreducible_ordered_cycle_factor,
     mfahoc_smd,
     mfahop_smd,
 )
 
-from conftest import added_steps, masks_witness, random_cycles_smd
+from conftest import added_steps, masks_witness, planted_ordered_factor, random_cycles_smd
 
 
 def _parts(n, sets):
@@ -116,6 +119,40 @@ def test_absorb_before_leaving_arc_first_shape():
     assert _absorb_before(d, parts, [5, 1, 0], (2, 4, 3)) == [2, 4, 5, 3, 1, 0]
 
 
+def test_absorption_needs_only_its_two_rules(monkeypatch):
+    # _absorb_after's docstring proves that its append or its swap always
+    # applies: from every step of every cycle of planted ordered factors,
+    # _absorb_ordered builds a Hamilton path whose ends lie in different
+    # parts.  The proof's cases all occur: a swap of a 2-cycle leaves a
+    # last pair that is no factor step, and the next cycle still goes in
+    seen = Counter()
+    steps = set()
+    absorb_after = smd_mod._absorb_after
+
+    def counted(d, parts, path, cycle):
+        seen["after a 2-cycle swap"] += (path[-2], path[-1]) not in steps
+        out = absorb_after(d, parts, path, cycle)
+        rule = "append" if out[: len(path)] == path else "swap"
+        seen[rule] += 1
+        seen[f"{rule} of a 2-cycle"] += len(cycle) == 2
+        return out
+
+    monkeypatch.setattr(smd_mod, "_absorb_after", counted)
+    rng = random.Random(3)
+    for _ in range(600):
+        d, parts, cycles = planted_ordered_factor(rng)
+        res = irreducible_ordered_cycle_factor(d, parts, SpanningFactor(None, tuple(cycles), 0))
+        assert isinstance(res, OrderedCycleFactor)
+        steps = {s for c in res.cycles for s in zip(c, c[1:] + c[:1])}
+        steps |= {(v, u) for u, v in steps}  # _absorb_before's reversed cycles
+        for c in res.cycles:
+            for arc in zip(c, c[1:] + c[:1]):
+                seq = _absorb_ordered(d, parts, res.cycles, arc)
+                assert validate_walk(d, seq, WalkKind.PATH).sigma_minus == 0
+                assert not parts.same_part(seq[0], seq[-1])
+    assert min(seen.values()) > 5 and len(seen) == 5, seen
+
+
 def test_apex_route_builds_hamilton_path():
     # called directly, the apex reduction turns the factor into a Hamilton
     # path although the factor's path has both endpoints in one part
@@ -132,16 +169,7 @@ def test_apex_route_builds_hamilton_path():
 def test_mfahop_survives_disabled_local_absorption(monkeypatch):
     # force the certificate assembly onto the apex route and check the
     # optimum is still certified exactly
-    import mfaho.smd as smd_mod
-
-    orig = smd_mod._absorb_generic
-
-    def crippled(d, parts, path, cycle, require_distinct):
-        if not require_distinct:
-            return None
-        return orig(d, parts, path, cycle, require_distinct)
-
-    monkeypatch.setattr(smd_mod, "_absorb_generic", crippled)
+    monkeypatch.setattr(smd_mod, "_absorb_generic", lambda d, path, cycle: None)
     rng = random.Random(5)
     checked = 0
     for _ in range(40):
@@ -343,13 +371,17 @@ def test_merge_regressions_solve_to_the_optimum(problem, sizes, seed, digon, bia
 
 def test_merge_pair_merges_every_unwitnessed_pair():
     # Yeo's lemma: with no weak-domination witness either way, the union of
-    # the two cycles is hamiltonian; _merge_pair must always build the cycle
+    # the two cycles is hamiltonian; _merge_pair must always build the cycle.
+    # With a witness either way, every splice and block insertion needs an
+    # arc inside the witness part, so _merge_pair must find none
     rng = random.Random(83)
-    unwitnessed = unspliced = 0
+    unwitnessed = unspliced = witnessed = 0
     for _ in range(6000):
         d, parts, (x, y) = random_cycles_smd(rng, 2)
         witness = masks_witness(d, parts, (x, y))
         if witness(x, y) >= 0 or witness(y, x) >= 0:
+            witnessed += 1
+            assert _merge_pair(d, x, y) is None, (x, y, sorted(d.arcs))
             continue
         unwitnessed += 1
         unspliced += _first_splice(d, x, y) is None
@@ -358,4 +390,4 @@ def test_merge_pair_merges_every_unwitnessed_pair():
         assert validate_walk(d, merged, WalkKind.CYCLE).sigma_minus == 0
         # the merge loop updates its masks from these steps alone
         assert sorted(added) == sorted(added_steps(merged, x, y))
-    assert unwitnessed > 3000 and unspliced > 20
+    assert unwitnessed > 3000 and unspliced > 20 and witnessed > 200

@@ -255,9 +255,7 @@ def test_irreducible_orders_figure_configuration():
     witness = masks_witness(d, parts, res.cycles)
     for i in range(3):
         for j in range(i + 1, 3):
-            w = witness(res.cycles[i], res.cycles[j])
-            assert w >= 0
-            assert res.witness_parts[(i, j)] == w
+            assert witness(res.cycles[i], res.cycles[j]) >= 0
 
 
 def test_irreducible_rejects_invalid_factor():
@@ -321,8 +319,7 @@ def _reference_merge(d, parts, factor):
         if not pairs:
             order = _dominance_order(wit)
             if order is not None:
-                witness_parts = {(a, b): int(wit[order[a], order[b]]) for a, b in every}
-                return OrderedCycleFactor(tuple(cycles[i] for i in order), witness_parts), wit
+                return OrderedCycleFactor(tuple(cycles[i] for i in order)), wit
             pairs = every
         merges = ((a, b, m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
         a, b, (merged, _) = next(merges, (0, 0, (None, None)))
@@ -385,13 +382,13 @@ def test_irreducible_merges_in_the_reference_order(monkeypatch):
     # order, as witnesses rebuilt from every arc each round, and fail where
     # the reference fails
     matrices = []
-    ordered_factor = smd_mod._ordered_factor
+    dominance_order = smd_mod._dominance_order
 
-    def recorded(cycles, wit, order):
+    def recorded(wit):
         matrices.append(wit)
-        return ordered_factor(cycles, wit, order)
+        return dominance_order(wit)
 
-    monkeypatch.setattr(smd_mod, "_ordered_factor", recorded)
+    monkeypatch.setattr(smd_mod, "_dominance_order", recorded)
     kinds = {"cycle": 0, "ordered": 0, "merged": 0}
     for d, parts, factor in _merge_cases(random.Random(7)):
         matrices.clear()
@@ -410,27 +407,43 @@ def test_irreducible_merges_in_the_reference_order(monkeypatch):
     assert min(kinds.values()) > 0, kinds
 
 
-def test_irreducible_cyclic_domination_fails_as_the_reference():
+def test_irreducible_cyclic_domination_fails_as_the_reference(monkeypatch):
     # three digons witnessed pairwise in a cycle of domination (ROADMAP item
-    # 1): the fallback tries every pair, as the reference does, and none merges
-    arcs = [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 0), (3, 2), (4, 1), (4, 2), (5, 0), (5, 1)]
-    d = build_digraph(6, arcs)
-    parts = recognize_smd(d)
-    factor = max_cost_cycle_factor(symmetric_01(d))
-    cycles = sorted(factor.cycles, key=min)
-    wit = [[_reference_witness(d, parts, c1, c2)[1] for c2 in cycles] for c1 in cycles]
-    assert len(cycles) == 3
-    assert all(wit[i][j] is not None or wit[j][i] is not None for i, j in combinations(range(3), 2))
-    assert _dominance_order(np.array([[-1 if w is None else w for w in row] for row in wit])) is None
-    with pytest.raises(InternalVerificationError):
-        _reference_merge(d, parts, factor)
-    with pytest.raises(InternalVerificationError):
-        irreducible_ordered_cycle_factor(d, parts, factor)
+    # 1): the reference's fallback tries every pair and none merges, since a
+    # witnessed pair never merges (_merge_pair); the merge loop tries no pair
+    # at all before it raises
+    calls = []
+
+    def counted(d, x, y, _merge=smd_mod._merge_pair):
+        calls.append((x, y))
+        return _merge(d, x, y)
+
+    for arcs in (CYCLIC_DOMINATION_ARCS, CYCLIC_DOMINATION_ARCS_222):
+        d = build_digraph(6, arcs)
+        parts = recognize_smd(d)
+        factor = max_cost_cycle_factor(symmetric_01(d))
+        cycles = sorted(factor.cycles, key=min)
+        wit = [[_reference_witness(d, parts, c1, c2)[1] for c2 in cycles] for c1 in cycles]
+        assert len(cycles) == 3
+        assert all(wit[i][j] is not None or wit[j][i] is not None for i, j in combinations(range(3), 2))
+        assert _dominance_order(np.array([[-1 if w is None else w for w in row] for row in wit])) is None
+        with pytest.raises(InternalVerificationError):
+            _reference_merge(d, parts, factor)
+        with monkeypatch.context() as patch:
+            patch.setattr(smd_mod, "_merge_pair", counted)
+            with pytest.raises(InternalVerificationError, match="could neither be merged further nor ordered"):
+                irreducible_ordered_cycle_factor(d, parts, factor)
+        assert calls == [], arcs
 
 
-# the (3,3) reproducer of ROADMAP item 1: three digons, cyclically dominated
+# the (3,3) and (2,2,2) reproducers of ROADMAP item 1: three digons,
+# cyclically dominated
 CYCLIC_DOMINATION_ARCS = [
     (0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 0), (3, 2), (4, 1), (4, 2), (5, 0), (5, 1)
+]
+CYCLIC_DOMINATION_ARCS_222 = [
+    (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 1), (3, 4), (3, 5), (4, 0), (4, 1),
+    (5, 0), (5, 2),
 ]
 
 
