@@ -30,7 +30,6 @@ from .errors import (
     StrongDigraphError,
 )
 from .factor_flow import (
-    CostDigraph,
     SpanningFactor,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,

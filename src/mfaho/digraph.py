@@ -606,7 +606,12 @@ def _partite_sets(d: Digraph) -> PartiteStructure | None:
         assigned |= cls
         parts.append(frozenset(members))
     parts.sort(key=lambda p: (-len(p), min(p)))
-    return PartiteStructure.from_parts(n, parts)
+    # the loop above has verified the partition: index it without a re-check
+    idx = [0] * n
+    for i, p in enumerate(parts):
+        for v in p:
+            idx[v] = i
+    return PartiteStructure(tuple(parts), tuple(idx))
 
 
 def recognize_lsd(d: Digraph) -> bool:

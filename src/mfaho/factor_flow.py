@@ -1,16 +1,26 @@
 """The symmetric (0,1)-digraph and optimal factor computation.
 
 The symmetric (0,1)-digraph of d costs 1 on every arc of d and 0 on the
-reverse of every one-way arc.  It is fully determined by d, so it is a view
-of d: costs are read from d's bitmask rows and the assignment matrix from
-d's arc arrays.  Both factor problems reduce to a square assignment after
-splitting every vertex into an out-copy (row) and an in-copy (column): a
-perfect matching in that bipartite graph is exactly a successor function,
-i.e. a spanning set of disjoint cycles.  The one-path variant adds a source
-row and a sink column.  Costs are swapped (0 <-> 1) first, so a minimum-cost
-assignment corresponds to a maximum-cost factor.  Missing arcs are +inf
-cells, and the assignment itself is scipy's linear_sum_assignment behind
-min_cost_assignment.
+reverse of every one-way arc.  Both factor problems reduce to a square
+assignment after splitting every vertex into an out-copy (row) and an
+in-copy (column): a perfect matching in that bipartite graph is exactly a
+successor function, i.e. a spanning set of disjoint cycles.  The one-path
+variant adds a source row and a sink column.  Costs are swapped (0 <-> 1)
+first, so a minimum-cost assignment corresponds to a maximum-cost factor.
+symmetric_01 builds that swapped matrix once, from d's arc arrays, with the
+source row and sink column n; missing arcs are +inf cells.  The cycle factor
+solves its top-left n x n block and the 1-path-cycle factor the whole
+matrix, both with scipy's linear_sum_assignment behind min_cost_assignment.
+
+A factor is checked once, where it is read off the matrix; no second pass
+walks it against d.  An assignment that is not a permutation is refused by
+_decompose.  A matched +inf cell, which is a missing arc or a 1-cycle (the
+diagonal is +inf), is refused by the finite-cell test in _max_cost_factor.
+A wrong cost reaches no report: the certificate walk a solver builds from
+the factor has exactly the factor's true cost in forward steps, for mfahop
+and for mfahoc with a cost-0 arc in the factor, so the sigma check of
+digraph._certified_walk refuses any other cost; without a cost-0 arc,
+mfahoc reports n or n - 1, never the cost.
 """
 
 from __future__ import annotations
@@ -21,26 +31,6 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import InputError, InternalVerificationError
-
-
-@dataclass(frozen=True)
-class CostDigraph:
-    """The symmetric (0,1)-digraph of base, read off base itself."""
-
-    base: Digraph
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def cost(self, u: int, v: int) -> int | None:
-        """1 for an arc u->v of base, 0 when only v->u is one, None when u
-        and v are not adjacent (no arc)."""
-        if self.base.has_arc(u, v):
-            return 1
-        if self.base.has_arc(v, u):
-            return 0
-        return None
 
 
 @dataclass(frozen=True)
@@ -64,9 +54,23 @@ class SpanningFactor:
                 yield cyc[i], cyc[(i + 1) % len(cyc)]
 
 
-def symmetric_01(d: Digraph) -> CostDigraph:
-    """Cost 1 on every arc of d, plus a cost-0 reverse for each one-way arc."""
-    return CostDigraph(d)
+def symmetric_01(d: Digraph) -> np.ndarray:
+    """The (n+1)-square swapped-cost assignment matrix of the symmetric
+    (0,1)-digraph of d.
+
+    Cell (u, v) is 0 for an arc u->v of d, 1 when only v->u is one, and +inf
+    when u and v are not adjacent.  Row n is the source and column n the
+    sink of the 1-path-cycle factor: their cells to and from the vertices
+    are 0, and the source-to-sink cell stays +inf so the path is nonempty.
+    """
+    n = d.n
+    tails, heads = d.arc_arrays()
+    c = np.full((n + 1, n + 1), np.inf)
+    c[heads, tails] = 1.0  # reverse arcs; a digon's is overwritten next
+    c[tails, heads] = 0.0
+    c[n, :n] = 0.0
+    c[:n, n] = 0.0
+    return c
 
 
 def min_cost_assignment(cost_matrix: np.ndarray) -> list[int] | None:
@@ -96,36 +100,38 @@ def min_cost_assignment(cost_matrix: np.ndarray) -> list[int] | None:
     return cols.tolist()
 
 
-def _solve_swapped(h: CostDigraph, with_path: bool):
-    """Successor list of an optimal factor and its cost, via the swapped-cost
-    assignment, or None when h has no such factor.
+def max_cost_cycle_factor(h: np.ndarray) -> SpanningFactor | None:
+    """A maximum-cost cycle factor of the symmetric (0,1)-digraph whose
+    matrix symmetric_01 built, or None if it has no cycle factor."""
+    return _max_cost_factor(h[:-1, :-1], with_path=False)
 
-    Rows are out-copies, columns in-copies, and the swapped cost of an arc
-    is 1 minus its cost; with_path adds source row n and sink column n, with
-    the (source, sink) cell forbidden so the path is nonempty.  Returns succ
-    with succ[v] over 0..n-1 plus, when with_path, succ[n] for the path start
-    and succ[v] == n for the path end.  The factor has n arcs, or n - 1 with
-    a path (the source and sink cells cost 0), so its cost is that count
-    minus the swapped total.
+
+def max_cost_one_path_cycle_factor(h: np.ndarray) -> SpanningFactor | None:
+    """A maximum-cost 1-path-cycle factor of the symmetric (0,1)-digraph
+    whose matrix symmetric_01 built, or None if none exists.
+
+    The path is always nonempty; a single vertex is a legal path.
     """
-    n = h.n
-    size = n + 1 if with_path else n
-    tails, heads = h.base.arc_arrays()
-    c = np.full((size, size), np.inf)
-    c[heads, tails] = 1.0  # reverse arcs; a digon's is overwritten next
-    c[tails, heads] = 0.0
-    if with_path:
-        c[n, :n] = 0.0
-        c[:n, n] = 0.0
-        # the source-to-sink cell stays forbidden
-    succ = min_cost_assignment(c)
+    return _max_cost_factor(h, with_path=True)
+
+
+def _max_cost_factor(c: np.ndarray, with_path: bool) -> SpanningFactor | None:
+    """The factor of an optimal assignment on the swapped matrix c, or None
+    when there is none.
+
+    With with_path, row and column n are the source and sink: succ[n] is the
+    path start and succ[v] == n the path end.  The factor has n arcs, or
+    n - 1 with a path (the source and sink cells cost 0), so its cost is
+    that count minus the swapped total of the matched cells.
+    """
+    n = len(c) - with_path
+    succ = min_cost_assignment(c) if n else None
     if succ is None:
         return None
-    matched = c[np.arange(size), succ]
-    # a matched forbidden cell can only appear if no feasible matching exists
+    matched = c[np.arange(len(c)), succ]
     if not np.isfinite(matched).all():
-        return None
-    return succ, n - with_path - int(matched.sum())
+        raise InternalVerificationError("assignment matched a forbidden cell")
+    return _decompose(succ, n, with_path, n - with_path - int(matched.sum()))
 
 
 def _decompose(succ: list[int], n: int, with_path: bool, cost: int = 0) -> SpanningFactor:
@@ -154,45 +160,3 @@ def _walk(succ: list[int], v: int, stop: int, seen: list[bool]) -> list[int]:
         walk.append(v)
         v = succ[v]
     return walk
-
-
-def verify_factor(h: CostDigraph, f: SpanningFactor) -> None:
-    """Re-check disjointness, coverage, arc membership and the summed cost."""
-    covered: list[int] = list(f.path or ())
-    for cyc in f.cycles:
-        if len(cyc) < 2:
-            raise InternalVerificationError("factor cycle shorter than 2")
-        covered.extend(cyc)
-    if sorted(covered) != list(range(h.n)):
-        raise InternalVerificationError("factor does not partition the vertex set")
-    total = 0
-    for a in f.arcs():
-        cost = h.cost(*a)
-        if cost is None:
-            raise InternalVerificationError(f"factor uses missing arc {a}")
-        total += cost
-    if total != f.cost:
-        raise InternalVerificationError("factor cost does not re-sum")
-
-
-def max_cost_cycle_factor(h: CostDigraph) -> SpanningFactor | None:
-    """A maximum-cost cycle factor of h, or None if h has no cycle factor."""
-    return _max_cost_factor(h, with_path=False)
-
-
-def max_cost_one_path_cycle_factor(h: CostDigraph) -> SpanningFactor | None:
-    """A maximum-cost 1-path-cycle factor of h, or None if none exists.
-
-    The path is always nonempty; a single vertex is a legal path.
-    """
-    return _max_cost_factor(h, with_path=True)
-
-
-def _max_cost_factor(h: CostDigraph, with_path: bool) -> SpanningFactor | None:
-    solved = _solve_swapped(h, with_path) if h.n else None
-    if solved is None:
-        return None
-    succ, cost = solved
-    factor = _decompose(succ, h.n, with_path, cost)
-    verify_factor(h, factor)
-    return factor

@@ -103,18 +103,28 @@ class SolveReport:
         """The report a to_dict payload describes; elapsed_ms may be absent.
 
         Raises InputError unless payload is an object with every other field,
-        problem is mfahoc or mfahop, status ok or none, walk null or a list
-        of ints, forward_mask null or a list of booleans and sigma null or an
-        int.
+        digest and branch are strings, problem is mfahoc or mfahop,
+        detected_class smd, lsd or both, status ok or none, walk null or a
+        list of ints, forward_mask null or a list of booleans, sigma null or
+        an int and elapsed_ms, if present, a number other than a boolean.
         """
         if not isinstance(payload, dict):
             raise InputError("report must be a JSON object")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
         if missing:
             raise InputError(f"report is missing field {missing[0]!r}")
-        for name, allowed in (("problem", ("mfahoc", "mfahop")), ("status", ("ok", "none"))):
+        for name in ("digest", "branch"):
+            if type(payload[name]) is not str:
+                raise InputError(f"report field {name!r} must be a string")
+        for name, allowed in (
+            ("problem", ("mfahoc", "mfahop")),
+            ("detected_class", ("smd", "lsd", "both")),
+            ("status", ("ok", "none")),
+        ):
             if payload[name] not in allowed:
                 raise InputError(f"report field {name!r} must be one of {', '.join(allowed)}")
+        if type(payload.get("elapsed_ms", 0.0)) not in (int, float):
+            raise InputError("report field 'elapsed_ms' must be a number")
         for name, item in (("walk", int), ("forward_mask", bool)):
             value = payload[name]
             if value is not None and not (

@@ -212,7 +212,9 @@ def mfahoc_lsd(d: Digraph):
 
     Returns (sigma, walk, branch), or None when the underlying graph has a
     cut vertex (no Hamilton oriented cycle exists; by convention the optimum
-    is reported as 0 at the interface level).
+    is reported as 0 at the interface level).  A non-strong certificate is
+    walked once: sigma = n - dist fixes its backward steps at dist, and the
+    _component_distance check is what makes that deficit optimal.
     """
     if not recognize_lsd(d):
         raise InputError("digraph is not locally semicomplete")
@@ -240,13 +242,4 @@ def mfahoc_lsd(d: Digraph):
         raise InternalVerificationError("forward path misses the anchor vertices")
     seq = tuple(q) + tuple(p[i] for i in range(dist - 1, 0, -1))
     sigma = d.n - dist
-    walk = _certified_walk(d, seq, WalkKind.CYCLE, sigma)
-    backward_steps = {
-        step for step, fwd_flag in zip(walk.steps(), walk.forward_mask) if not fwd_flag
-    }
-    expected = {(p[i + 1], p[i]) for i in range(dist)}
-    if backward_steps != expected:
-        raise InternalVerificationError(
-            "backward steps are not exactly the reversed shortest path"
-        )
-    return sigma, walk, "lsd-nonstrong-2connected"
+    return sigma, _certified_walk(d, seq, WalkKind.CYCLE, sigma), "lsd-nonstrong-2connected"

@@ -10,12 +10,14 @@ mask and end at v.  A step may join any two vertices adjacent in the
 underlying graph and scores 1 when it runs along an arc.  A cycle starts at
 vertex 0 and closes with a step back to it; a path may start anywhere.
 
-The factor oracle treats a factor as a successor assignment: row r (a
-vertex, or for a 1-path-cycle factor also the source n) picks its successor
-column (a vertex, or the sink n), and f[S] is the best cost of rows
-0..|S|-1 using exactly the columns in S.  The optimal assignment is split
-into its path and cycles by factor_flow's _decompose, the one piece of
-solver code the oracles share.
+The factor oracle reads the digraph, not a solver structure: the walk
+oracles' step scores are the costs of the symmetric (0,1)-digraph.  It
+treats a factor as a successor assignment: row r (a vertex, or for a
+1-path-cycle factor also the source n) picks its successor column (a
+vertex, or the sink n), and f[S] is the best cost of rows 0..|S|-1 using
+exactly the columns in S.  The optimal assignment is split into its path and
+cycles by factor_flow's _decompose, the one piece of solver code the oracles
+share.
 
 Every table has 2^n rows or more, so the oracles refuse n above
 MAX_WALK_VERTICES whatever bound they are given.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import OracleBoundError
-from .factor_flow import CostDigraph, _decompose
+from .factor_flow import _decompose
 
 DEFAULT_WALK_BOUND = 18
 # Largest n any oracle accepts: the n=20 path table and its parents take
@@ -168,10 +170,10 @@ def oracle_ham_cycle(d: Digraph, bound: int = DEFAULT_WALK_BOUND) -> bool:
     return oracle_mfahoc(d, bound).value == d.n
 
 
-def oracle_factor_cost(
-    h: CostDigraph, kind: str, bound: int = DEFAULT_WALK_BOUND
-) -> OracleResult:
-    """Max cost over all cycle factors or 1-path-cycle factors of h.
+def oracle_factor_cost(d: Digraph, kind: str, bound: int = DEFAULT_WALK_BOUND) -> OracleResult:
+    """Max cost over all cycle factors or 1-path-cycle factors of the
+    symmetric (0,1)-digraph of d, whose costs are the walk oracles' step
+    scores.
 
     kind is "cycle-factor" or "1pcf".  A 1-path-cycle factor adds a source
     row and a sink column n: the source picks the path's first vertex and
@@ -181,12 +183,12 @@ def oracle_factor_cost(
     """
     if kind not in ("cycle-factor", "1pcf"):
         raise ValueError(f"unknown factor kind {kind!r}")
-    n = h.n
+    n = d.n
     _check_size(n, bound)
     with_path = kind == "1pcf"
     k = n + 1 if with_path else n
     weight = np.full((k, k), _UNREACHED, dtype=np.int16)
-    weight[:n, :n] = _step_scores(h.base)
+    weight[:n, :n] = _step_scores(d)
     if with_path:
         weight[n, :n] = 0
         weight[:n, n] = 0

@@ -14,6 +14,29 @@ from mfaho.smd import _CycleMasks
 EXCEPTIONAL_ARCS = [(0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)]
 
 
+def arc_cost(d: Digraph, u: int, v: int):
+    """Cost of u -> v in the symmetric (0,1)-digraph of d, read from d's
+    rows: 1 for an arc, 0 when only v -> u is one, None when u and v are not
+    adjacent."""
+    if d.out_mask[u] >> v & 1:
+        return 1
+    return 0 if d.out_mask[v] >> u & 1 else None
+
+
+def check_factor(d: Digraph, f: SpanningFactor) -> None:
+    """Reference check of a factor against d: its path and cycles of at least
+    2 vertices partition the vertex set, every step has a cost and the costs
+    sum to f.cost."""
+    covered = list(f.path or ())
+    for cyc in f.cycles:
+        assert len(cyc) >= 2, f"factor cycle {cyc} is shorter than 2"
+        covered.extend(cyc)
+    assert sorted(covered) == list(range(d.n)), "factor does not partition the vertex set"
+    costs = [arc_cost(d, *a) for a in f.arcs()]
+    assert None not in costs, "factor uses a missing arc"
+    assert sum(costs) == f.cost, "factor cost does not re-sum"
+
+
 def find_distinct_ends_1pcf(d: Digraph, parts: PartiteStructure):
     """Some 1-path-cycle factor of d whose path ends lie in different parts.
 

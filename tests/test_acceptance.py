@@ -326,7 +326,7 @@ def test_criterion_8_factor_flow_exactness():
             ("1pcf", max_cost_one_path_cycle_factor),
         ):
             got = solver(h)
-            expected = oracle_factor_cost(h, kind)
+            expected = oracle_factor_cost(d, kind)
             if got is None:
                 assert expected.value is None, (sorted(d.arcs), kind)
             else:

@@ -628,6 +628,14 @@ _OK_REPORT = {
         {**_OK_REPORT, "sigma": [3]},
         {**_OK_REPORT, "problem": "banana"},
         {**_OK_REPORT, "status": "maybe"},
+        {**_OK_REPORT, "detected_class": [1]},
+        {**_OK_REPORT, "detected_class": "neither"},
+        {**_OK_REPORT, "branch": None},
+        {**_OK_REPORT, "branch": ["lsd-strong"]},
+        {**_OK_REPORT, "digest": 0},
+        {**_OK_REPORT, "elapsed_ms": "x"},
+        {**_OK_REPORT, "elapsed_ms": True},
+        {**_OK_REPORT, "elapsed_ms": None},
     ],
 )
 def test_cli_verify_malformed_report_exits_3(tmp_path, capsys, payload):
@@ -648,6 +656,7 @@ def test_report_round_trips_through_its_dict(tmp_path):
         rep = solve(d, problem)
         payload = json.loads(rep.to_json())
         assert SolveReport.from_dict(payload) == rep
+        assert SolveReport.from_dict({**payload, "elapsed_ms": 3}).elapsed_ms == 3
         payload.pop("elapsed_ms")
         assert SolveReport.from_dict({**payload, "file": "x.dg"}).elapsed_ms == 0.0
 

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 from itertools import permutations
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import mfaho
-from mfaho import factor_flow
+from mfaho import factor_flow, harness, smd
 from mfaho.digraph import build_digraph
 from mfaho.errors import InputError, InternalVerificationError
 from mfaho.factor_flow import (
@@ -17,16 +19,19 @@ from mfaho.factor_flow import (
     max_cost_one_path_cycle_factor,
     min_cost_assignment,
     symmetric_01,
-    verify_factor,
 )
 from mfaho.generate import gen_smd
 from mfaho.oracle import oracle_factor_cost
 
+from conftest import arc_cost, check_factor
+
 
 def costs_of(h):
-    """Every arc of the cost digraph with its cost, read through the view."""
-    pairs = ((u, v) for u in range(h.n) for v in range(h.n))
-    return {(u, v): h.cost(u, v) for u, v in pairs if h.cost(u, v) is not None}
+    """Every arc of the (0,1)-digraph whose swapped matrix symmetric_01 built,
+    with its cost: 1 minus each finite cell of the vertex block."""
+    n = len(h) - 1
+    pairs = ((u, v) for u in range(n) for v in range(n))
+    return {(u, v): 1 - int(h[u, v]) for u, v in pairs if np.isfinite(h[u, v])}
 
 
 def test_symmetric01_single_arc():
@@ -47,17 +52,6 @@ def test_symmetric01_triangle():
     assert sorted(costs.values()) == [0, 0, 0, 1, 1, 1]
 
 
-def test_symmetric01_is_a_view_of_its_input():
-    # 0->1 one-way, 1<->2 a digon, 0 and 2 not adjacent
-    d = build_digraph(3, [(0, 1), (1, 2), (2, 1)])
-    h = symmetric_01(d)
-    assert h.base is d and h.n == 3
-    assert (h.cost(0, 1), h.cost(1, 0)) == (1, 0)
-    assert (h.cost(1, 2), h.cost(2, 1)) == (1, 1)
-    assert h.cost(0, 2) is None and h.cost(2, 0) is None
-    assert h.cost(1, 1) is None
-
-
 def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
     d, _ = gen_smd((3, 4, 2), seed=5, digon_prob=0.3)
     arcs = d.arcs
@@ -74,6 +68,7 @@ def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
     solve = factor_flow.min_cost_assignment
     monkeypatch.setattr(factor_flow, "min_cost_assignment", lambda c: matrices.append(c.copy()) or solve(c))
     h = symmetric_01(d)
+    assert np.array_equal(h, expected)
     max_cost_cycle_factor(h)
     max_cost_one_path_cycle_factor(h)
     assert len(matrices) == 2
@@ -227,32 +222,31 @@ def test_factor_optima_match_oracle_on_random_smd(seed):
     rng.shuffle(perm)
     acyclic = build_digraph(acyclic.n, [(perm[u], perm[v]) for u, v in acyclic.arcs])
     for graph in (d, acyclic):
-        _check_factor_optima(symmetric_01(graph))
+        _check_factor_optima(graph)
     f = max_cost_cycle_factor(symmetric_01(acyclic))
     assert f is None or f.cost < acyclic.n
 
 
-def _check_factor_optima(h):
+def _check_factor_optima(d):
+    h = symmetric_01(d)
     for kind, solver in (
         ("cycle-factor", max_cost_cycle_factor),
         ("1pcf", max_cost_one_path_cycle_factor),
     ):
         got = solver(h)
-        expected = oracle_factor_cost(h, kind)
+        expected = oracle_factor_cost(d, kind)
         if got is None:
             assert expected.value is None
         else:
             assert got.cost == expected.value
-            verify_factor(h, got)
+            check_factor(d, got)
 
 
 def test_returned_factor_reverifies():
     d, _ = gen_smd((2, 2, 1), seed=3)
     h = symmetric_01(d)
-    f = max_cost_cycle_factor(h)
-    verify_factor(h, f)  # must not raise
-    g = max_cost_one_path_cycle_factor(h)
-    verify_factor(h, g)
+    check_factor(d, max_cost_cycle_factor(h))
+    check_factor(d, max_cost_one_path_cycle_factor(h))
 
 
 def _all_cycle_factor_costs(n, cost):
@@ -288,35 +282,35 @@ def test_swap_duality(seed):
     # minimum-cost factor
     d, _ = gen_smd((2, 2), seed=seed, digon_prob=0.3)
     h = symmetric_01(d)
-    n = h.n
+    n = d.n
+    cost = partial(arc_cost, d)
 
     def swapped(u, v):
-        c = h.cost(u, v)
+        c = cost(u, v)
         return None if c is None else 1 - c
 
-    costs = _all_cycle_factor_costs(n, h.cost)
+    costs = _all_cycle_factor_costs(n, cost)
     assert costs, "these dense instances always have a cycle factor"
     f_max = max_cost_cycle_factor(h)
     assert f_max.cost == max(costs)
     swapped_cost = sum(swapped(*a) for a in f_max.arcs())
     assert swapped_cost == min(_all_cycle_factor_costs(n, swapped))
     c = np.full((n, n), np.inf)
-    for (u, v), cost in costs_of(h).items():
-        c[u, v] = cost
+    for (u, v), arc in costs_of(h).items():
+        c[u, v] = arc
     g = min_cost_assignment(c)
-    assert sum(h.cost(v, g[v]) for v in range(n)) == min(costs)
+    assert sum(cost(v, g[v]) for v in range(n)) == min(costs)
 
 
 def test_one_path_factor_at_least_hamilton_path():
     # a Hamilton path of the cost digraph is a 1-path-cycle factor
     for seed in range(6):
         d, _ = gen_smd((2, 2, 1), seed=seed)
-        h = symmetric_01(d)
-        best = max_cost_one_path_cycle_factor(h).cost
+        best = max_cost_one_path_cycle_factor(symmetric_01(d)).cost
         n = d.n
         top = -1
         for p in permutations(range(n)):
-            steps = [h.cost(p[i], p[i + 1]) for i in range(n - 1)]
+            steps = [arc_cost(d, p[i], p[i + 1]) for i in range(n - 1)]
             if None not in steps:
                 top = max(top, sum(steps))
         assert best >= top
@@ -341,3 +335,79 @@ def test_decompose_splits_a_successor_permutation():
 def test_decompose_refuses_a_non_permutation_at_once(succ, with_path):
     with pytest.raises(InternalVerificationError, match="not a permutation"):
         factor_flow._decompose(succ, len(succ) - with_path, with_path)
+
+
+
+def _cells(c, cols, finite):
+    """The first rows i != j for which c[i, cols[j]] is finite (or +inf)."""
+    size = len(c)
+    return next(
+        (i, j)
+        for i in range(size)
+        for j in range(size)
+        if i != j and np.isfinite(c[i, cols[j]]) == finite
+    )
+
+
+def _duplicate_column(c, cols):
+    """Row i takes row j's column on a finite cell: not a permutation."""
+    i, j = _cells(c, cols, finite=True)
+    cols[i] = cols[j]
+
+
+def _forbidden_cell(c, cols):
+    """Rows i and j swap columns, and row i lands on a +inf cell."""
+    i, j = _cells(c, cols, finite=False)
+    cols[i], cols[j] = cols[j], cols[i]
+
+
+def _one_cycle(c, cols):
+    """Vertex 0 becomes its own successor; the row that had column 0 takes
+    vertex 0's old column."""
+    u = cols.index(0)
+    cols[u], cols[0] = cols[0], 0
+
+
+@pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_duplicate_column, "not a permutation"),
+        (_forbidden_cell, "forbidden cell"),
+        (_one_cycle, "forbidden cell"),
+        (1, "certificate has"),
+        (-1, "certificate has"),
+    ],
+)
+def test_factor_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
+    # each fault the factor's own checks must catch: a bad assignment at
+    # _decompose or the finite-cell test, and a cost shifted by one at the
+    # sigma check of the certificate walk the solver builds from the factor,
+    # which has exactly the factor's cost in forward steps on mfahop and on
+    # mfahoc with a cost-0 arc in the factor
+    d, _ = gen_smd((3, 2, 2), seed=3, bias=1.0)
+    expected = {"mfahoc": "cycle-below-max", "mfahop": "path-factor"}[problem]
+    assert harness.solve(d, problem).branch == expected
+    reports = []
+    verify = harness.verify_report
+    monkeypatch.setattr(harness, "verify_report", lambda *a: reports.append(a) or verify(*a))
+    if callable(fault):
+        solve = factor_flow.min_cost_assignment
+
+        def faulty(c):
+            cols = solve(c)
+            fault(c, cols)
+            return cols
+
+        monkeypatch.setattr(factor_flow, "min_cost_assignment", faulty)
+    else:
+        for name in ("max_cost_cycle_factor", "max_cost_one_path_cycle_factor"):
+
+            def shifted(h, build=getattr(smd, name)):
+                f = build(h)
+                return replace(f, cost=f.cost + fault)
+
+            monkeypatch.setattr(smd, name, shifted)
+    with pytest.raises(InternalVerificationError, match=message):
+        harness.solve(d, problem)
+    assert reports == []

@@ -7,7 +7,7 @@ import pytest
 import mfaho.oracle
 from mfaho.digraph import WalkKind, build_digraph, validate_walk
 from mfaho.errors import OracleBoundError
-from mfaho.factor_flow import SpanningFactor, symmetric_01, verify_factor
+from mfaho.factor_flow import SpanningFactor
 from mfaho.generate import gen_smd
 from mfaho.oracle import (
     DEFAULT_WALK_BOUND,
@@ -17,6 +17,8 @@ from mfaho.oracle import (
     oracle_mfahoc,
     oracle_mfahop,
 )
+
+from conftest import arc_cost, check_factor
 
 TRIANGLE = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
 ACYCLIC_PATH = build_digraph(3, [(0, 1), (1, 2)])
@@ -57,18 +59,16 @@ def test_ham_cycle_oracle():
 
 
 def test_factor_oracle_triangle():
-    h = symmetric_01(TRIANGLE)
-    assert oracle_factor_cost(h, "cycle-factor").value == 3
+    assert oracle_factor_cost(TRIANGLE, "cycle-factor").value == 3
 
 
 def test_factor_oracle_single_arc_1pcf():
-    h = symmetric_01(build_digraph(2, [(0, 1)]))
-    assert oracle_factor_cost(h, "1pcf").value == 1
+    assert oracle_factor_cost(build_digraph(2, [(0, 1)]), "1pcf").value == 1
 
 
 def test_factor_oracle_unknown_kind():
     with pytest.raises(ValueError):
-        oracle_factor_cost(symmetric_01(TRIANGLE), "nope")
+        oracle_factor_cost(TRIANGLE, "nope")
 
 
 def test_bound_refusal():
@@ -103,7 +103,7 @@ def test_hard_maximum_refuses_before_building_the_table(monkeypatch):
                 oracle(d, bound=10**6)
         for kind in ("cycle-factor", "1pcf"):
             with pytest.raises(OracleBoundError, match="hard bound"):
-                oracle_factor_cost(symmetric_01(d), kind, bound=10**6)
+                oracle_factor_cost(d, kind, bound=10**6)
 
 
 def test_witnesses_revalidate():
@@ -190,14 +190,15 @@ def test_walk_oracles_match_the_permutation_reference():
     assert outcomes == {(c, e) for c in (True, False) for e in (True, False)}
 
 
-def _reference_factor_cost(h, kind):
+def _reference_factor_cost(d, kind):
     """Max cost over all cycle factors ("cycle-factor") or 1-path-cycle
-    factors ("1pcf") of h, or None when there is none.  Enumerates every
+    factors ("1pcf") of the symmetric (0,1)-digraph of d, or None when there
+    is none.  Enumerates every
     successor permutation of the cycle part and, for 1pcf, every arc-valid
     ordered path first; both are built one vertex at a time, skipping
     non-adjacent steps."""
-    n = h.n
-    cost = [[h.cost(u, v) for v in range(n)] for u in range(n)]
+    n = d.n
+    cost = [[arc_cost(d, u, v) for v in range(n)] for u in range(n)]
 
     @cache
     def cycle_part(mask):
@@ -237,14 +238,14 @@ def test_factor_oracle_matches_the_permutation_reference():
     rng = random.Random(4096)
     outcomes = set()
     for i in range(1000):
-        h = symmetric_01(_random_digraph(rng, i % 8))
+        d = _random_digraph(rng, i % 8)
         for kind in ("cycle-factor", "1pcf"):
-            expected = _reference_factor_cost(h, kind)
-            res = oracle_factor_cost(h, kind)
-            assert res.value == expected, (kind, h.n, sorted(h.base.arcs))
+            expected = _reference_factor_cost(d, kind)
+            res = oracle_factor_cost(d, kind)
+            assert res.value == expected, (kind, d.n, sorted(d.arcs))
             outcomes.add((kind, res.exists))
             if res.exists:
                 path, cycles = res.witness
                 assert (path is None) == (kind == "cycle-factor")
-                verify_factor(h, SpanningFactor(path, cycles, res.value))
+                check_factor(d, SpanningFactor(path, cycles, res.value))
     assert outcomes == {(k, e) for k in ("cycle-factor", "1pcf") for e in (True, False)}
