@@ -7,29 +7,41 @@ in-copy (column): a perfect matching in that bipartite graph is exactly a
 successor function, i.e. a spanning set of disjoint cycles.  The one-path
 variant adds a source row and a sink column.  Costs are swapped (0 <-> 1)
 first, so a minimum-cost assignment corresponds to a maximum-cost factor.
-symmetric_01 builds that swapped matrix once, from d's arc arrays, with the
-source row and sink column n; missing arcs are +inf cells.  The cycle factor
-solves its top-left n x n block and the 1-path-cycle factor the whole
-matrix, both with scipy's linear_sum_assignment behind min_cost_assignment.
 
-A factor is checked once, where it is read off the matrix; no second pass
-walks it against d.  An assignment that is not a permutation is refused by
-_decompose.  A matched +inf cell, which is a missing arc or a 1-cycle (the
-diagonal is +inf), is refused by the finite-cell test in _max_cost_factor.
-A wrong cost reaches no report: the certificate walk a solver builds from
-the factor has exactly the factor's true cost in forward steps, for mfahop
-and for mfahoc with a cost-0 arc in the factor, so the sigma check of
-digraph._certified_walk refuses any other cost; without a cost-0 arc,
-mfahoc reports n or n - 1, never the cost.
+Every swapped cell costs 0 (an arc of d, or a source or sink cell), 1 or
++inf, so a perfect matching on the cost-0 cells alone is an optimal factor:
+its swapped total is 0, and zero potentials prove no assignment cheaper
+(Kuhn 1955, Egervary).  It is a cycle factor of d, or a 1-path-cycle
+factor of d, of cost n or n - 1.  Both factor functions look for one first,
+with _zero_cost_matching on d's bitmask rows; only when there is none does
+symmetric_01 build the (n+1)-square swapped matrix from d's arc arrays,
+with the source row and sink column n and +inf for missing arcs, and
+scipy's linear_sum_assignment, behind min_cost_assignment, solves its
+top-left n x n block (cycle factor) or the whole matrix (1-path-cycle
+factor).
+
+A factor is checked once, where it is read off the matching or the matrix;
+no second pass walks it against d.  A successor list that is not a
+permutation is refused by _decompose on both routes.  A matched cell that
+is not allowed, a missing arc or a 1-cycle, is refused by the row test on
+the matching route (no row holds its own index) and by the finite-cell test
+on the matrix route (the diagonal is +inf).  A wrong cost reaches no
+report: the certificate walk a solver builds from the factor has exactly
+the factor's true cost in forward steps, for mfahop and for mfahoc with a
+cost-0 arc in the factor, so the sigma check of digraph._certified_walk
+refuses any other cost; without a cost-0 arc, mfahoc reports n or n - 1,
+never the cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _mask_bits
 from .errors import InputError, InternalVerificationError
 
 
@@ -100,38 +112,112 @@ def min_cost_assignment(cost_matrix: np.ndarray) -> list[int] | None:
     return cols.tolist()
 
 
-def max_cost_cycle_factor(h: np.ndarray) -> SpanningFactor | None:
-    """A maximum-cost cycle factor of the symmetric (0,1)-digraph whose
-    matrix symmetric_01 built, or None if it has no cycle factor."""
-    return _max_cost_factor(h[:-1, :-1], with_path=False)
+def max_cost_cycle_factor(d: Digraph) -> SpanningFactor | None:
+    """A maximum-cost cycle factor of the symmetric (0,1)-digraph of d, or
+    None if it has no cycle factor."""
+    return _max_cost_factor(d, list(d.out_mask), with_path=False)
 
 
-def max_cost_one_path_cycle_factor(h: np.ndarray) -> SpanningFactor | None:
-    """A maximum-cost 1-path-cycle factor of the symmetric (0,1)-digraph
-    whose matrix symmetric_01 built, or None if none exists.
+def max_cost_one_path_cycle_factor(d: Digraph) -> SpanningFactor | None:
+    """A maximum-cost 1-path-cycle factor of the symmetric (0,1)-digraph of
+    d, or None if none exists.
 
-    The path is always nonempty; a single vertex is a legal path.
+    The path is always nonempty; a single vertex is a legal path.  Its
+    cost-0 rows: each vertex's out-row plus the sink column n, and the
+    source row n holding every vertex but not the sink.
     """
-    return _max_cost_factor(h, with_path=True)
+    sink = 1 << d.n
+    return _max_cost_factor(d, [r | sink for r in d.out_mask] + [sink - 1], with_path=True)
 
 
-def _max_cost_factor(c: np.ndarray, with_path: bool) -> SpanningFactor | None:
-    """The factor of an optimal assignment on the swapped matrix c, or None
+def _max_cost_factor(d: Digraph, rows: list[int], with_path: bool) -> SpanningFactor | None:
+    """The factor of a perfect matching inside the cost-0 rows, else of an
+    optimal assignment on the swapped matrix symmetric_01 builds, or None
     when there is none.
 
     With with_path, row and column n are the source and sink: succ[n] is the
     path start and succ[v] == n the path end.  The factor has n arcs, or
     n - 1 with a path (the source and sink cells cost 0), so its cost is
-    that count minus the swapped total of the matched cells.
+    that count minus the swapped total of the matched cells: the count
+    itself for a cost-0 matching, which no factor can beat.
     """
-    n = len(c) - with_path
-    succ = min_cost_assignment(c) if n else None
+    n = d.n
+    if not n:
+        return None
+    succ = _zero_cost_matching(rows)
+    if succ is not None:
+        if not all(row >> col & 1 for row, col in zip(rows, succ)):
+            raise InternalVerificationError("matching took a forbidden cell")
+        return _decompose(succ, n, with_path, n - with_path)
+    c = symmetric_01(d)
+    c = c if with_path else c[:-1, :-1]
+    succ = min_cost_assignment(c)
     if succ is None:
         return None
     matched = c[np.arange(len(c)), succ]
     if not np.isfinite(matched).all():
         raise InternalVerificationError("assignment matched a forbidden cell")
     return _decompose(succ, n, with_path, n - with_path - int(matched.sum()))
+
+
+def _zero_cost_matching(rows: list[int]) -> list[int] | None:
+    """A perfect matching inside the bitmask rows, as the column of each
+    row, or None when they have none.
+
+    Row u may take column c when bit c of rows[u] is set; there are as many
+    columns as rows.  An empty row, or a column in no row, ends the attempt
+    at once.  Otherwise a greedy pass gives each row the first free column
+    after its own index, wrapping round, and Hopcroft-Karp phases finish the
+    matching (J. E. Hopcroft and R. M. Karp, SIAM J. Comput. 2, 1973): a
+    layered BFS from all free rows at once, then vertex-disjoint shortest
+    augmenting paths, found by a DFS that takes a column out of its layer
+    when it first reaches it.  A phase that reaches no free column proves
+    the matching maximum, so not perfect.  There are O(sqrt(n)) phases of
+    O(n) operations on n-bit rows each.
+    """
+    n = len(rows)
+    free = (1 << n) - 1  # the free columns
+    if not all(rows) or reduce(or_, rows, 0) != free:
+        return None
+    col, row = [-1] * n, [-1] * n  # the column of each row, the row of each column
+    for u, r in enumerate(rows):
+        if avail := r & free:
+            after = avail >> u + 1
+            low = (after & -after) << u + 1 if after else avail & -avail
+            c = low.bit_length() - 1
+            col[u], row[c], free = c, u, free ^ low
+    while free:
+        starts = [u for u in range(n) if col[u] < 0]
+        layers, seen, frontier = [], 0, starts
+        while True:
+            reach = reduce(or_, (rows[u] for u in frontier), 0) & ~seen
+            if not reach:
+                return None
+            if reach & free:
+                layers.append(reach & free)
+                break
+            seen |= reach
+            layers.append(reach)
+            frontier = [row[c] for c in _mask_bits(reach)]
+        last = len(layers) - 1
+        for u0 in starts:
+            us, cs = [u0], []  # an alternating path u0 -cs[0]-> us[1] ...
+            while us:
+                cand = rows[us[-1]] & layers[len(cs)]
+                if not cand:
+                    us.pop()
+                    del cs[-1:]
+                    continue
+                low = cand & -cand
+                layers[len(cs)] ^= low
+                cs.append(low.bit_length() - 1)
+                if len(cs) > last:
+                    for u, c in zip(us, cs):
+                        col[u], row[c] = c, u
+                    free ^= low
+                    break
+                us.append(row[cs[-1]])
+    return col
 
 
 def _decompose(succ: list[int], n: int, with_path: bool, cost: int = 0) -> SpanningFactor:

@@ -1,7 +1,11 @@
 """Solvers for semicomplete multipartite digraphs.
 
 The maximum-forward-arc optima come from optimal factors of the symmetric
-(0,1)-digraph; certificates are assembled constructively.  The ordered-factor
+(0,1)-digraph, which the solvers ask factor_flow for with d itself: a cycle
+factor or a 1-path-cycle factor of d's own arcs when there is one (a cost-0
+perfect matching, optimal outright), else an optimal assignment on the swapped
+matrix.  Certificates are assembled constructively, in d plus the factor's
+cost-0 arcs, or in d itself when there are none to add.  The ordered-factor
 machinery keeps masks of the cycles' vertices, in-rows and out-rows and of the
 vertices whose successor or predecessor lies in each partite set; from them a
 few big-int operations give a cycle pair's weak-domination witness, kept once
@@ -12,19 +16,18 @@ which update the masks) and reads the dominance order off the witnesses; no
 witnessed pair can merge, so cyclic domination raises.  Every cycle
 certificate comes from one construction, ham_path_distinct_ends: the maximum
 cycle factor is opened at one arc (a cost-0 arc if there is one), the
-resulting path is closed and merged once with the other cycles, and a
-Hamilton cycle there gives the path directly; otherwise the ordered factor is
-opened at that arc and the other cycles are absorbed into the path one at a
-time, right and then left, by two rules that provably keep its ends in
-different partite sets.  The closed path is the certificate.  The path
-certificate may end anywhere: each factor cycle is spliced whole into the
-factor's path, or the path comes from merging with a universal apex vertex.  No
-step depends on the size of the input except one: when a full-cost cycle
-factor yields a path that closes backward, _hamilton_cycle_by_dp decides
-Hamiltonicity by the subset DP of oracle_mfahoc, which refuses n above
-MAX_WALK_VERTICES.  Each solver walks its certificate once, through
-_certified_walk, which checks it against d and the optimum; no step inside the
-construction walks it again.
+resulting path is closed and merged once with the other cycles, and a Hamilton
+cycle there gives the path directly; otherwise the ordered factor is opened at
+that arc and the other cycles are absorbed into the path one at a time, right
+and then left, by two rules that provably keep its ends in different partite
+sets.  The closed path is the certificate.  The path certificate may end
+anywhere: each factor cycle is spliced whole into the factor's path, or the
+path comes from merging with a universal apex vertex.  No step depends on the
+size of the input except one: when a full-cost cycle factor yields a path that
+closes backward, _hamilton_cycle_by_dp decides Hamiltonicity by the subset DP
+of oracle_mfahoc, which refuses n above MAX_WALK_VERTICES.  Each solver walks
+its certificate once, through _certified_walk, which checks it against d and
+the optimum; no step inside the construction walks it again.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .factor_flow import (
     SpanningFactor,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
-    symmetric_01,
 )
 from .oracle import MAX_WALK_VERTICES, oracle_mfahoc
 
@@ -495,14 +497,14 @@ def mfahop_smd(d: Digraph, parts: PartiteStructure):
     check_smd(d, parts)
     if not hp_majority(parts.sizes):
         return None
-    dhat = symmetric_01(d)
-    factor = max_cost_one_path_cycle_factor(dhat)
+    factor = max_cost_one_path_cycle_factor(d)
     if factor is None:
         raise InternalVerificationError(
             "majority inequality holds but no 1-path-cycle factor was found"
         )
     sigma = factor.cost
-    df = d.with_arcs(factor.arcs())
+    zero = [a for a in factor.arcs() if not d.has_arc(*a)]
+    df = d.with_arcs(zero) if zero else d
     seq = _assemble_ham_path(df, parts, factor)
     return sigma, _certified_walk(d, seq, WalkKind.PATH, sigma), "path-factor"
 
@@ -557,7 +559,7 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
     if not hc_majority(parts.sizes):
         return None
     n = d.n
-    factor = max_cost_cycle_factor(symmetric_01(d))
+    factor = max_cost_cycle_factor(d)
     if factor is None:
         raise InternalVerificationError(
             "majority inequality holds but no cycle factor was found"
@@ -569,7 +571,8 @@ def mfahoc_smd(d: Digraph, parts: PartiteStructure):
     opened = [_opened_at(c, *e) for c in factor.cycles]
     path = next(p for p in opened if p)
     cycles = tuple(c for c, p in zip(factor.cycles, opened) if not p)
-    seq = ham_path_distinct_ends(d.with_arcs(zero[1:]), parts, SpanningFactor(path, cycles, c_max))
+    dz = d.with_arcs(zero[1:]) if len(zero) > 1 else d
+    seq = ham_path_distinct_ends(dz, parts, SpanningFactor(path, cycles, c_max))
     if zero:
         sigma, branch = c_max, "cycle-below-max"
     elif d.has_arc(seq[-1], seq[0]):

@@ -22,7 +22,6 @@ from mfaho.digraph import (
 from mfaho.factor_flow import (
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
-    symmetric_01,
 )
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.lsd import (
@@ -166,8 +165,7 @@ def test_criterion_4_ordered_factor_contract():
         d, parts = gen_smd(
             sizes, seed=rng.randrange(10**9), digon_prob=rng.choice([0.2, 0.4])
         )
-        dhat = symmetric_01(d)
-        f = max_cost_cycle_factor(dhat)
+        f = max_cost_cycle_factor(d)
         if f is None or f.cost < d.n:
             continue
         runs += 1
@@ -320,12 +318,11 @@ def test_criterion_8_factor_flow_exactness():
             if u != v and rng.random() < arc_p
         ]
         d = build_digraph(n, arcs)
-        h = symmetric_01(d)
         for kind, solver in (
             ("cycle-factor", max_cost_cycle_factor),
             ("1pcf", max_cost_one_path_cycle_factor),
         ):
-            got = solver(h)
+            got = solver(d)
             expected = oracle_factor_cost(d, kind)
             if got is None:
                 assert expected.value is None, (sorted(d.arcs), kind)

@@ -5,10 +5,12 @@ orientations-with-digons of small complete multipartite graphs, every SMD of
 shape (3,3) through the path solver, and every digraph on up to four
 vertices that the LSD recognizer accepts, at sizes that keep the suite fast.
 Larger sweeps are not part of the suite.  Only the mfahoc solves still fail
-on the shapes (3,3) and (2,2,2): some raise InternalVerificationError in the
-one merge behind every cycle certificate (ham_path_distinct_ends), where the
-cycle factor is three digons with cyclic weak domination and no pair can
-merge, as every pair is witnessed (ROADMAP, first open item).  Hamiltonicity
+on the shapes (3,3) and (2,2,2): 2 of the 19,683 (3,3) SMDs and 51 of the
+531,441 (2,2,2) ones raise InternalVerificationError in the one merge behind
+every cycle certificate (ham_path_distinct_ends), where the optimal cycle
+factor found is three digons with cyclic weak domination and no pair can
+merge, as every pair is witnessed (ROADMAP, first open item).  Which SMDs
+fail depends on which optimal factor the solver starts from.  Hamiltonicity
 is read off mfahoc_smd, an optimum of n with its walk as the directed
 Hamilton cycle, so it is not decided on those instances either.
 """

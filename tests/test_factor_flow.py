@@ -2,13 +2,16 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 from itertools import permutations
+from operator import or_
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import mfaho
 from mfaho import factor_flow, harness, smd
@@ -53,7 +56,9 @@ def test_symmetric01_triangle():
 
 
 def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
-    d, _ = gen_smd((3, 4, 2), seed=5, digon_prob=0.3)
+    # digons, but neither a cycle factor nor a Hamilton path inside d's own
+    # arcs, so both factors fall back to the matrix
+    d, _ = gen_smd((3, 4, 2), seed=2, digon_prob=0.3, bias=1.0)
     arcs = d.arcs
     assert any((v, u) in arcs for u, v in arcs), "the digon case must be covered"
     # swapped cost 1 - cost: 0 on every arc, 1 on the reverse of a one-way arc
@@ -69,8 +74,8 @@ def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
     monkeypatch.setattr(factor_flow, "min_cost_assignment", lambda c: matrices.append(c.copy()) or solve(c))
     h = symmetric_01(d)
     assert np.array_equal(h, expected)
-    max_cost_cycle_factor(h)
-    max_cost_one_path_cycle_factor(h)
+    max_cost_cycle_factor(d)
+    max_cost_one_path_cycle_factor(d)
     assert len(matrices) == 2
     assert np.array_equal(matrices[0], expected[: d.n, : d.n])
     assert np.array_equal(matrices[1], expected)
@@ -171,42 +176,36 @@ def test_import_does_not_load_scipy_optimize():
 
 
 def test_cycle_factor_triangle():
-    h = symmetric_01(build_digraph(3, [(0, 1), (1, 2), (2, 0)]))
-    f = max_cost_cycle_factor(h)
+    f = max_cost_cycle_factor(build_digraph(3, [(0, 1), (1, 2), (2, 0)]))
     assert f.cost == 3
     assert f.path is None and len(f.cycles) == 1
 
 
 def test_cycle_factor_single_arc_uses_digon():
-    h = symmetric_01(build_digraph(2, [(0, 1)]))
-    f = max_cost_cycle_factor(h)
+    f = max_cost_cycle_factor(build_digraph(2, [(0, 1)]))
     assert f.cost == 1
     assert len(f.cycles) == 1 and len(f.cycles[0]) == 2
 
 
 def test_cycle_factor_infeasible():
     # two isolated vertices: no arcs at all
-    h = symmetric_01(build_digraph(2, []))
-    assert max_cost_cycle_factor(h) is None
+    assert max_cost_cycle_factor(build_digraph(2, [])) is None
 
 
 def test_one_path_factor_transitive_tournament():
-    h = symmetric_01(build_digraph(3, [(0, 1), (0, 2), (1, 2)]))
-    f = max_cost_one_path_cycle_factor(h)
+    f = max_cost_one_path_cycle_factor(build_digraph(3, [(0, 1), (0, 2), (1, 2)]))
     assert f.cost == 2
     assert f.path == (0, 1, 2) and f.cycles == ()
 
 
 def test_one_path_factor_single_arc():
-    h = symmetric_01(build_digraph(2, [(0, 1)]))
-    f = max_cost_one_path_cycle_factor(h)
+    f = max_cost_one_path_cycle_factor(build_digraph(2, [(0, 1)]))
     assert f.cost == 1 and f.path == (0, 1)
 
 
 def test_one_path_factor_path_is_nonempty_even_when_costly():
     # a single vertex has the trivial path
-    h = symmetric_01(build_digraph(1, []))
-    f = max_cost_one_path_cycle_factor(h)
+    f = max_cost_one_path_cycle_factor(build_digraph(1, []))
     assert f.path == (0,) and f.cost == 0
 
 
@@ -223,17 +222,16 @@ def test_factor_optima_match_oracle_on_random_smd(seed):
     acyclic = build_digraph(acyclic.n, [(perm[u], perm[v]) for u, v in acyclic.arcs])
     for graph in (d, acyclic):
         _check_factor_optima(graph)
-    f = max_cost_cycle_factor(symmetric_01(acyclic))
+    f = max_cost_cycle_factor(acyclic)
     assert f is None or f.cost < acyclic.n
 
 
 def _check_factor_optima(d):
-    h = symmetric_01(d)
     for kind, solver in (
         ("cycle-factor", max_cost_cycle_factor),
         ("1pcf", max_cost_one_path_cycle_factor),
     ):
-        got = solver(h)
+        got = solver(d)
         expected = oracle_factor_cost(d, kind)
         if got is None:
             assert expected.value is None
@@ -244,9 +242,8 @@ def _check_factor_optima(d):
 
 def test_returned_factor_reverifies():
     d, _ = gen_smd((2, 2, 1), seed=3)
-    h = symmetric_01(d)
-    check_factor(d, max_cost_cycle_factor(h))
-    check_factor(d, max_cost_one_path_cycle_factor(h))
+    check_factor(d, max_cost_cycle_factor(d))
+    check_factor(d, max_cost_one_path_cycle_factor(d))
 
 
 def _all_cycle_factor_costs(n, cost):
@@ -291,7 +288,7 @@ def test_swap_duality(seed):
 
     costs = _all_cycle_factor_costs(n, cost)
     assert costs, "these dense instances always have a cycle factor"
-    f_max = max_cost_cycle_factor(h)
+    f_max = max_cost_cycle_factor(d)
     assert f_max.cost == max(costs)
     swapped_cost = sum(swapped(*a) for a in f_max.arcs())
     assert swapped_cost == min(_all_cycle_factor_costs(n, swapped))
@@ -306,7 +303,7 @@ def test_one_path_factor_at_least_hamilton_path():
     # a Hamilton path of the cost digraph is a 1-path-cycle factor
     for seed in range(6):
         d, _ = gen_smd((2, 2, 1), seed=seed)
-        best = max_cost_one_path_cycle_factor(symmetric_01(d)).cost
+        best = max_cost_one_path_cycle_factor(d).cost
         n = d.n
         top = -1
         for p in permutations(range(n)):
@@ -338,34 +335,40 @@ def test_decompose_refuses_a_non_permutation_at_once(succ, with_path):
 
 
 
-def _cells(c, cols, finite):
-    """The first rows i != j for which c[i, cols[j]] is finite (or +inf)."""
-    size = len(c)
-    return next(
-        (i, j)
-        for i in range(size)
-        for j in range(size)
-        if i != j and np.isfinite(c[i, cols[j]]) == finite
-    )
+def _cells(allowed, cols, ok):
+    """The first rows i != j for which allowed(i, cols[j]) is ok."""
+    size = len(cols)
+    return next((i, j) for i in range(size) for j in range(size) if i != j and allowed(i, cols[j]) == ok)
 
 
-def _duplicate_column(c, cols):
-    """Row i takes row j's column on a finite cell: not a permutation."""
-    i, j = _cells(c, cols, finite=True)
+def _duplicate_column(allowed, cols):
+    """Row i takes row j's column on an allowed cell: not a permutation."""
+    i, j = _cells(allowed, cols, ok=True)
     cols[i] = cols[j]
 
 
-def _forbidden_cell(c, cols):
-    """Rows i and j swap columns, and row i lands on a +inf cell."""
-    i, j = _cells(c, cols, finite=False)
+def _forbidden_cell(allowed, cols):
+    """Rows i and j swap columns, and row i lands on a forbidden cell."""
+    i, j = _cells(allowed, cols, ok=False)
     cols[i], cols[j] = cols[j], cols[i]
 
 
-def _one_cycle(c, cols):
+def _one_cycle(allowed, cols):
     """Vertex 0 becomes its own successor; the row that had column 0 takes
     vertex 0's old column."""
     u = cols.index(0)
     cols[u], cols[0] = cols[0], 0
+
+
+def _refused_before_a_report(monkeypatch, d, problem, message):
+    """harness.solve on d raises InternalVerificationError with message, and
+    never reaches harness.verify_report."""
+    reports = []
+    verify = harness.verify_report
+    monkeypatch.setattr(harness, "verify_report", lambda *a: reports.append(a) or verify(*a))
+    with pytest.raises(InternalVerificationError, match=message):
+        harness.solve(d, problem)
+    assert reports == []
 
 
 @pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
@@ -380,34 +383,223 @@ def _one_cycle(c, cols):
     ],
 )
 def test_factor_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
-    # each fault the factor's own checks must catch: a bad assignment at
-    # _decompose or the finite-cell test, and a cost shifted by one at the
-    # sigma check of the certificate walk the solver builds from the factor,
-    # which has exactly the factor's cost in forward steps on mfahop and on
-    # mfahoc with a cost-0 arc in the factor
-    d, _ = gen_smd((3, 2, 2), seed=3, bias=1.0)
+    # each fault the factor's own checks must catch on the assignment route:
+    # a bad assignment at _decompose or the finite-cell test, and a cost
+    # shifted by one at the sigma check of the certificate walk the solver
+    # builds from the factor, which has exactly the factor's cost in forward
+    # steps on mfahop and on mfahoc with a cost-0 arc in the factor.  The
+    # three sources of part {0, 1, 2} leave no cost-0 perfect matching for
+    # either factor, so both take the assignment
+    d, _ = gen_smd((3, 2, 2), seed=3, digon_prob=0.0, bias=1.0)
     expected = {"mfahoc": "cycle-below-max", "mfahop": "path-factor"}[problem]
     assert harness.solve(d, problem).branch == expected
-    reports = []
-    verify = harness.verify_report
-    monkeypatch.setattr(harness, "verify_report", lambda *a: reports.append(a) or verify(*a))
     if callable(fault):
         solve = factor_flow.min_cost_assignment
 
         def faulty(c):
             cols = solve(c)
-            fault(c, cols)
+            fault(lambda i, j: np.isfinite(c[i, j]), cols)
             return cols
 
         monkeypatch.setattr(factor_flow, "min_cost_assignment", faulty)
     else:
         for name in ("max_cost_cycle_factor", "max_cost_one_path_cycle_factor"):
 
-            def shifted(h, build=getattr(smd, name)):
-                f = build(h)
+            def shifted(d, build=getattr(smd, name)):
+                f = build(d)
                 return replace(f, cost=f.cost + fault)
 
             monkeypatch.setattr(smd, name, shifted)
-    with pytest.raises(InternalVerificationError, match=message):
-        harness.solve(d, problem)
-    assert reports == []
+    _refused_before_a_report(monkeypatch, d, problem, message)
+
+
+@pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_duplicate_column, "not a permutation"),
+        (_forbidden_cell, "forbidden cell"),
+        (_one_cycle, "forbidden cell"),
+    ],
+)
+def test_matching_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
+    # the same faults in a cost-0 perfect matching: a non-permutation is
+    # refused at _decompose, and a cell outside its row (a missing arc, or a
+    # 1-cycle, as no row holds its own index) at the row test
+    d, _ = gen_smd((3, 2, 2), seed=1)
+    assert harness.solve(d, problem).branch in ("cycle-hamiltonian-merged", "path-factor")
+    match = factor_flow._zero_cost_matching
+    calls = []
+
+    def faulty(rows):
+        cols = match(rows)
+        calls.append(cols is not None)
+        fault(lambda i, j: rows[i] >> j & 1 == 1, cols)
+        return cols
+
+    monkeypatch.setattr(factor_flow, "_zero_cost_matching", faulty)
+    _refused_before_a_report(monkeypatch, d, problem, message)
+    assert calls == [True]
+
+
+# --- the cost-0 matching against scipy ---------------------------------------
+
+
+def _greedy_free_rows(rows):
+    """Rows left free by the documented seed: each row takes the first free
+    column after its own index, wrapping round."""
+    n, taken, free = len(rows), set(), 0
+    for u, row in enumerate(rows):
+        cols = [c for c in [*range(u + 1, n), *range(u + 1)] if row >> c & 1 and c not in taken]
+        taken.update(cols[:1])
+        free += not cols
+    return free
+
+
+def _scipy_zero(rows):
+    """Whether scipy's optimum on the 0/1 matrix of the rows (0 inside a
+    row) is 0, i.e. whether the rows have a perfect matching."""
+    n = len(rows)
+    c = np.array([[0.0 if row >> j & 1 else 1.0 for j in range(n)] for row in rows])
+    r, k = linear_sum_assignment(c)
+    return c[r, k].sum() == 0
+
+
+def _check_matching(rows):
+    """_zero_cost_matching on rows agrees with scipy, and a matching it
+    returns is a permutation inside the rows.  Returns whether it is perfect."""
+    got = factor_flow._zero_cost_matching(rows)
+    assert (got is not None) == _scipy_zero(rows), rows
+    if got is not None:
+        assert sorted(got) == list(range(len(rows)))
+        assert all(row >> c & 1 for row, c in zip(rows, got))
+    return got is not None
+
+
+def _chains(lengths, rng, extra):
+    """Planted rows: chain blocks of the given lengths, row u of a block at
+    offset o holding columns u and u + 1 (the last only u), plus extra
+    random bits with probability extra.  Without the extra bits the only
+    perfect matching is the identity, while the seed gives every row but
+    the last of a block the column after it, so each block leaves its last
+    row free, with a single augmenting path through the whole block."""
+    n = sum(lengths)
+    rows, o = [], 0
+    for k in lengths:
+        rows += [1 << u | (1 << u + 1 if u < o + k - 1 else 0) for u in range(o, o + k)]
+        o += k
+    noise = [sum(1 << c for c in range(n) if rng.random() < extra) for _ in range(n)]
+    return [row | bits for row, bits in zip(rows, noise)]
+
+
+def _hall_violation(rng, n):
+    """Rows with no empty row and every column in some row, but k rows
+    inside k - 1 columns."""
+    k = rng.randint(2, n - 1)
+    tight = rng.sample(range(n), k - 1)
+    narrow = sum(1 << c for c in tight)
+    rows = [narrow & sum(1 << c for c in tight if rng.random() < 0.6) or narrow for _ in range(k)]
+    rows += [sum(1 << c for c in range(n) if rng.random() < 0.5) | 1 << rng.randrange(n) for _ in range(n - k)]
+    rows[0] = narrow  # every column lies in some row
+    rows[-1] |= (1 << n) - 1 & ~narrow
+    rng.shuffle(rows)
+    return rows
+
+
+def test_zero_cost_matching_against_scipy_on_planted_rows():
+    rng = random.Random(5)
+    free_rows, path_lengths = Counter(), Counter()
+    for _ in range(300):
+        lengths = [rng.randint(1, 8) for _ in range(rng.randint(1, 5))]
+        extra = rng.choice((0.0, 0.0, 0.05, 0.2))
+        rows = _chains(lengths, rng, extra)
+        assert _check_matching(rows)
+        free_rows[_greedy_free_rows(rows)] += 1
+        if not extra:
+            assert factor_flow._zero_cost_matching(rows) == list(range(len(rows)))
+            path_lengths.update(k for k in lengths if k >= 2)
+    for _ in range(300):
+        rows = _hall_violation(rng, rng.randint(3, 12))
+        assert all(rows) and reduce(or_, rows) == (1 << len(rows)) - 1
+        assert not _check_matching(rows)
+    for _ in range(600):
+        n, p = rng.randint(1, 14), rng.random()
+        _check_matching([sum(1 << c for c in range(n) if rng.random() < p) for _ in range(n)])
+    # the seed leaves several rows free, and augmenting paths cross 2 to 8 rows
+    assert sum(v for k, v in free_rows.items() if k >= 3) > 20, free_rows
+    assert set(path_lengths) == set(range(2, 9)), path_lengths
+
+
+def _semicomplete_nonstrong(rng):
+    """Random semicomplete blocks, each with an arc to every vertex of every
+    later block, relabelled at random: semicomplete and not strong."""
+    sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+    n, o, arcs = sum(sizes), 0, []
+    for k in sizes:
+        if k > 1:
+            block, _ = gen_smd((1,) * k, seed=rng.randrange(10**9), digon_prob=0.1)
+            arcs += [(o + u, o + v) for u, v in block.arcs]
+        arcs += [(o + u, w) for u in range(k) for w in range(o + k, n)]
+        o += k
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_digraph(n, [(perm[u], perm[v]) for u, v in arcs])
+
+
+def test_factor_routes_against_scipy():
+    # the cost-0 rows are exactly the 0 cells of symmetric_01's blocks; a
+    # perfect matching exists exactly when scipy's swapped optimum is 0, and
+    # the factor costs equal scipy's optimum on both routes
+    rng = random.Random(11)
+    routes = Counter()
+    digraphs = []
+    for _ in range(120):
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 6)))
+        bias = rng.choice((0.5, 0.8, 0.95, 1.0))
+        digraphs.append(gen_smd(sizes, rng.randrange(10**9), rng.choice((0.0, 0.1, 0.3)), bias)[0])
+    digraphs += [gen_smd((1,) * rng.randint(2, 16), rng.randrange(10**9), 0.0)[0] for _ in range(60)]
+    digraphs += [_semicomplete_nonstrong(rng) for _ in range(60)]
+    for d in digraphs:
+        n, h = d.n, symmetric_01(d)
+        sink = 1 << n
+        for kind, c, rows, solver in (
+            ("cycle", h[:-1, :-1], list(d.out_mask), max_cost_cycle_factor),
+            ("path", h, [r | sink for r in d.out_mask] + [sink - 1], max_cost_one_path_cycle_factor),
+        ):
+            assert rows == [sum(1 << j for j in np.flatnonzero(line == 0)) for line in c]
+            try:
+                r, k = linear_sum_assignment(c)
+                optimum = c[r, k].sum()
+            except ValueError:
+                optimum = None
+            matched = factor_flow._zero_cost_matching(rows)
+            assert (matched is not None) == (optimum == 0), (kind, sorted(d.arcs))
+            f = solver(d)
+            arcs = n - (kind == "path")
+            assert (None if f is None else f.cost) == (None if optimum is None else arcs - optimum)
+            if f is not None:
+                check_factor(d, f)
+            routes[kind, matched is not None] += 1
+    assert len(routes) == 4 and min(routes.values()) > 20, routes
+
+
+def test_solve_loads_scipy_only_when_the_matching_is_not_perfect():
+    # a strong tournament, as this one is, has a Hamilton cycle and a
+    # Hamilton path, cost-0 perfect matchings for both factors, so its solves
+    # leave scipy.optimize unloaded; an acyclic SMD has no cycle factor of
+    # its own arcs, so mfahoc loads it
+    src = str(Path(mfaho.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from mfaho import harness\n"
+        "from mfaho.generate import gen_smd\n"
+        "d, _ = gen_smd((1,) * 9, seed=4, digon_prob=0.0)\n"
+        "for problem in ('mfahoc', 'mfahop'):\n"
+        "    harness.solve(d, problem)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "d, _ = gen_smd((3, 2, 2), seed=3, digon_prob=0.0, bias=1.0)\n"
+        "print(harness.solve(d, 'mfahoc').branch, 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "cycle-below-max", "True"]

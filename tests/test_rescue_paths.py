@@ -197,14 +197,50 @@ def test_merge_pair_splice_and_failure():
     assert sorted(added) == sorted(added_steps(merged, (0, 1, 2), (3, 4, 5))) == [(2, 4), (3, 0)]
 
 
-def test_undecided_hamiltonicity_at_n17_goes_to_the_subset_dp():
+# the n = 17 and n = 22 reproducers of ROADMAP item 2, each with the
+# full-cost cycle factor an optimal assignment gives, which merges only to
+# an ordered factor whose absorbed path closes backward; their cost-0
+# perfect matchings merge to a Hamilton cycle instead
+UNDECIDED_N17 = (
+    ((1, 1, 6, 2, 3, 1, 3), 679346834, 0.1, 0.95),
+    ((0, 1, 4), (2, 8, 3, 9, 5, 10, 7, 16, 12, 14, 6, 11, 13, 15)),
+)
+UNDECIDED_N22 = (
+    ((5, 3, 6, 6, 1, 1), 530485513, 0.1, 0.95),
+    ((0, 6, 10, 19, 5, 1, 7, 3, 8, 14, 13, 16, 4, 9, 15, 12, 2, 11, 18), (17, 20, 21)),
+)
+
+
+def _pin_cycle_factor(monkeypatch, cycles):
+    """Make mfahoc_smd start from the given full-cost cycle factor."""
+    monkeypatch.setattr(smd_mod, "max_cost_cycle_factor", lambda d: SpanningFactor(None, cycles, d.n))
+
+
+def test_undecided_hamiltonicity_at_n17_goes_to_the_subset_dp(monkeypatch):
     # a full-cost cycle factor merges only to an ordered factor; the subset
     # DP then finds a Hamilton cycle (refused as n > 16 before it was used)
-    d, parts = gen_smd((1, 1, 6, 2, 3, 1, 3), 679346834, 0.1, 0.95)
+    args, cycles = UNDECIDED_N17
+    d, parts = gen_smd(*args)
     assert d.n == 17
+    _pin_cycle_factor(monkeypatch, cycles)
     report = harness.solve(d, "mfahoc", parts)
     assert report.sigma == 17 == oracle_mfahoc(d).value
     assert report.branch == "cycle-hamiltonian-exact-search"
+
+
+@pytest.mark.parametrize("case", [UNDECIDED_N17, UNDECIDED_N22], ids=["n17", "n22"])
+def test_undecided_hamiltonicity_reproducers_merge_from_the_cost0_factor(monkeypatch, case):
+    # unpinned, the solve needs no subset DP: a Hamilton cycle of d, so
+    # sigma = n, which the oracle confirms at n = 17
+    def no_dp(d):
+        raise AssertionError("the subset DP ran")
+
+    monkeypatch.setattr(smd_mod, "_hamilton_cycle_by_dp", no_dp)
+    d, parts = gen_smd(*case[0])
+    report = harness.solve(d, "mfahoc", parts)
+    assert (report.sigma, report.branch) == (d.n, "cycle-hamiltonian-merged")
+    if d.n <= MAX_WALK_VERTICES:
+        assert report.sigma == oracle_mfahoc(d).value
 
 
 def test_undecided_hamiltonicity_above_the_oracle_maximum_is_refused(
@@ -214,8 +250,10 @@ def test_undecided_hamiltonicity_above_the_oracle_maximum_is_refused(
         raise AssertionError("the table was built")
 
     monkeypatch.setattr(mfaho.oracle, "_best_walk", no_table)
-    d, parts = gen_smd((5, 3, 6, 6, 1, 1), 530485513, 0.1, 0.95)
+    args, cycles = UNDECIDED_N22
+    d, parts = gen_smd(*args)
     assert d.n == 22 > MAX_WALK_VERTICES == 20
+    _pin_cycle_factor(monkeypatch, cycles)
     with pytest.raises(InputError, match="hamiltonicity undecided .* bound 20"):
         harness.solve(d, "mfahoc", parts)
     inst = tmp_path / "n22.dg"
@@ -224,41 +262,46 @@ def test_undecided_hamiltonicity_above_the_oracle_maximum_is_refused(
     assert "bound 20" in capsys.readouterr().err
 
 
-# (arcs, branch, whether the merge stops at an ordered factor), one per
-# branch of mfahoc_smd; every digraph is strong, so the nonhamiltonian one
-# is decided by the subset DP.  In the last, a full-cost factor of three
-# digons merges only to an ordered factor, and absorbing it gives a
-# Hamilton path that closes forward: a Hamilton cycle found by construction,
-# with no DP
+# (arcs, branch, whether the merge stops at an ordered factor, the cycle
+# factor pinned or None), one per branch of mfahoc_smd; every digraph is
+# strong, so the nonhamiltonian one is decided by the subset DP.  In the
+# last, a full-cost factor of three digons merges only to an ordered factor,
+# and absorbing it gives a Hamilton path that closes forward: a Hamilton
+# cycle found by construction, with no DP.  That factor is pinned, as the
+# digraph's cost-0 perfect matching is two triangles that merge
 ONE_MERGE_CASES = [
-    ([(0, 2), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", False),
-    ([(0, 2), (0, 3), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", True),
-    ([(0, 2), (1, 3), (2, 1), (2, 3), (3, 0)], "cycle-hamiltonian-merged", False),
-    ([(0, 2), (0, 3), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1)], "cycle-nonhamiltonian", True),
+    ([(0, 2), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", False, None),
+    ([(0, 2), (0, 3), (1, 2), (2, 3), (3, 0), (3, 1)], "cycle-below-max", True, None),
+    ([(0, 2), (1, 3), (2, 1), (2, 3), (3, 0)], "cycle-hamiltonian-merged", False, None),
+    ([(0, 2), (0, 3), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1)], "cycle-nonhamiltonian", True, None),
     (
         [(0, 2), (0, 3), (1, 2), (1, 4), (2, 1), (2, 4), (3, 0), (3, 1), (3, 4), (4, 0), (4, 2)],
         "cycle-hamiltonian-exact-search",
         True,
+        None,
     ),
     (
         [(0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 0), (3, 1), (3, 4),
          (4, 0), (4, 2), (5, 0), (5, 3)],
         "cycle-hamiltonian-merged",
         True,
+        ((0, 5), (1, 3), (2, 4)),
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "arcs, branch, ordered",
+    "arcs, branch, ordered, cycles",
     ONE_MERGE_CASES,
     ids=["below-max-merged", "below-max-ordered", "hamiltonian-merged", "nonhamiltonian", "exact-search",
          "hamiltonian-absorbed"],
 )
-def test_mfahoc_merges_the_cycle_factor_once(monkeypatch, arcs, branch, ordered):
+def test_mfahoc_merges_the_cycle_factor_once(monkeypatch, arcs, branch, ordered, cycles):
     # every branch builds its certificate through ham_path_distinct_ends,
     # which merges once; only a full-cost factor whose path closes backward
     # asks the subset DP
+    if cycles is not None:
+        _pin_cycle_factor(monkeypatch, cycles)
     calls = {"ham_path_distinct_ends": [], "irreducible_ordered_cycle_factor": [],
              "_hamilton_cycle_by_dp": []}
     for name, seen in calls.items():

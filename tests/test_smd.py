@@ -19,7 +19,6 @@ from mfaho.errors import InputError, InternalVerificationError
 from mfaho.factor_flow import (
     SpanningFactor,
     max_cost_cycle_factor,
-    symmetric_01,
 )
 from mfaho.generate import gen_smd
 from mfaho.oracle import oracle_ham_cycle, oracle_mfahoc, oracle_mfahop
@@ -280,8 +279,7 @@ def test_irreducible_postconditions_on_random_instances():
         d, parts = gen_smd(sizes, seed=rng.randrange(10**6), digon_prob=0.3)
         if d.n > 8:
             continue
-        dhat = symmetric_01(d)
-        f = max_cost_cycle_factor(dhat)
+        f = max_cost_cycle_factor(d)
         if f is None or f.cost < d.n:
             continue  # need a cycle factor of d itself
         res = irreducible_ordered_cycle_factor(d, parts, f)
@@ -364,7 +362,7 @@ def _merge_cases(rng):
         rng.shuffle(perm)
         d = build_digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
         parts = PartiteStructure.from_parts(d.n, [{perm[v] for v in part} for part in parts.parts])
-        factor = max_cost_cycle_factor(symmetric_01(d))
+        factor = max_cost_cycle_factor(d)
         if d.n < 3 or factor is None:
             continue
         df = d.with_arcs([a for a in factor.arcs() if not d.has_arc(*a)])
@@ -418,10 +416,10 @@ def test_irreducible_cyclic_domination_fails_as_the_reference(monkeypatch):
         calls.append((x, y))
         return _merge(d, x, y)
 
-    for arcs in (CYCLIC_DOMINATION_ARCS, CYCLIC_DOMINATION_ARCS_222):
+    for arcs, digons in CYCLIC_DOMINATION:
         d = build_digraph(6, arcs)
         parts = recognize_smd(d)
-        factor = max_cost_cycle_factor(symmetric_01(d))
+        factor = SpanningFactor(None, digons, 6)
         cycles = sorted(factor.cycles, key=min)
         wit = [[_reference_witness(d, parts, c1, c2)[1] for c2 in cycles] for c1 in cycles]
         assert len(cycles) == 3
@@ -436,8 +434,9 @@ def test_irreducible_cyclic_domination_fails_as_the_reference(monkeypatch):
         assert calls == [], arcs
 
 
-# the (3,3) and (2,2,2) reproducers of ROADMAP item 1: three digons,
-# cyclically dominated
+# the (3,3) and (2,2,2) reproducers of ROADMAP item 1, each with the cycle
+# factor of three cyclically dominated digons that an optimal assignment
+# gives; the cost-0 matching gives both a Hamilton cycle instead
 CYCLIC_DOMINATION_ARCS = [
     (0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 0), (3, 2), (4, 1), (4, 2), (5, 0), (5, 1)
 ]
@@ -445,6 +444,23 @@ CYCLIC_DOMINATION_ARCS_222 = [
     (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 1), (3, 4), (3, 5), (4, 0), (4, 1),
     (5, 0), (5, 2),
 ]
+CYCLIC_DOMINATION = [
+    (CYCLIC_DOMINATION_ARCS, ((0, 3), (1, 5), (2, 4))),
+    (CYCLIC_DOMINATION_ARCS_222, ((0, 4), (1, 3), (2, 5))),
+]
+
+
+@pytest.mark.parametrize("arcs", [CYCLIC_DOMINATION_ARCS, CYCLIC_DOMINATION_ARCS_222])
+def test_cyclic_domination_reproducers_solve_from_the_cost0_factor(arcs):
+    # their cost-0 perfect matching is a Hamilton cycle, so no digon factor
+    # reaches the merge loop; every other factor of three such digons still
+    # raises (the test above)
+    d = build_digraph(6, arcs)
+    factor = max_cost_cycle_factor(d)
+    assert len(factor.cycles) == 1 and factor.cost == 6
+    sigma, walk, branch = mfahoc_smd(d, recognize_smd(d))
+    assert sigma == walk.sigma_plus == 6 == oracle_mfahoc(d).value
+    assert branch == "cycle-hamiltonian-merged"
 
 
 def _chained_blocks_with_back_arcs(rng):
@@ -524,9 +540,10 @@ def test_masks_give_the_reference_witnesses_after_every_merge(monkeypatch):
         graph["n"] = d.n
         path = _apex_ham_path(d, parts, SpanningFactor(cycles[0], tuple(cycles[1:]), 0))
         assert validate_walk(d, path, WalkKind.PATH).sigma_minus == 0
-    d = build_digraph(6, CYCLIC_DOMINATION_ARCS)
+    (arcs, digons), _ = CYCLIC_DOMINATION
+    d = build_digraph(6, arcs)
     graph["n"] = 6
-    factor = max_cost_cycle_factor(symmetric_01(d))
+    factor = SpanningFactor(None, digons, 6)
     with pytest.raises(InternalVerificationError):
         irreducible_ordered_cycle_factor(d, recognize_smd(d), factor)
     assert min(seen[k] for k in ("n", "n+1", "merge", "blocks", "chained merges")) > 0, seen
@@ -698,8 +715,7 @@ def test_mfahoc_exceptional_branch_regression():
     d = build_digraph(4, EXCEPTIONAL_ARCS)
     parts = recognize_smd(d)
     assert parts.sizes == (2, 2)
-    dhat = symmetric_01(d)
-    assert max_cost_cycle_factor(dhat).cost == 4  # full-cost factor exists
+    assert max_cost_cycle_factor(d).cost == 4  # full-cost factor exists
     assert not oracle_ham_cycle(d)
     sigma, walk, branch = mfahoc_smd(d, parts)
     assert sigma == 3 == d.n - 1
@@ -759,7 +775,7 @@ def test_mfahoc_acyclic_150_150_scale():
     sigma, walk, branch = mfahoc_smd(d, parts)
     elapsed = time.perf_counter() - start
     assert branch == "cycle-below-max"
-    assert sigma == max_cost_cycle_factor(symmetric_01(d)).cost
+    assert sigma == max_cost_cycle_factor(d).cost
     assert walk.sigma_plus == sigma
     assert elapsed < 5.0, f"mfahoc_smd took {elapsed:.2f} s"
 
