@@ -165,20 +165,20 @@ def _zero_cost_matching(rows: list[int]) -> list[int] | None:
     row, or None when they have none.
 
     Row u may take column c when bit c of rows[u] is set; there are as many
-    columns as rows.  An empty row, or a column in no row, ends the attempt
-    at once.  Otherwise a greedy pass gives each row the first free column
-    after its own index, wrapping round, and Hopcroft-Karp phases finish the
-    matching (J. E. Hopcroft and R. M. Karp, SIAM J. Comput. 2, 1973): a
-    layered BFS from all free rows at once, then vertex-disjoint shortest
-    augmenting paths, found by a DFS that takes a column out of its layer
-    when it first reaches it.  A phase that reaches no free column proves
-    the matching maximum, so not perfect.  There are O(sqrt(n)) phases of
-    O(n) operations on n-bit rows each.
+    columns as rows.  An empty row ends the attempt at once.  Otherwise a
+    greedy pass gives each row the first free column after its own index,
+    wrapping round, and Hopcroft-Karp phases finish the matching (J. E.
+    Hopcroft and R. M. Karp, SIAM J. Comput. 2, 1973): a layered BFS from
+    all free rows at once, then vertex-disjoint shortest augmenting paths,
+    found by a DFS that takes a column out of its layer when it first
+    reaches it.  A phase that reaches no free column proves the matching
+    maximum, so not perfect.  There are O(sqrt(n)) phases of O(n)
+    operations on n-bit rows each.
     """
+    if not all(rows):
+        return None
     n = len(rows)
     free = (1 << n) - 1  # the free columns
-    if not all(rows) or reduce(or_, rows, 0) != free:
-        return None
     col, row = [-1] * n, [-1] * n  # the column of each row, the row of each column
     for u, r in enumerate(rows):
         if avail := r & free:

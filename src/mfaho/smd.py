@@ -12,9 +12,11 @@ few big-int operations give a cycle pair's weak-domination witness, kept once
 a merge round first reaches the pair.  It merges pairs unwitnessed in both
 directions into one cycle (Yeo's lemma says their union is hamiltonian;
 _merge_pair builds the cycle in polynomial time and names the steps it adds,
-which update the masks) and reads the dominance order off the witnesses; no
-witnessed pair can merge, so cyclic domination raises.  Every cycle
-certificate comes from one construction, ham_path_distinct_ends: the maximum
+which update the masks) and reads the dominance order off the witnesses.  No
+witnessed pair can merge, so cyclic domination is reduced three or more
+cycles at once: a shortest ring of strict domination is absorbed into one
+path, cycle after cycle, which closes into one cycle on the ring's union.
+Every cycle certificate comes from one construction, ham_path_distinct_ends: the maximum
 cycle factor is opened at one arc (a cost-0 arc if there is one), the
 resulting path is closed and merged once with the other cycles, and a Hamilton
 cycle there gives the path directly; otherwise the ordered factor is opened at
@@ -154,14 +156,18 @@ class _CycleMasks:
             self.memo[key] = -1 if bad else a
         return self.memo[key]
 
-    def merge(self, a: int, b: int, merged: tuple[int, ...], arcs) -> None:
-        """Put merged, the cycle on cycles[a] and cycles[b] (a < b) whose
-        steps outside theirs are arcs, in a's place under a fresh id, its
-        rows the OR of theirs.  The arcs' tails lose their old successor
-        bits in one pass and get the new ones in a second, as a cleared and
-        a set bit can share a part's mask."""
+    def merge(self, idx, merged: tuple[int, ...], arcs) -> None:
+        """Put merged, the cycle on the cycles at the sorted indices idx
+        whose steps outside theirs are arcs, in idx[0]'s place under a
+        fresh id, its rows the OR of theirs.  The arcs' tails lose their
+        old successor bits in one pass and get the new ones in a second, as
+        a cleared and a set bit can share a part's mask."""
         part, succ, rows = self.part, self.succ, self.rows
-        rows.append(tuple(x | y for x, y in zip(rows[self.ids[a]], rows[self.ids[b]])))
+        on = into = out = 0
+        for i in idx:
+            x, y, z = rows[self.ids[i]]
+            on, into, out = on | x, into | y, out | z
+        rows.append((on, into, out))
         for u, _ in arcs:
             self.succ_in[part[succ[u]]] &= ~(1 << u)
             self.pred_in[part[u]] &= ~(1 << succ[u])
@@ -169,9 +175,10 @@ class _CycleMasks:
             succ[u] = v
             self.succ_in[part[v]] |= 1 << u
             self.pred_in[part[u]] |= 1 << v
-        # the merged cycle's smallest vertex is cycles[a]'s, so it keeps a's place
-        self.cycles[a], self.ids[a] = merged, len(rows) - 1
-        del self.cycles[b], self.ids[b]
+        # the merged cycle's smallest vertex is cycles[idx[0]]'s, so it keeps that place
+        self.cycles[idx[0]], self.ids[idx[0]] = merged, len(rows) - 1
+        for i in reversed(idx[1:]):
+            del self.cycles[i], self.ids[i]
 
 
 def irreducible_ordered_cycle_factor(
@@ -188,9 +195,12 @@ def irreducible_ordered_cycle_factor(
     and the steps the merge adds.  A witness depends only on the two cycles,
     so the witnesses are kept across rounds, keyed by an id given to each
     cycle when it is made.  When no unwitnessed pair merges, no pair can
-    (_merge_pair), and a dominant-first order is read off the witness matrix;
-    a domination cycle raises.  Every round removes a cycle, so a factor of t
-    cycles takes fewer than t rounds.
+    (_merge_pair), and a dominant-first order is read off the witness matrix.
+    When domination is cyclic, no order exists: the cycles of a shortest
+    ring of strict domination (_domination_ring) are replaced by one cycle on
+    their union (_close_ring), under a fresh id, and the rounds go on; a ring
+    that does not close raises.  Every round removes a cycle, so a factor of
+    t cycles takes fewer than t rounds.
     """
     masks = _CycleMasks(d, parts, factor)
     cycles, witness = masks.cycles, masks.witness
@@ -199,17 +209,81 @@ def irreducible_ordered_cycle_factor(
         unwitnessed = ((a, b) for a, b in pairs if witness(a, b) < 0 and witness(b, a) < 0)
         merges = ((a, b, m) for a, b in unwitnessed if (m := _merge_pair(d, cycles[a], cycles[b])))
         a, b, merged = next(merges, (0, 0, None))
-        if merged is None:
-            break
-        masks.merge(a, b, *merged)
-    if len(cycles) == 1:
-        return _rotate(cycles[0], min(cycles[0]))
-    t = len(cycles)
-    wit = np.array([[witness(i, j) if i != j else 0 for j in range(t)] for i in range(t)])
-    order = _dominance_order(wit)
-    if order is None:
-        raise InternalVerificationError("cycle factor could neither be merged further nor ordered")
-    return OrderedCycleFactor(tuple(cycles[i] for i in order))
+        if merged is not None:
+            masks.merge((a, b), *merged)
+            continue
+        t = len(cycles)
+        wit = np.array([[witness(i, j) if i != j else 0 for j in range(t)] for i in range(t)])
+        order = _dominance_order(wit)
+        if order is not None:
+            return OrderedCycleFactor(tuple(cycles[i] for i in order))
+        ring = _domination_ring(wit)
+        closed = _close_ring(d, parts, [cycles[i] for i in ring])
+        if closed is None:
+            raise InternalVerificationError("cycle factor could neither be merged further nor ordered")
+        steps = zip(closed, closed[1:] + closed[:1])
+        masks.merge(sorted(ring), closed, [(u, v) for u, v in steps if masks.succ[u] != v])
+    return _rotate(cycles[0], min(cycles[0]))
+
+
+def _domination_ring(wit: np.ndarray) -> list[int]:
+    """A shortest cycle i0 => i1 => ... => i0 of strict weak domination (i
+    witnesses j and j does not witness i) in a witness matrix with no
+    dominance order; the first shortest one from a BFS out of each index.
+    _close_ring relies on its being shortest.
+
+    One exists: with every pair witnessed one way at least, each index left
+    when _dominance_order stops is strictly dominated by another left, so
+    following those predecessors must repeat an index.
+    """
+    heads = [np.flatnonzero(row).tolist() for row in (wit >= 0) & (wit.T < 0)]
+    best: list[int] = []
+    for s in range(len(wit)):
+        pred, frontier, last = {s: s}, [s], None
+        while frontier and last is None:
+            last = next((u for u in frontier if s in heads[u]), None)
+            reached = []
+            for u in frontier:
+                for v in heads[u]:
+                    if v not in pred:
+                        pred[v] = u
+                        reached.append(v)
+            frontier = reached
+        if last is None:
+            continue
+        ring = [last]
+        while ring[-1] != s:
+            ring.append(pred[ring[-1]])
+        if not best or len(ring) < len(best):
+            best = ring[::-1]
+    return best
+
+
+def _close_ring(d: Digraph, parts: PartiteStructure, ring) -> tuple[int, ...] | None:
+    """One cycle on the union of a ring of cycles, each strictly weakly
+    dominating the next and the last the first, or None.
+
+    The first cycle is opened at each of its steps in turn, the other cycles
+    are absorbed in ring order by _absorb_after, and the path is kept once
+    its last vertex has an arc to its first.  In a shortest ring two cycles
+    that are not consecutive witness each other both ways: every pair is
+    witnessed one way, and a strict chord would close a shorter ring.  So
+    every cycle on the path weakly dominates each cycle absorbed before the
+    last, as _absorb_after's proof requires.  The first does not dominate
+    the last, so neither the last absorption nor the closing arc is proven
+    to exist.  On every cycle factor of every (2,2,2) SMD, the 432 rings
+    (all three digons) close, 72 of them only from the first cycle's second
+    step.  With s the ring's vertex count this is O(s) absorptions of
+    O(s^2) arc tests each.
+    """
+    first, rest = ring[0], ring[1:]
+    for i in range(len(first)):
+        path = list(first[i + 1 :] + first[: i + 1])
+        for cycle in rest:
+            path = path and _absorb_after(d, parts, path, cycle)
+        if path and d.has_arc(path[-1], path[0]):
+            return tuple(path)
+    return None
 
 
 def _merge_pair(d: Digraph, x: tuple[int, ...], y: tuple[int, ...]):
@@ -370,19 +444,20 @@ def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...]:
     opened = ((i, p) for i, c in enumerate(cycles) if (p := _opened_at(c, *arc)))
     r, cur = next(opened, (0, cycles[0]))
     cur = list(cur)
-    for k in range(r + 1, len(cycles)):
-        cur = _absorb_after(d, parts, cur, cycles[k])
-    for k in range(r - 1, -1, -1):
-        cur = _absorb_before(d, parts, cur, cycles[k])
+    for k in chain(range(r + 1, len(cycles)), range(r - 1, -1, -1)):
+        cur = (_absorb_after if k > r else _absorb_before)(d, parts, cur, cycles[k])
+        if cur is None:
+            size = len(cycles[k])
+            raise InternalVerificationError(f"could not absorb a {size}-cycle into the working path")
     return tuple(cur)
 
 
-def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int]:
+def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int] | None:
     """Extend the path s .. q t by the whole cycle C, keeping its ends in
-    different parts, S = part(s): rule 1 appends C after t from the first y
-    with t -> y and pred(y) outside S; else rule 2 moves an entering z before
-    t, q -> z -> t -> succ(z): z is in S as rule 1 failed on succ(z), so the
-    new end pred(z) is not.
+    different parts, S = part(s), or None when neither rule applies: rule 1
+    appends C after t from the first y with t -> y and pred(y) outside S;
+    else rule 2 moves an entering z before t, q -> z -> t -> succ(z): z is
+    in S as rule 1 failed on succ(z), so the new end pred(z) is not.
 
     From _absorb_ordered (or _absorb_before: reversing the digraph and the
     cycles keeps every witness) one rule applies.  Every path vertex lies in
@@ -411,13 +486,14 @@ def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int
             if d.has_arc(q, z) and d.has_arc(z, t) and d.has_arc(t, z_succ):
                 # q -> z -> t, then z_succ .. z_pred around the cycle
                 return path[:-1] + [z, t, *_rotate(cycle, z_succ)[:-1]]
-    raise InternalVerificationError(f"could not absorb a {len(cycle)}-cycle into the working path")
+    return None
 
 
-def _absorb_before(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int]:
-    """Extend the path before its initial vertex by the whole cycle: the
-    mirror image of _absorb_after, run on the reversed digraph."""
-    return _absorb_after(d.reversed(), parts, path[::-1], cycle[::-1])[::-1]
+def _absorb_before(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int] | None:
+    """Extend the path before its initial vertex by the whole cycle, or
+    None: the mirror image of _absorb_after, run on the reversed digraph."""
+    res = _absorb_after(d.reversed(), parts, path[::-1], cycle[::-1])
+    return res and res[::-1]
 
 
 def _absorb_generic(d, path, cycle):

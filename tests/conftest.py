@@ -190,9 +190,9 @@ def masks_witness(d, parts, cycles):
     return lambda c1, c2: masks.witness(masks.cycles.index(c1), masks.cycles.index(c2))
 
 
-def added_steps(merged, x, y):
-    """The steps of the cycle merged that are steps of neither x nor y."""
+def added_steps(merged, *cycles):
+    """The steps of the cycle merged that are steps of none of the cycles."""
     def steps(c):
         return {(c[i - 1], c[i]) for i in range(len(c))}
 
-    return steps(merged) - steps(x) - steps(y)
+    return steps(merged).difference(*map(steps, cycles))

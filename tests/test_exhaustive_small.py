@@ -4,25 +4,25 @@ These sweeps check every instance of their kind, not a random sample: all
 orientations-with-digons of small complete multipartite graphs, every SMD of
 shape (3,3) through the path solver, and every digraph on up to four
 vertices that the LSD recognizer accepts, at sizes that keep the suite fast.
-Larger sweeps are not part of the suite.  Only the mfahoc solves still fail
-on the shapes (3,3) and (2,2,2): 2 of the 19,683 (3,3) SMDs and 51 of the
-531,441 (2,2,2) ones raise InternalVerificationError in the one merge behind
-every cycle certificate (ham_path_distinct_ends), where the optimal cycle
-factor found is three digons with cyclic weak domination and no pair can
-merge, as every pair is witnessed (ROADMAP, first open item).  Which SMDs
-fail depends on which optimal factor the solver starts from.  Hamiltonicity
-is read off mfahoc_smd, an optimum of n with its walk as the directed
-Hamilton cycle, so it is not decided on those instances either.
+Larger sweeps are not part of the suite.  Every (3,3) SMD also runs
+through the cycle solver, from both routes to its optimal cycle factor (the
+cost-0 matching and the assignment), since which factor the merge starts
+from decides whether it meets cyclic weak domination; the ring closing of
+the merge loop (ROADMAP, first open item) resolves every such case there
+and on the (2,2,2) sweep, which runs out of band.  Hamiltonicity is read off
+mfahoc_smd, an optimum of n with its walk as the directed Hamilton cycle.
 """
 
 from itertools import permutations, product
 
 import pytest
 
+from mfaho import factor_flow
 from mfaho.digraph import (
     Digraph,
     WalkKind,
     build_digraph,
+    is_strong,
     recognize_lsd,
     recognize_smd,
     underlying_is_connected,
@@ -98,6 +98,26 @@ def test_every_33_smd_path_matches_the_oracle():
         res = mfahop_smd(d, recognize_smd(d))
         got = None if res is None else res[0]
         assert got == oracle_mfahop(d).value, sorted(d.arcs)
+        total += 1
+    assert total == 3**9
+
+
+@pytest.mark.parametrize("route", ["cost0-matching", "assignment"])
+def test_every_33_smd_cycle_matches_the_oracle(monkeypatch, route):
+    # both routes to the optimal cycle factor, as they start the merge from
+    # different factors: the cost-0 matching first, and the assignment alone.
+    # A strong semicomplete bipartite digraph with a cycle factor is
+    # hamiltonian (Gutin 1984; Haggkvist and Manoussakis 1989), which checks
+    # the Hamilton cycles without the oracle
+    if route == "assignment":
+        monkeypatch.setattr(factor_flow, "_zero_cost_matching", lambda rows: None)
+    total = 0
+    for d in all_smds((3, 3)):
+        res = mfahoc_smd(d, recognize_smd(d))
+        got = None if res is None else res[0]
+        assert got == oracle_mfahoc(d).value, sorted(d.arcs)
+        if is_strong(d) and factor_flow.max_cost_cycle_factor(d).cost == 6:
+            assert got == 6, sorted(d.arcs)
         total += 1
     assert total == 3**9
 

@@ -1,7 +1,7 @@
 import random
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -25,6 +25,8 @@ from mfaho.oracle import oracle_ham_cycle, oracle_mfahoc, oracle_mfahop
 from mfaho.smd import (
     OrderedCycleFactor,
     _apex_ham_path,
+    _close_ring,
+    _domination_ring,
     _dominance_order,
     _merge_pair,
     ham_path_distinct_ends,
@@ -234,6 +236,40 @@ def test_dominance_order_cyclic_domination_is_none():
     assert _dominance_order(wit4) is None
 
 
+def _strict_cycle_lengths(wit):
+    """The lengths of all cycles of strict weak domination, by brute force."""
+    t = len(wit)
+    strict = (wit >= 0) & (wit.T < 0)
+    return {
+        k
+        for k in range(3, t + 1)
+        for ring in permutations(range(t), k)
+        if all(strict[u, v] for u, v in zip(ring, ring[1:] + ring[:1]))
+    }
+
+
+def test_domination_ring_is_a_shortest_strict_cycle():
+    # random witness matrices with every pair witnessed one way at least and
+    # no dominance order: the ring is a cycle of strict domination, and no
+    # shorter one exists
+    rng = random.Random(11)
+    lengths = Counter()
+    while sum(lengths.values()) < 200:
+        t = rng.randint(3, 7)
+        wit = np.zeros((t, t), dtype=int)
+        for i, j in combinations(range(t), 2):
+            way = rng.choice(((0, -1), (-1, 0), (0, -1), (-1, 0), (1, 1)))
+            wit[i, j], wit[j, i] = way
+        if _dominance_order(wit) is not None:
+            continue
+        ring = _domination_ring(wit)
+        assert len(set(ring)) == len(ring) >= 3
+        assert all(wit[u, v] >= 0 > wit[v, u] for u, v in zip(ring, ring[1:] + ring[:1]))
+        assert len(ring) == min(_strict_cycle_lengths(wit))
+        lengths[len(ring)] += 1
+    assert lengths[3] and lengths[4], lengths
+
+
 # --- ordered factor --------------------------------------------------------
 
 
@@ -301,8 +337,9 @@ def test_irreducible_postconditions_on_random_instances():
 def _reference_merge(d, parts, factor):
     """The merge loop with every witness rebuilt from the definition each
     round: merge the lexicographically first pair unwitnessed both ways that
-    merges, or with cyclic domination the first pair of all that merges.
-    Returns the Hamilton cycle, or the ordered factor and its matrix."""
+    merges; else return the dominance order, or with cyclic domination close
+    the ring of the rebuilt matrix into one cycle.  Returns the Hamilton
+    cycle, or the ordered factor and its matrix."""
     cycles = sorted((tuple(c) for c in factor.cycles), key=min)
     while len(cycles) > 1:
         t = len(cycles)
@@ -312,18 +349,18 @@ def _reference_merge(d, parts, factor):
                 if i != j:
                     w = _reference_witness(d, parts, cycles[i], cycles[j])[1]
                     wit[i, j] = -1 if w is None else w
-        every = list(combinations(range(t), 2))
-        pairs = [(a, b) for a, b in every if wit[a, b] < 0 and wit[b, a] < 0]
-        if not pairs:
+        pairs = [(a, b) for a, b in combinations(range(t), 2) if wit[a, b] < 0 and wit[b, a] < 0]
+        merges = (((a, b), m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
+        gone, (merged, _) = next(merges, ((), (None, None)))
+        if merged is None:
             order = _dominance_order(wit)
             if order is not None:
                 return OrderedCycleFactor(tuple(cycles[i] for i in order)), wit
-            pairs = every
-        merges = ((a, b, m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
-        a, b, (merged, _) = next(merges, (0, 0, (None, None)))
-        if merged is None:
-            raise InternalVerificationError("no pair merges")
-        cycles = sorted([c for i, c in enumerate(cycles) if i not in (a, b)] + [merged], key=min)
+            gone = _domination_ring(wit)
+            merged = _close_ring(d, parts, [cycles[i] for i in gone])
+            if merged is None:
+                raise InternalVerificationError("the ring does not close")
+        cycles = sorted([c for i, c in enumerate(cycles) if i not in gone] + [merged], key=min)
     start = cycles[0].index(min(cycles[0]))
     return cycles[0][start:] + cycles[0][:start], None
 
@@ -373,12 +410,15 @@ def _merge_cases(rng):
     for _ in range(300):
         d, parts, cycles = random_cycles_smd(rng, rng.randint(3, 6))
         yield d, parts, SpanningFactor(None, tuple(cycles), 0)
+    for arcs, digons in CYCLIC_DOMINATION:
+        d = build_digraph(6, arcs)
+        yield d, recognize_smd(d), SpanningFactor(None, digons, 6)
 
 
 def test_irreducible_merges_in_the_reference_order(monkeypatch):
-    # witnesses kept across rounds must merge the same pairs, in the same
-    # order, as witnesses rebuilt from every arc each round, and fail where
-    # the reference fails
+    # witnesses kept across rounds must merge the same pairs and rings, in
+    # the same order, as witnesses rebuilt from every arc each round, and
+    # fail where the reference fails
     matrices = []
     dominance_order = smd_mod._dominance_order
 
@@ -405,11 +445,12 @@ def test_irreducible_merges_in_the_reference_order(monkeypatch):
     assert min(kinds.values()) > 0, kinds
 
 
-def test_irreducible_cyclic_domination_fails_as_the_reference(monkeypatch):
+def test_irreducible_closes_a_ring_of_cyclic_domination(monkeypatch):
     # three digons witnessed pairwise in a cycle of domination (ROADMAP item
-    # 1): the reference's fallback tries every pair and none merges, since a
-    # witnessed pair never merges (_merge_pair); the merge loop tries no pair
-    # at all before it raises
+    # 1): no pair merges, as a witnessed pair never does (_merge_pair), so
+    # the merge loop tries none; absorbing the digons along the ring closes
+    # them into one Hamilton cycle, the reference's, and mfahoc_smd started
+    # from the digons certifies the oracle's optimum
     calls = []
 
     def counted(d, x, y, _merge=smd_mod._merge_pair):
@@ -424,14 +465,19 @@ def test_irreducible_cyclic_domination_fails_as_the_reference(monkeypatch):
         wit = [[_reference_witness(d, parts, c1, c2)[1] for c2 in cycles] for c1 in cycles]
         assert len(cycles) == 3
         assert all(wit[i][j] is not None or wit[j][i] is not None for i, j in combinations(range(3), 2))
-        assert _dominance_order(np.array([[-1 if w is None else w for w in row] for row in wit])) is None
-        with pytest.raises(InternalVerificationError):
-            _reference_merge(d, parts, factor)
+        wit = np.array([[-1 if w is None else w for w in row] for row in wit])
+        assert _dominance_order(wit) is None
+        assert sorted(_domination_ring(wit)) == [0, 1, 2]
         with monkeypatch.context() as patch:
             patch.setattr(smd_mod, "_merge_pair", counted)
-            with pytest.raises(InternalVerificationError, match="could neither be merged further nor ordered"):
-                irreducible_ordered_cycle_factor(d, parts, factor)
+            got = irreducible_ordered_cycle_factor(d, parts, factor)
         assert calls == [], arcs
+        assert validate_walk(d, got, WalkKind.CYCLE).sigma_minus == 0
+        assert got == _reference_merge(d, parts, factor)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(smd_mod, "max_cost_cycle_factor", lambda d, _f=factor: _f)
+            sigma, walk, _ = mfahoc_smd(d, parts)
+        assert sigma == walk.sigma_plus == 6 == oracle_mfahoc(d).value
 
 
 # the (3,3) and (2,2,2) reproducers of ROADMAP item 1, each with the cycle
@@ -448,19 +494,69 @@ CYCLIC_DOMINATION = [
     (CYCLIC_DOMINATION_ARCS, ((0, 3), (1, 5), (2, 4))),
     (CYCLIC_DOMINATION_ARCS_222, ((0, 4), (1, 3), (2, 5))),
 ]
+# SMDs whose cost-0 cycle factor is three cyclically dominated digons: two
+# (3,3) ones and index 16903 of the exhaustive (2,2,2) enumeration
+# (tests/test_exhaustive_small.all_smds), which an optimal assignment's
+# factor solved before rings were closed
+CYCLIC_FROM_COST0 = [
+    [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 0), (3, 1), (4, 1), (4, 2), (5, 0), (5, 2)],
+    [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5), (3, 0), (3, 2), (4, 0), (4, 1), (5, 1), (5, 2)],
+    [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 1), (3, 4), (4, 0), (4, 2), (5, 0),
+     (5, 1), (5, 3)],
+]
 
 
-@pytest.mark.parametrize("arcs", [CYCLIC_DOMINATION_ARCS, CYCLIC_DOMINATION_ARCS_222])
-def test_cyclic_domination_reproducers_solve_from_the_cost0_factor(arcs):
-    # their cost-0 perfect matching is a Hamilton cycle, so no digon factor
-    # reaches the merge loop; every other factor of three such digons still
-    # raises (the test above)
+@pytest.mark.parametrize(
+    "arcs",
+    [CYCLIC_DOMINATION_ARCS, CYCLIC_DOMINATION_ARCS_222, *CYCLIC_FROM_COST0],
+    ids=["33", "222", "33-cost0-a", "33-cost0-b", "222-16903"],
+)
+def test_cyclic_domination_reproducers_solve_to_the_oracle(arcs):
+    # unpinned, from whatever optimal factor the solver finds
     d = build_digraph(6, arcs)
-    factor = max_cost_cycle_factor(d)
-    assert len(factor.cycles) == 1 and factor.cost == 6
-    sigma, walk, branch = mfahoc_smd(d, recognize_smd(d))
+    sigma, walk, _ = mfahoc_smd(d, recognize_smd(d))
     assert sigma == walk.sigma_plus == 6 == oracle_mfahoc(d).value
-    assert branch == "cycle-hamiltonian-merged"
+
+
+@pytest.mark.parametrize("arcs", CYCLIC_FROM_COST0, ids=["33-cost0-a", "33-cost0-b", "222-16903"])
+def test_cost0_factor_of_the_reproducers_is_a_domination_ring(arcs):
+    # the route these inputs regress: their cost-0 factor is a ring of three
+    # digons, closed by the merge loop, not a pair merge
+    d = build_digraph(6, arcs)
+    parts = recognize_smd(d)
+    factor = max_cost_cycle_factor(d)
+    masks = smd_mod._CycleMasks(d, parts, factor)
+    wit = np.array([[masks.witness(i, j) if i != j else 0 for j in range(3)] for i in range(3)])
+    assert [len(c) for c in factor.cycles] == [2, 2, 2]
+    assert _dominance_order(wit) is None
+    got = irreducible_ordered_cycle_factor(d, parts, factor)
+    assert validate_walk(d, got, WalkKind.CYCLE).sigma_minus == 0
+
+
+# a (2,2,2) SMD whose factor of three digons is a domination ring that
+# closes only when its first digon is opened at its second step
+RING_SECOND_STEP = (
+    [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 1), (2, 4), (3, 0), (3, 1), (4, 2), (4, 3), (5, 0),
+     (5, 2), (5, 3)],
+    ((0, 5), (2, 4), (1, 3)),
+)
+
+
+def test_close_ring_tries_each_step_of_the_first_cycle():
+    arcs, ring = RING_SECOND_STEP
+    d = build_digraph(6, arcs)
+    parts = recognize_smd(d)
+    masks = smd_mod._CycleMasks(d, parts, SpanningFactor(None, ring, 6))
+    wit = np.array([[masks.witness(i, j) if i != j else 0 for j in range(3)] for i in range(3)])
+    assert [masks.cycles[i] for i in _domination_ring(wit)] == list(ring)
+    path = list(ring[0][1:] + ring[0][:1])  # opened at its first step
+    for cycle in ring[1:]:
+        path = smd_mod._absorb_after(d, parts, path, cycle)
+    assert path and not d.has_arc(path[-1], path[0])
+    closed = _close_ring(d, parts, list(ring))
+    assert validate_walk(d, closed, WalkKind.CYCLE).sigma_minus == 0
+    got = irreducible_ordered_cycle_factor(d, parts, SpanningFactor(None, ring, 6))
+    assert validate_walk(d, got, WalkKind.CYCLE).sigma_minus == 0
 
 
 def _chained_blocks_with_back_arcs(rng):
@@ -506,10 +602,10 @@ def test_masks_give_the_reference_witnesses_after_every_merge(monkeypatch):
         seen["n+1" if d.n == graph["n"] + 1 else "n"] += 1
         check(self)
 
-    def checked_merge(self, a, b, merged, arcs):
-        assert sorted(arcs) == sorted(added_steps(merged, self.cycles[a], self.cycles[b]))
-        merge(self, a, b, merged, arcs)
-        seen["merge"] += 1
+    def checked_merge(self, idx, merged, arcs):
+        assert sorted(arcs) == sorted(added_steps(merged, *(self.cycles[i] for i in idx)))
+        merge(self, idx, merged, arcs)
+        seen["merge" if len(idx) == 2 else "ring"] += 1
         check(self)
 
     def counted_insert_blocks(*args):
@@ -524,10 +620,7 @@ def test_masks_give_the_reference_witnesses_after_every_merge(monkeypatch):
     for _ in range(300):
         d, parts, cycles = random_cycles_smd(rng, rng.randint(3, 7))
         graph["n"] = d.n
-        try:
-            irreducible_ordered_cycle_factor(d, parts, SpanningFactor(None, tuple(cycles), 0))
-        except InternalVerificationError:
-            seen["cyclic"] += 1
+        irreducible_ordered_cycle_factor(d, parts, SpanningFactor(None, tuple(cycles), 0))
     merges_before = seen["merge"]
     for _ in range(60):
         d, parts, blocks = _chained_blocks_with_back_arcs(rng)
@@ -540,12 +633,11 @@ def test_masks_give_the_reference_witnesses_after_every_merge(monkeypatch):
         graph["n"] = d.n
         path = _apex_ham_path(d, parts, SpanningFactor(cycles[0], tuple(cycles[1:]), 0))
         assert validate_walk(d, path, WalkKind.PATH).sigma_minus == 0
-    (arcs, digons), _ = CYCLIC_DOMINATION
-    d = build_digraph(6, arcs)
-    graph["n"] = 6
-    factor = SpanningFactor(None, digons, 6)
-    with pytest.raises(InternalVerificationError):
-        irreducible_ordered_cycle_factor(d, recognize_smd(d), factor)
+    for arcs, digons in CYCLIC_DOMINATION:
+        d = build_digraph(6, arcs)
+        graph["n"] = 6
+        irreducible_ordered_cycle_factor(d, recognize_smd(d), SpanningFactor(None, digons, 6))
+    assert seen["ring"] == 2
     assert min(seen[k] for k in ("n", "n+1", "merge", "blocks", "chained merges")) > 0, seen
 
 
