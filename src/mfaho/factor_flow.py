@@ -9,28 +9,35 @@ variant adds a source row and a sink column.  Costs are swapped (0 <-> 1)
 first, so a minimum-cost assignment corresponds to a maximum-cost factor.
 
 Every swapped cell costs 0 (an arc of d, or a source or sink cell), 1 or
-+inf, so a perfect matching on the cost-0 cells alone is an optimal factor:
-its swapped total is 0, and zero potentials prove no assignment cheaper
-(Kuhn 1955, Egervary).  It is a cycle factor of d, or a 1-path-cycle
-factor of d, of cost n or n - 1.  Both factor functions look for one first,
-with _zero_cost_matching on d's bitmask rows; only when there is none does
-symmetric_01 build the (n+1)-square swapped matrix from d's arc arrays,
-with the source row and sink column n and +inf for missing arcs, and
-scipy's linear_sum_assignment, behind min_cost_assignment, solves its
-top-left n x n block (cycle factor) or the whole matrix (1-path-cycle
-factor).
++inf, so a perfect matching uses at most nu0 cost-0 cells, nu0 being the
+size of a maximum matching on the cost-0 cells alone, and costs at least
+its number of other cells.  Both factor functions first take such a maximum
+matching, by _max_matching on d's bitmask rows.  When it is perfect it is an
+optimal factor outright: a cycle factor of d, or a 1-path-cycle factor of
+d, of cost n or n - 1.  Otherwise the same routine matches its free rows to
+its free columns on cost-1 cells only (row u < n holds in_mask[u] &
+~out_mask[u]; the source row and sink column hold none), and a perfect
+completion meets the bound, certified by a Konig vertex cover of the
+cost-0 cells of size nu0 (D. Konig, 1931), read off the matcher's last
+BFS.  Only when the completion fails does symmetric_01 build the
+(n+1)-square swapped matrix from d's arc arrays, with the source row and
+sink column n and +inf for missing arcs, and scipy's linear_sum_assignment,
+behind min_cost_assignment, solves its top-left n x n block (cycle factor)
+or the whole matrix (1-path-cycle factor).
 
 A factor is checked once, where it is read off the matching or the matrix;
 no second pass walks it against d.  A successor list that is not a
-permutation is refused by _decompose on both routes.  A matched cell that
+permutation is refused by _decompose on every route.  A matched cell that
 is not allowed, a missing arc or a 1-cycle, is refused by the row test on
-the matching route (no row holds its own index) and by the finite-cell test
-on the matrix route (the diagonal is +inf).  A wrong cost reaches no
-report: the certificate walk a solver builds from the factor has exactly
-the factor's true cost in forward steps, for mfahop and for mfahoc with a
-cost-0 arc in the factor, so the sigma check of digraph._certified_walk
-refuses any other cost; without a cost-0 arc, mfahoc reports n or n - 1,
-never the cost.
+the matching routes (a cell must be cost 0, or cost 1 in a completed row,
+and no row holds its own index) and by the finite-cell test on the matrix
+route (the diagonal is +inf); a cover that is not one, or not of the
+matching's cost-0 size, is refused before the factor is.  A wrong cost
+reaches no report: the certificate walk a solver builds from the factor
+has exactly the factor's true cost in forward steps, for mfahop and for
+mfahoc with a cost-0 arc in the factor, so the sigma check of
+digraph._certified_walk refuses any other cost; without a cost-0 arc,
+mfahoc reports n or n - 1, never the cost.
 """
 
 from __future__ import annotations
@@ -131,24 +138,49 @@ def max_cost_one_path_cycle_factor(d: Digraph) -> SpanningFactor | None:
 
 
 def _max_cost_factor(d: Digraph, rows: list[int], with_path: bool) -> SpanningFactor | None:
-    """The factor of a perfect matching inside the cost-0 rows, else of an
-    optimal assignment on the swapped matrix symmetric_01 builds, or None
-    when there is none.
+    """The factor of a maximum matching inside the cost-0 rows, completed on
+    cost-1 cells when it is not perfect, else of an optimal assignment on the
+    swapped matrix symmetric_01 builds, or None when there is none.
 
     With with_path, row and column n are the source and sink: succ[n] is the
     path start and succ[v] == n the path end.  The factor has n arcs, or
-    n - 1 with a path (the source and sink cells cost 0), so its cost is
-    that count minus the swapped total of the matched cells: the count
-    itself for a cost-0 matching, which no factor can beat.
+    n - 1 with a path (the source and sink cells cost 0, and the completion
+    has no cell in their row or column), so its cost is that count minus the
+    swapped total of the matched cells.  On the matching routes that total
+    is the number of completion cells, which the Konig cover proves least.
     """
-    n = d.n
+    n, size = d.n, len(rows)
     if not n:
         return None
-    succ = _zero_cost_matching(rows)
-    if succ is not None:
-        if not all(row >> col & 1 for row, col in zip(rows, succ)):
+    succ, cover_rows, cover_cols = _max_matching(rows, range(size))
+    ones, ends = [0] * size, []  # the cost-1 cells the completion may take, in the free rows
+    if -1 in succ:
+        # the partial successor function is chains, each from a free column
+        # to a free row; seeding each chain's end with the next chain's
+        # start links the chains up rather than closing each on itself
+        heads = set(succ)
+        starts = [c for c in range(size) if c not in heads]
+        if len(starts) != succ.count(-1):  # else a chain could run into a cycle
+            raise InternalVerificationError("matching is not a permutation")
+        free, pivots = sum(1 << c for c in starts), list(range(size))
+        for s in starts:
+            v = s
+            while succ[v] >= 0:
+                v = succ[v]
+            pivots[v] = s
+            ends.append(v)
+            if v < n:
+                ones[v] = d.in_mask[v] & ~d.out_mask[v] & free
+        fill = _max_matching(ones, pivots)[0]
+        succ = [c if c >= 0 else f for c, f in zip(succ, fill)]
+    if -1 not in succ:
+        zeros = sum(r >> c & 1 for r, c in zip(rows, succ))
+        if zeros + sum(ones[u] >> succ[u] & 1 for u in ends) < size:
             raise InternalVerificationError("matching took a forbidden cell")
-        return _decompose(succ, n, with_path, n - with_path)
+        missed = any(rows[u] & ~cover_cols for u in _mask_bits(~cover_rows & (1 << size) - 1))
+        if missed or cover_rows.bit_count() + cover_cols.bit_count() != zeros:
+            raise InternalVerificationError("Konig cover does not bound the matching")
+        return _decompose(succ, n, with_path, zeros - 2 * with_path)
     c = symmetric_01(d)
     c = c if with_path else c[:-1, :-1]
     succ = min_cost_assignment(c)
@@ -160,45 +192,42 @@ def _max_cost_factor(d: Digraph, rows: list[int], with_path: bool) -> SpanningFa
     return _decompose(succ, n, with_path, n - with_path - int(matched.sum()))
 
 
-def _zero_cost_matching(rows: list[int]) -> list[int] | None:
-    """A perfect matching inside the bitmask rows, as the column of each
-    row, or None when they have none.
+def _max_matching(rows: list[int], pivots) -> tuple[list[int], int, int]:
+    """A maximum matching inside the bitmask rows, as the column of each row
+    (-1 for a free row), with a Konig vertex cover of the same size, as a
+    mask of rows and a mask of columns.
 
     Row u may take column c when bit c of rows[u] is set; there are as many
-    columns as rows.  An empty row ends the attempt at once.  Otherwise a
-    greedy pass gives each row the first free column after its own index,
-    wrapping round, and Hopcroft-Karp phases finish the matching (J. E.
-    Hopcroft and R. M. Karp, SIAM J. Comput. 2, 1973): a layered BFS from
-    all free rows at once, then vertex-disjoint shortest augmenting paths,
-    found by a DFS that takes a column out of its layer when it first
-    reaches it.  A phase that reaches no free column proves the matching
-    maximum, so not perfect.  There are O(sqrt(n)) phases of O(n)
-    operations on n-bit rows each.
+    columns as rows.  A greedy pass gives each row the first free column
+    after column pivots[u], wrapping round, and Hopcroft-Karp phases finish
+    the matching (J. E. Hopcroft and R. M. Karp, SIAM J. Comput. 2, 1973): a
+    layered BFS from all free rows at once, then vertex-disjoint shortest
+    augmenting paths, found by a DFS that takes a column out of its layer
+    when it first reaches it.  A BFS that reaches no free column proves the
+    matching maximum, and the matched rows it did not reach, with the
+    columns it did, cover every cell (Konig 1931).  There are O(sqrt(n))
+    phases of O(n) operations on n-bit rows each.
     """
-    if not all(rows):
-        return None
     n = len(rows)
     free = (1 << n) - 1  # the free columns
     col, row = [-1] * n, [-1] * n  # the column of each row, the row of each column
-    for u, r in enumerate(rows):
+    for u, r, p in zip(range(n), rows, pivots):
         if avail := r & free:
-            after = avail >> u + 1
-            low = (after & -after) << u + 1 if after else avail & -avail
+            after = avail >> p + 1
+            low = (after & -after) << p + 1 if after else avail & -avail
             c = low.bit_length() - 1
             col[u], row[c], free = c, u, free ^ low
     while free:
-        starts = [u for u in range(n) if col[u] < 0]
+        starts = [u for u in range(n) if col[u] < 0 and rows[u]]
         layers, seen, frontier = [], 0, starts
-        while True:
-            reach = reduce(or_, (rows[u] for u in frontier), 0) & ~seen
+        while not (reach := reduce(or_, (rows[u] for u in frontier), 0) & ~seen) & free:
             if not reach:
-                return None
-            if reach & free:
-                layers.append(reach & free)
-                break
+                unreached = sum(1 << u for u, c in enumerate(col) if c >= 0 and not seen >> c & 1)
+                return col, unreached, seen
             seen |= reach
             layers.append(reach)
             frontier = [row[c] for c in _mask_bits(reach)]
+        layers.append(reach & free)
         last = len(layers) - 1
         for u0 in starts:
             us, cs = [u0], []  # an alternating path u0 -cs[0]-> us[1] ...
@@ -217,7 +246,7 @@ def _zero_cost_matching(rows: list[int]) -> list[int] | None:
                     free ^= low
                     break
                 us.append(row[cs[-1]])
-    return col
+    return col, (1 << n) - 1, 0
 
 
 def _decompose(succ: list[int], n: int, with_path: bool, cost: int = 0) -> SpanningFactor:

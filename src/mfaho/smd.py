@@ -3,9 +3,11 @@
 The maximum-forward-arc optima come from optimal factors of the symmetric
 (0,1)-digraph, which the solvers ask factor_flow for with d itself: a cycle
 factor or a 1-path-cycle factor of d's own arcs when there is one (a cost-0
-perfect matching, optimal outright), else an optimal assignment on the swapped
-matrix.  Certificates are assembled constructively, in d plus the factor's
-cost-0 arcs, or in d itself when there are none to add.  The ordered-factor
+perfect matching, optimal outright), else a maximum cost-0 matching completed
+on reverse arcs (optimal by a Konig cover), which links the matching's
+chains up rather than closing each on itself, else an optimal assignment on
+the swapped matrix.  Certificates are assembled constructively, in d plus
+the factor's cost-0 arcs, or in d itself when there are none to add.  The ordered-factor
 machinery keeps masks of the cycles' vertices, in-rows and out-rows and of the
 vertices whose successor or predecessor lies in each partite set; from them a
 few big-int operations give a cycle pair's weak-domination witness, kept once

@@ -57,8 +57,9 @@ def test_symmetric01_triangle():
 
 def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
     # digons, but neither a cycle factor nor a Hamilton path inside d's own
-    # arcs, so both factors fall back to the matrix
-    d, _ = gen_smd((3, 4, 2), seed=2, digon_prob=0.3, bias=1.0)
+    # arcs, nor a cost-1 completion of either maximum cost-0 matching, so
+    # both factors fall back to the matrix
+    d, _ = gen_smd((3, 4, 2), seed=96, digon_prob=0.3, bias=1.0)
     arcs = d.arcs
     assert any((v, u) in arcs for u, v in arcs), "the digon case must be covered"
     # swapped cost 1 - cost: 0 on every arc, 1 on the reverse of a one-way arc
@@ -341,6 +342,30 @@ def _cells(allowed, cols, ok):
     return next((i, j) for i in range(size) for j in range(size) if i != j and allowed(i, cols[j]) == ok)
 
 
+def _first_completed(cols):
+    """The first row a completion matched (a free row is -1)."""
+    return next(u for u, c in enumerate(cols) if c >= 0)
+
+
+def _completion_duplicate(d, cols):
+    """The first two completed rows take the second's column."""
+    u, v = [u for u, c in enumerate(cols) if c >= 0][:2]
+    cols[u] = cols[v]
+
+
+def _completion_own_part(d, cols):
+    """The first completed row takes a column of its own partite set, a cell
+    that is neither cost 0 nor cost 1."""
+    u = _first_completed(cols)
+    cols[u] = next(c for c in range(d.n) if c != u and not d.adj_mask[u] >> c & 1)
+
+
+def _completion_one_cycle(d, cols):
+    """The first completed row becomes its own successor."""
+    u = _first_completed(cols)
+    cols[u] = u
+
+
 def _duplicate_column(allowed, cols):
     """Row i takes row j's column on an allowed cell: not a permutation."""
     i, j = _cells(allowed, cols, ok=True)
@@ -387,17 +412,24 @@ def test_factor_faults_are_refused_before_a_report_exists(monkeypatch, problem, 
     # a bad assignment at _decompose or the finite-cell test, and a cost
     # shifted by one at the sigma check of the certificate walk the solver
     # builds from the factor, which has exactly the factor's cost in forward
-    # steps on mfahop and on mfahoc with a cost-0 arc in the factor.  The
-    # three sources of part {0, 1, 2} leave no cost-0 perfect matching for
-    # either factor, so both take the assignment
-    d, _ = gen_smd((3, 2, 2), seed=3, digon_prob=0.0, bias=1.0)
-    expected = {"mfahoc": "cycle-below-max", "mfahop": "path-factor"}[problem]
-    assert harness.solve(d, problem).branch == expected
+    # steps on mfahop and on mfahoc with a cost-0 arc in the factor.  Each
+    # input has no cost-1 completion of its factor's maximum cost-0
+    # matching, so the factor takes the assignment: a cycle factor of cost
+    # 5, and a 1-path-cycle factor of cost 4
+    sizes, seed, bias, expected = {
+        "mfahoc": ((2, 2, 2), 33, 0.8, "cycle-below-max"),
+        "mfahop": ((2, 2, 2), 291, 0.9, "path-factor"),
+    }[problem]
+    d, _ = gen_smd(sizes, seed, 0.0, bias)
+    report = harness.solve(d, problem)
+    assert (report.branch, report.sigma) == (expected, {"mfahoc": 5, "mfahop": 4}[problem])
+    calls = []
     if callable(fault):
         solve = factor_flow.min_cost_assignment
 
         def faulty(c):
             cols = solve(c)
+            calls.append(len(c))
             fault(lambda i, j: np.isfinite(c[i, j]), cols)
             return cols
 
@@ -411,6 +443,7 @@ def test_factor_faults_are_refused_before_a_report_exists(monkeypatch, problem, 
 
             monkeypatch.setattr(smd, name, shifted)
     _refused_before_a_report(monkeypatch, d, problem, message)
+    assert calls == ([d.n + (problem == "mfahop")] if callable(fault) else [])
 
 
 @pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
@@ -428,18 +461,72 @@ def test_matching_faults_are_refused_before_a_report_exists(monkeypatch, problem
     # 1-cycle, as no row holds its own index) at the row test
     d, _ = gen_smd((3, 2, 2), seed=1)
     assert harness.solve(d, problem).branch in ("cycle-hamiltonian-merged", "path-factor")
-    match = factor_flow._zero_cost_matching
+    match = factor_flow._max_matching
     calls = []
 
-    def faulty(rows):
-        cols = match(rows)
-        calls.append(cols is not None)
+    def faulty(rows, pivots):
+        cols, cover_rows, cover_cols = match(rows, pivots)
+        calls.append(-1 not in cols)
         fault(lambda i, j: rows[i] >> j & 1 == 1, cols)
-        return cols
+        return cols, cover_rows, cover_cols
 
-    monkeypatch.setattr(factor_flow, "_zero_cost_matching", faulty)
+    monkeypatch.setattr(factor_flow, "_max_matching", faulty)
     _refused_before_a_report(monkeypatch, d, problem, message)
     assert calls == [True]
+
+
+@pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_completion_duplicate, "not a permutation"),
+        (_completion_own_part, "forbidden cell"),
+        (_completion_one_cycle, "forbidden cell"),
+        ("matched rows", "Konig cover"),
+        ("one column short", "Konig cover"),
+    ],
+)
+def test_completion_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
+    # the same faults in a cost-1 completion, and a forged Konig cover of the
+    # maximum cost-0 matching: the matched rows alone, which have its size
+    # but miss the cells of the free rows, or the true cover less a column.
+    # The acyclic input leaves free rows in both factors' cost-0 matchings,
+    # and each completion succeeds
+    d, _ = gen_smd((3, 2, 2), seed=3, digon_prob=0.0, bias=1.0)
+    assert harness.solve(d, problem).branch == {"mfahoc": "cycle-below-max", "mfahop": "path-factor"}[problem]
+    match = factor_flow._max_matching
+    calls = []
+
+    def faulty(rows, pivots):
+        cols, cover_rows, cover_cols = match(rows, pivots)
+        calls.append(cols.count(-1))
+        if len(calls) == 1 and fault == "matched rows":
+            cover_rows, cover_cols = sum(1 << u for u, c in enumerate(cols) if c >= 0), 0
+        elif len(calls) == 1 and fault == "one column short":
+            cover_cols &= cover_cols - 1
+        elif len(calls) == 2 and callable(fault):
+            fault(d, cols)
+        return cols, cover_rows, cover_cols
+
+    monkeypatch.setattr(factor_flow, "_max_matching", faulty)
+    _refused_before_a_report(monkeypatch, d, problem, message)
+    # the cost-0 matching left free rows, and the completion matched them all
+    size = d.n + (problem == "mfahop")
+    assert len(calls) == 2 and 0 < calls[0] == size - calls[1], calls
+
+
+@pytest.mark.parametrize("k", [2, 5, 60])
+def test_completion_links_the_chains_into_one_cycle(k):
+    # every arc of the acyclic (k, k) input runs from the first part to the
+    # second, so the maximum cost-0 matching of the cycle factor leaves k
+    # chains of one arc each, and the completion seeds each chain's end with
+    # the next chain's start: one cycle, where matching each end to its own
+    # start would close k digons.  The path factor's chains link up likewise
+    d, _ = gen_smd((k, k), seed=1, digon_prob=0.0, bias=1.0)
+    f = max_cost_cycle_factor(d)
+    assert (f.cost, len(f.cycles)) == (k, 1)
+    f = max_cost_one_path_cycle_factor(d)
+    assert f.cost == k and len(f.cycles) <= 1
 
 
 # --- the cost-0 matching against scipy ---------------------------------------
@@ -456,24 +543,29 @@ def _greedy_free_rows(rows):
     return free
 
 
-def _scipy_zero(rows):
-    """Whether scipy's optimum on the 0/1 matrix of the rows (0 inside a
-    row) is 0, i.e. whether the rows have a perfect matching."""
+def _scipy_size(rows):
+    """The size of a maximum matching inside the rows: the number of rows
+    less scipy's optimum on their 0/1 matrix (0 inside a row)."""
     n = len(rows)
     c = np.array([[0.0 if row >> j & 1 else 1.0 for j in range(n)] for row in rows])
     r, k = linear_sum_assignment(c)
-    return c[r, k].sum() == 0
+    return n - int(c[r, k].sum())
 
 
 def _check_matching(rows):
-    """_zero_cost_matching on rows agrees with scipy, and a matching it
-    returns is a permutation inside the rows.  Returns whether it is perfect."""
-    got = factor_flow._zero_cost_matching(rows)
-    assert (got is not None) == _scipy_zero(rows), rows
-    if got is not None:
-        assert sorted(got) == list(range(len(rows)))
-        assert all(row >> c & 1 for row, c in zip(rows, got))
-    return got is not None
+    """_max_matching on rows has scipy's maximum size, matches each row
+    inside it to a distinct column, and returns a Konig cover of the same
+    size: every cell of a row outside the cover lies in a cover column.
+    Returns whether the matching is perfect."""
+    n = len(rows)
+    got, cover_rows, cover_cols = factor_flow._max_matching(rows, range(n))
+    matched = [(u, c) for u, c in enumerate(got) if c >= 0]
+    assert len(matched) == _scipy_size(rows), rows
+    assert len({c for _, c in matched}) == len(matched)
+    assert all(rows[u] >> c & 1 for u, c in matched)
+    assert cover_rows.bit_count() + cover_cols.bit_count() == len(matched)
+    assert not any(rows[u] & ~cover_cols for u in range(n) if not cover_rows >> u & 1)
+    return len(matched) == n
 
 
 def _chains(lengths, rng, extra):
@@ -516,7 +608,7 @@ def test_zero_cost_matching_against_scipy_on_planted_rows():
         assert _check_matching(rows)
         free_rows[_greedy_free_rows(rows)] += 1
         if not extra:
-            assert factor_flow._zero_cost_matching(rows) == list(range(len(rows)))
+            assert factor_flow._max_matching(rows, range(len(rows)))[0] == list(range(len(rows)))
             path_lengths.update(k for k in lengths if k >= 2)
     for _ in range(300):
         rows = _hall_violation(rng, rng.randint(3, 12))
@@ -546,12 +638,17 @@ def _semicomplete_nonstrong(rng):
     return build_digraph(n, [(perm[u], perm[v]) for u, v in arcs])
 
 
-def test_factor_routes_against_scipy():
+def test_factor_routes_against_scipy(monkeypatch):
     # the cost-0 rows are exactly the 0 cells of symmetric_01's blocks; a
-    # perfect matching exists exactly when scipy's swapped optimum is 0, and
-    # the factor costs equal scipy's optimum on both routes
+    # perfect matching exists exactly when scipy's swapped optimum is 0, a
+    # completion on cost-1 cells always reaches that optimum, and the factor
+    # costs equal scipy's optimum on all three routes: the perfect cost-0
+    # matching, its completion, and the assignment
     rng = random.Random(11)
-    routes = Counter()
+    routes, calls = Counter(), []
+    match, solve = factor_flow._max_matching, factor_flow.min_cost_assignment
+    monkeypatch.setattr(factor_flow, "_max_matching", lambda *a: calls.append("matching") or match(*a))
+    monkeypatch.setattr(factor_flow, "min_cost_assignment", lambda c: calls.append("assignment") or solve(c))
     digraphs = []
     for _ in range(120):
         sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 6)))
@@ -572,22 +669,27 @@ def test_factor_routes_against_scipy():
                 optimum = c[r, k].sum()
             except ValueError:
                 optimum = None
-            matched = factor_flow._zero_cost_matching(rows)
-            assert (matched is not None) == (optimum == 0), (kind, sorted(d.arcs))
+            perfect = -1 not in match(rows, range(len(rows)))[0]
+            assert perfect == (optimum == 0), (kind, sorted(d.arcs))
+            calls.clear()
             f = solver(d)
             arcs = n - (kind == "path")
             assert (None if f is None else f.cost) == (None if optimum is None else arcs - optimum)
             if f is not None:
                 check_factor(d, f)
-            routes[kind, matched is not None] += 1
-    assert len(routes) == 4 and min(routes.values()) > 20, routes
+            route = {1: "cost-0", 2: "completion"}[len(calls)] if calls[-1] == "matching" else "assignment"
+            assert perfect == (route == "cost-0"), (kind, sorted(d.arcs))
+            routes[route] += 1
+    assert len(routes) == 3 and min(routes.values()) >= 20, routes
 
 
 def test_solve_loads_scipy_only_when_the_matching_is_not_perfect():
     # a strong tournament, as this one is, has a Hamilton cycle and a
     # Hamilton path, cost-0 perfect matchings for both factors, so its solves
-    # leave scipy.optimize unloaded; an acyclic SMD has no cycle factor of
-    # its own arcs, so mfahoc loads it
+    # leave scipy.optimize unloaded.  An acyclic SMD has no cycle factor of
+    # its own arcs, but its maximum cost-0 matching has a cost-1 completion,
+    # so mfahoc leaves it unloaded too; the (2,2,2) input has no such
+    # completion, so mfahoc loads it
     src = str(Path(mfaho.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -600,6 +702,8 @@ def test_solve_loads_scipy_only_when_the_matching_is_not_perfect():
         "print('scipy.optimize' in sys.modules)\n"
         "d, _ = gen_smd((3, 2, 2), seed=3, digon_prob=0.0, bias=1.0)\n"
         "print(harness.solve(d, 'mfahoc').branch, 'scipy.optimize' in sys.modules)\n"
+        "d, _ = gen_smd((2, 2, 2), seed=33, digon_prob=0.0, bias=0.8)\n"
+        "print(harness.solve(d, 'mfahoc').branch, 'scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "cycle-below-max", "True"]
+    assert out.stdout.split() == ["False", "cycle-below-max", "False", "cycle-below-max", "True"]
