@@ -33,8 +33,6 @@ from .factor_flow import (
     SpanningFactor,
     max_cost_cycle_factor,
     max_cost_one_path_cycle_factor,
-    min_cost_assignment,
-    symmetric_01,
 )
 from .generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from .harness import SolveReport, UnsupportedClassError, classify, solve, verify_report

@@ -8,36 +8,31 @@ successor function, i.e. a spanning set of disjoint cycles.  The one-path
 variant adds a source row and a sink column.  Costs are swapped (0 <-> 1)
 first, so a minimum-cost assignment corresponds to a maximum-cost factor.
 
-Every swapped cell costs 0 (an arc of d, or a source or sink cell), 1 or
-+inf, so a perfect matching uses at most nu0 cost-0 cells, nu0 being the
-size of a maximum matching on the cost-0 cells alone, and costs at least
-its number of other cells.  Both factor functions first take such a maximum
-matching, by _max_matching on d's bitmask rows.  When it is perfect it is an
-optimal factor outright: a cycle factor of d, or a 1-path-cycle factor of
-d, of cost n or n - 1.  Otherwise the same routine matches its free rows to
-its free columns on cost-1 cells only (row u < n holds in_mask[u] &
-~out_mask[u]; the source row and sink column hold none), and a perfect
-completion meets the bound, certified by a Konig vertex cover of the
-cost-0 cells of size nu0 (D. Konig, 1931), read off the matcher's last
-BFS.  Only when the completion fails does symmetric_01 build the
-(n+1)-square swapped matrix from d's arc arrays, with the source row and
-sink column n and +inf for missing arcs, and scipy's linear_sum_assignment,
-behind min_cost_assignment, solves its top-left n x n block (cycle factor)
-or the whole matrix (1-path-cycle factor).
+A swapped cell costs 0 (an arc of d, or a source or sink cell) or 1 (the
+reverse of a one-way arc), or is missing.  Both factor functions run one
+primal-dual loop on d's bitmask rows (H. W. Kuhn, 1955, after E. Egervary,
+1931): integer potentials u per row and v per column, v kept as one column
+mask per value, with u[r] + v[c] at most each cell's cost.  It starts from
+zero potentials and the maximum cost-0 matching, which _max_matching
+returns with a Konig vertex cover of the tight cells (D. Konig, 1931).
+While the matching is not perfect, a dual step moves u up on the rows
+outside the cover and v down on the cover columns by the least reduced
+cost outside the cover (1 at first, on reverse arcs), and _max_matching
+re-matches the tight cells from the matching, seeding each free row with
+the next chain's start so that the chains link up rather than each closing
+on itself.  With no cell outside the cover, there is no factor.  The tests'
+reference, symmetric_01 and min_cost_assignment (scipy, imported on first
+use), is called by no solver.
 
-A factor is checked once, where it is read off the matching or the matrix;
-no second pass walks it against d.  A successor list that is not a
-permutation is refused by _decompose on every route.  A matched cell that
-is not allowed, a missing arc or a 1-cycle, is refused by the row test on
-the matching routes (a cell must be cost 0, or cost 1 in a completed row,
-and no row holds its own index) and by the finite-cell test on the matrix
-route (the diagonal is +inf); a cover that is not one, or not of the
-matching's cost-0 size, is refused before the factor is.  A wrong cost
-reaches no report: the certificate walk a solver builds from the factor
-has exactly the factor's true cost in forward steps, for mfahop and for
-mfahoc with a cost-0 arc in the factor, so the sigma check of
-digraph._certified_walk refuses any other cost; without a cost-0 arc,
-mfahoc reports n or n - 1, never the cost.
+A factor is checked once, where it is read off the matching: every cell
+must cost 0 or 1 (a missing arc or a 1-cycle is refused), _decompose
+refuses a non-permutation, and _check_potentials refuses potentials that
+some cell does not allow or that do not sum to the matching's cost, which
+the others prove least.  A wrong cost reaches no report: the certificate
+walk a solver builds from the factor has exactly the factor's true cost in
+forward steps, for mfahop and for mfahoc with a cost-0 arc in the factor,
+so the sigma check of digraph._certified_walk refuses any other cost;
+without a cost-0 arc, mfahoc reports n or n - 1, never the cost.
 """
 
 from __future__ import annotations
@@ -74,8 +69,8 @@ class SpanningFactor:
 
 
 def symmetric_01(d: Digraph) -> np.ndarray:
-    """The (n+1)-square swapped-cost assignment matrix of the symmetric
-    (0,1)-digraph of d.
+    """The (n+1)-square swapped-cost matrix of the symmetric (0,1)-digraph
+    of d, the tests' reference for the factor functions' rows.
 
     Cell (u, v) is 0 for an arc u->v of d, 1 when only v->u is one, and +inf
     when u and v are not adjacent.  Row n is the source and column n the
@@ -93,14 +88,10 @@ def symmetric_01(d: Digraph) -> np.ndarray:
 
 
 def min_cost_assignment(cost_matrix: np.ndarray) -> list[int] | None:
-    """Minimum-cost perfect matching on a square matrix.
-
-    Returns cols such that cols[row] is the matched column, or None when no
-    perfect matching avoids the +inf cells, which count as forbidden; NaN and
-    -inf cells are rejected.  The matching is scipy's linear_sum_assignment,
-    imported on first use so that importing mfaho does not load
-    scipy.optimize.
-    """
+    """Minimum-cost perfect matching on a square matrix by scipy's
+    linear_sum_assignment, the tests' reference: cols[row] is the matched
+    column, or None when no perfect matching avoids the +inf cells.  NaN
+    and -inf cells are rejected."""
     from scipy.optimize import linear_sum_assignment
 
     c = np.asarray(cost_matrix, dtype=float)
@@ -108,15 +99,12 @@ def min_cost_assignment(cost_matrix: np.ndarray) -> list[int] | None:
         raise InputError("cost matrix must be square")
     if np.isnan(c).any() or np.isneginf(c).any():
         raise InputError("cost matrix has NaN or -inf entries")
-    if c.shape[0] == 0:
-        return []
     try:
-        _, cols = linear_sum_assignment(c)
+        return linear_sum_assignment(c)[1].tolist()
     except ValueError as exc:
         if "infeasible" not in str(exc):
             raise
         return None
-    return cols.tolist()
 
 
 def max_cost_cycle_factor(d: Digraph) -> SpanningFactor | None:
@@ -137,62 +125,73 @@ def max_cost_one_path_cycle_factor(d: Digraph) -> SpanningFactor | None:
     return _max_cost_factor(d, [r | sink for r in d.out_mask] + [sink - 1], with_path=True)
 
 
-def _max_cost_factor(d: Digraph, rows: list[int], with_path: bool) -> SpanningFactor | None:
-    """The factor of a maximum matching inside the cost-0 rows, completed on
-    cost-1 cells when it is not perfect, else of an optimal assignment on the
-    swapped matrix symmetric_01 builds, or None when there is none.
-
-    With with_path, row and column n are the source and sink: succ[n] is the
-    path start and succ[v] == n the path end.  The factor has n arcs, or
-    n - 1 with a path (the source and sink cells cost 0, and the completion
-    has no cell in their row or column), so its cost is that count minus the
-    swapped total of the matched cells.  On the matching routes that total
-    is the number of completion cells, which the Konig cover proves least.
-    """
-    n, size = d.n, len(rows)
+def _max_cost_factor(d: Digraph, zeros: list[int], with_path: bool) -> SpanningFactor | None:
+    """The factor of a minimum-cost perfect matching, cost 0 inside the rows
+    zeros and 1 on reverse arcs, or None.  With with_path, row and column n
+    are the source and sink: succ[n] is the path start and succ[v] == n the
+    path end, and the factor's n + 1 cells hold n - 1 arcs."""
+    n, size = d.n, len(zeros)
     if not n:
         return None
-    succ, cover_rows, cover_cols = _max_matching(rows, range(size))
-    ones, ends = [0] * size, []  # the cost-1 cells the completion may take, in the free rows
-    if -1 in succ:
-        # the partial successor function is chains, each from a free column
-        # to a free row; seeding each chain's end with the next chain's
-        # start links the chains up rather than closing each on itself
-        heads = set(succ)
-        starts = [c for c in range(size) if c not in heads]
+    ins, full = d.in_mask + (0,) * with_path, (1 << size) - 1  # row r's cost-1 cells: ins[r] & ~zeros[r]
+    u, vs = [0] * size, {0: full}  # row potentials; the columns of each column potential
+    succ, cover_rows, cover_cols = _max_matching(tight := zeros, range(size))
+    while -1 in succ:
+        held = f"{cover_rows:0{size}b}"[::-1]  # held[r] is "1" for a cover row r
+        keep, loose = full & ~cover_cols, [r for r, h in enumerate(held) if h == "0"]
+        for delta in range(1, 2 - min(vs)):  # no reduced cost exceeds 1 - min(vs), as u >= 0
+            # a digon's cell of ins has reduced cost delta - 1, so is never met
+            masks = {a: (vs.get(-a - delta, 0) & keep, vs.get(1 - a - delta, 0) & keep) for a in set(u)}
+            step = [zeros[r] & z | ins[r] & o for r in loose for z, o in (masks[u[r]],)]
+            if any(step):
+                break
+        else:
+            if any((zeros[r] | ins[r]) & keep for r in loose):
+                raise InternalVerificationError("potentials are infeasible")
+            return None  # the cover, smaller than the matrix, holds every finite cell
+        # step's cells turn tight, and the cells from cover rows to cover columns go slack
+        tight = [t & keep if h == "1" else t for t, h in zip(tight, held)] if cover_cols else list(tight)
+        for r, c in zip(loose, step):
+            u[r] += delta
+            tight[r] |= c
+        values = {*vs, *(k - delta for k in vs)}  # a cover column's v falls from k + delta to k
+        vs = {k: m for k in values if (m := vs.get(k, 0) & keep | vs.get(k + delta, 0) & cover_cols)}
+        # each chain's end, a free row, pivots on its own start, so takes the next chain's start
+        heads, pivots = set(succ), list(range(size))
+        starts = [c for c in pivots if c not in heads]
         if len(starts) != succ.count(-1):  # else a chain could run into a cycle
             raise InternalVerificationError("matching is not a permutation")
-        free, pivots = sum(1 << c for c in starts), list(range(size))
-        for s in starts:
-            v = s
+        for v in starts:
+            s = v
             while succ[v] >= 0:
                 v = succ[v]
             pivots[v] = s
-            ends.append(v)
-            if v < n:
-                ones[v] = d.in_mask[v] & ~d.out_mask[v] & free
-        fill = _max_matching(ones, pivots)[0]
-        succ = [c if c >= 0 else f for c, f in zip(succ, fill)]
-    if -1 not in succ:
-        zeros = sum(r >> c & 1 for r, c in zip(rows, succ))
-        if zeros + sum(ones[u] >> succ[u] & 1 for u in ends) < size:
-            raise InternalVerificationError("matching took a forbidden cell")
-        missed = any(rows[u] & ~cover_cols for u in _mask_bits(~cover_rows & (1 << size) - 1))
-        if missed or cover_rows.bit_count() + cover_cols.bit_count() != zeros:
-            raise InternalVerificationError("Konig cover does not bound the matching")
-        return _decompose(succ, n, with_path, zeros - 2 * with_path)
-    c = symmetric_01(d)
-    c = c if with_path else c[:-1, :-1]
-    succ = min_cost_assignment(c)
-    if succ is None:
-        return None
-    matched = c[np.arange(len(c)), succ]
-    if not np.isfinite(matched).all():
-        raise InternalVerificationError("assignment matched a forbidden cell")
-    return _decompose(succ, n, with_path, n - with_path - int(matched.sum()))
+        succ, cover_rows, cover_cols = _max_matching(tight, pivots, succ)
+    odd = [r for r, z, c in zip(range(size), zeros, succ) if not z >> c & 1]  # the cells not of cost 0
+    if any(not ins[r] >> succ[r] & 1 for r in odd):
+        raise InternalVerificationError("matching took a forbidden cell")
+    factor = _decompose(succ, n, with_path, size - 2 * with_path - len(odd))
+    _check_potentials(zeros, ins, u, vs, len(odd))
+    return factor
 
 
-def _max_matching(rows: list[int], pivots) -> tuple[list[int], int, int]:
+def _check_potentials(zeros: list[int], ins: list[int], u: list[int], vs: dict[int, int], cost: int) -> None:
+    """Refuse potentials unless vs gives each column one value, u[r] + v[c]
+    is at most 0 inside zeros[r] and 1 inside ins[r] (a digon's cell fails 1
+    only if it fails 0), and the sum is cost; rows of one u test together."""
+    size, top = len(u), max(vs)
+    if sum(map(int.bit_count, vs.values())) != size or reduce(or_, vs.values()) != (1 << size) - 1:
+        raise InternalVerificationError("column potentials are not one per column")
+    for a in set(u):  # the rows of u == a hold no cell in a column above the threshold
+        for cells, t in ((zeros, 0), (ins, 1)):
+            over = a + top > t and sum(m for k, m in vs.items() if a + k > t)
+            if over and reduce(or_, (cells[r] for r, b in enumerate(u) if b == a)) & over:
+                raise InternalVerificationError("potentials are infeasible")
+    if sum(u) + sum(k * m.bit_count() for k, m in vs.items()) != cost:
+        raise InternalVerificationError("potentials do not bound the matching")
+
+
+def _max_matching(rows: list[int], pivots, start: list[int] | None = None) -> tuple[list[int], int, int]:
     """A maximum matching inside the bitmask rows, as the column of each row
     (-1 for a free row), with a Konig vertex cover of the same size, as a
     mask of rows and a mask of columns.
@@ -206,13 +205,16 @@ def _max_matching(rows: list[int], pivots) -> tuple[list[int], int, int]:
     when it first reaches it.  A BFS that reaches no free column proves the
     matching maximum, and the matched rows it did not reach, with the
     columns it did, cover every cell (Konig 1931).  There are O(sqrt(n))
-    phases of O(n) operations on n-bit rows each.
-    """
+    phases of O(n) operations on n-bit rows each.  A start matching inside
+    the rows seeds the search, and the greedy pass fills only its free rows."""
     n = len(rows)
     free = (1 << n) - 1  # the free columns
     col, row = [-1] * n, [-1] * n  # the column of each row, the row of each column
+    for u, c in enumerate(start or ()):
+        if c >= 0:
+            col[u], row[c], free = c, u, free ^ 1 << c
     for u, r, p in zip(range(n), rows, pivots):
-        if avail := r & free:
+        if col[u] < 0 and (avail := r & free):
             after = avail >> p + 1
             low = (after & -after) << p + 1 if after else avail & -avail
             c = low.bit_length() - 1

@@ -1,37 +1,36 @@
 """Solvers for semicomplete multipartite digraphs.
 
 The maximum-forward-arc optima come from optimal factors of the symmetric
-(0,1)-digraph, which the solvers ask factor_flow for with d itself: a cycle
-factor or a 1-path-cycle factor of d's own arcs when there is one (a cost-0
-perfect matching, optimal outright), else a maximum cost-0 matching completed
-on reverse arcs (optimal by a Konig cover), which links the matching's
-chains up rather than closing each on itself, else an optimal assignment on
-the swapped matrix.  Certificates are assembled constructively, in d plus
-the factor's cost-0 arcs, or in d itself when there are none to add.  The ordered-factor
-machinery keeps masks of the cycles' vertices, in-rows and out-rows and of the
-vertices whose successor or predecessor lies in each partite set; from them a
-few big-int operations give a cycle pair's weak-domination witness, kept once
-a merge round first reaches the pair.  It merges pairs unwitnessed in both
-directions into one cycle (Yeo's lemma says their union is hamiltonian;
-_merge_pair builds the cycle in polynomial time and names the steps it adds,
-which update the masks) and reads the dominance order off the witnesses.  No
-witnessed pair can merge, so cyclic domination is reduced three or more
-cycles at once: a shortest ring of strict domination is absorbed into one
-path, cycle after cycle, which closes into one cycle on the ring's union.
-Every cycle certificate comes from one construction, ham_path_distinct_ends: the maximum
-cycle factor is opened at one arc (a cost-0 arc if there is one), the
-resulting path is closed and merged once with the other cycles, and a Hamilton
-cycle there gives the path directly; otherwise the ordered factor is opened at
-that arc and the other cycles are absorbed into the path one at a time, right
-and then left, by two rules that provably keep its ends in different partite
-sets.  The closed path is the certificate.  The path certificate may end
-anywhere: each factor cycle is spliced whole into the factor's path, or the
-path comes from merging with a universal apex vertex.  No step depends on the
-size of the input except one: when a full-cost cycle factor yields a path that
-closes backward, _hamilton_cycle_by_dp decides Hamiltonicity by the subset DP
-of oracle_mfahoc, which refuses n above MAX_WALK_VERTICES.  Each solver walks
-its certificate once, through _certified_walk, which checks it against d and
-the optimum; no step inside the construction walks it again.
+(0,1)-digraph, which the solvers ask factor_flow for with d itself: a maximum
+cost-0 matching, a factor of d's own arcs when perfect, else taken on reverse
+arcs by dual steps whose potentials prove it optimal, linking its chains up
+rather than closing each on itself.  Certificates are assembled
+constructively, in d plus the factor's cost-0 arcs, or in d itself when there
+are none to add.  The ordered-factor machinery keeps masks of the cycles'
+vertices, in-rows and out-rows and of the vertices whose successor or
+predecessor lies in each partite set; from them a few big-int operations give
+a cycle pair's weak-domination witness, kept once a merge round first reaches
+the pair.  It merges pairs unwitnessed in both directions into one cycle
+(Yeo's lemma says their union is hamiltonian; _merge_pair builds the cycle in
+polynomial time and names the steps it adds, which update the masks) and reads
+the dominance order off the witnesses.  No witnessed pair can merge, so cyclic
+domination is reduced three or more cycles at once: a shortest ring of strict
+domination is absorbed into one path, cycle after cycle, which closes into one
+cycle on the ring's union.  Every cycle certificate comes from one
+construction, ham_path_distinct_ends: the maximum cycle factor is opened at
+one arc (a cost-0 arc if there is one), the resulting path is closed and
+merged once with the other cycles, and a Hamilton cycle there gives the path
+directly; otherwise the ordered factor is opened at that arc and the other
+cycles are absorbed into the path one at a time, right and then left, by two
+rules that provably keep its ends in different partite sets.  The closed path
+is the certificate.  The path certificate may end anywhere: each factor cycle
+is spliced whole into the factor's path, or the path comes from merging with a
+universal apex vertex.  No step depends on the size of the input except one:
+when a full-cost cycle factor yields a path that closes backward,
+_hamilton_cycle_by_dp decides Hamiltonicity by the subset DP of oracle_mfahoc,
+which refuses n above MAX_WALK_VERTICES.  Each solver walks its certificate
+once, through _certified_walk, which checks it against d and the optimum; no
+step inside the construction walks it again.
 """
 
 from __future__ import annotations

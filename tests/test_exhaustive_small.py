@@ -5,8 +5,8 @@ orientations-with-digons of small complete multipartite graphs, every SMD of
 shape (3,3) through the path solver, and every digraph on up to four
 vertices that the LSD recognizer accepts, at sizes that keep the suite fast.
 Larger sweeps are not part of the suite.  Every (3,3) SMD also runs
-through the cycle solver, from both routes to its optimal cycle factor (the
-cost-0 matching and the assignment), since which factor the merge starts
+through the cycle solver, from two optimal cycle factors (the solver's own
+and the reference assignment's), since which factor the merge starts
 from decides whether it meets cyclic weak domination; the ring closing of
 the merge loop (ROADMAP, first open item) resolves every such case there
 and on the (2,2,2) sweep, which runs out of band.  Hamiltonicity is read off
@@ -17,7 +17,7 @@ from itertools import permutations, product
 
 import pytest
 
-from mfaho import factor_flow
+from mfaho import factor_flow, smd
 from mfaho.digraph import (
     Digraph,
     WalkKind,
@@ -102,17 +102,28 @@ def test_every_33_smd_path_matches_the_oracle():
     assert total == 3**9
 
 
+def _assignment_cycle_factor(d, solve=factor_flow.min_cost_assignment):
+    """The cycle factor of the reference assignment on symmetric_01's vertex
+    block, or None."""
+    c = factor_flow.symmetric_01(d)[:-1, :-1]
+    succ = solve(c)
+    return None if succ is None else factor_flow._decompose(succ, d.n, False, d.n - int(c[range(d.n), succ].sum()))
+
+
 @pytest.mark.parametrize("route", ["cost0-matching", "assignment"])
 def test_every_33_smd_cycle_matches_the_oracle(monkeypatch, route):
-    # both routes to the optimal cycle factor, as they start the merge from
-    # different factors: the cost-0 matching and its cost-1 completion first,
-    # and the assignment alone, as a matcher that matches nothing sends every
-    # factor there.
+    # the merge from two optimal cycle factors, as which one it starts from
+    # decides whether it meets cyclic weak domination: the solver's own,
+    # the cost-0 matching and its dual steps, and the reference
+    # assignment's, handed to mfahoc_smd in its place.  No solve calls the
+    # assignment itself.
     # A strong semicomplete bipartite digraph with a cycle factor is
     # hamiltonian (Gutin 1984; Haggkvist and Manoussakis 1989), which checks
     # the Hamilton cycles without the oracle
+    calls, solve = [], factor_flow.min_cost_assignment
+    monkeypatch.setattr(factor_flow, "min_cost_assignment", lambda c: calls.append(len(c)) or solve(c))
     if route == "assignment":
-        monkeypatch.setattr(factor_flow, "_max_matching", lambda rows, pivots: ([-1] * len(rows), 0, 0))
+        monkeypatch.setattr(smd, "max_cost_cycle_factor", _assignment_cycle_factor)
     total = 0
     for d in all_smds((3, 3)):
         res = mfahoc_smd(d, recognize_smd(d))
@@ -122,6 +133,7 @@ def test_every_33_smd_cycle_matches_the_oracle(monkeypatch, route):
             assert got == 6, sorted(d.arcs)
         total += 1
     assert total == 3**9
+    assert calls == []
 
 
 # Each once raised InternalVerificationError: the factor's path had ends in

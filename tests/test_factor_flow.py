@@ -57,8 +57,8 @@ def test_symmetric01_triangle():
 
 def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
     # digons, but neither a cycle factor nor a Hamilton path inside d's own
-    # arcs, nor a cost-1 completion of either maximum cost-0 matching, so
-    # both factors fall back to the matrix
+    # arcs, nor a cost-1 completion of either maximum cost-0 matching; the
+    # dual steps take both factors, and neither builds the matrix
     d, _ = gen_smd((3, 4, 2), seed=96, digon_prob=0.3, bias=1.0)
     arcs = d.arcs
     assert any((v, u) in arcs for u, v in arcs), "the digon case must be covered"
@@ -75,11 +75,9 @@ def test_swapped_matrix_matches_per_arc_definition(monkeypatch):
     monkeypatch.setattr(factor_flow, "min_cost_assignment", lambda c: matrices.append(c.copy()) or solve(c))
     h = symmetric_01(d)
     assert np.array_equal(h, expected)
-    max_cost_cycle_factor(d)
-    max_cost_one_path_cycle_factor(d)
-    assert len(matrices) == 2
-    assert np.array_equal(matrices[0], expected[: d.n, : d.n])
-    assert np.array_equal(matrices[1], expected)
+    assert max_cost_cycle_factor(d).cost == d.n - _scipy_optimum(expected[: d.n, : d.n])
+    assert max_cost_one_path_cycle_factor(d).cost == d.n - 1 - _scipy_optimum(expected)
+    assert matrices == []
 
 
 def test_assignment_all_zero():
@@ -342,27 +340,22 @@ def _cells(allowed, cols, ok):
     return next((i, j) for i in range(size) for j in range(size) if i != j and allowed(i, cols[j]) == ok)
 
 
-def _first_completed(cols):
-    """The first row a completion matched (a free row is -1)."""
-    return next(u for u, c in enumerate(cols) if c >= 0)
-
-
-def _completion_duplicate(d, cols):
-    """The first two completed rows take the second's column."""
-    u, v = [u for u, c in enumerate(cols) if c >= 0][:2]
+def _step_duplicate(d, cols, matched):
+    """The first two rows the dual step matched take the second's column."""
+    u, v = matched[:2]
     cols[u] = cols[v]
 
 
-def _completion_own_part(d, cols):
-    """The first completed row takes a column of its own partite set, a cell
-    that is neither cost 0 nor cost 1."""
-    u = _first_completed(cols)
+def _step_own_part(d, cols, matched):
+    """The first row the dual step matched takes a column of its own partite
+    set, a cell that is neither cost 0 nor cost 1."""
+    u = matched[0]
     cols[u] = next(c for c in range(d.n) if c != u and not d.adj_mask[u] >> c & 1)
 
 
-def _completion_one_cycle(d, cols):
-    """The first completed row becomes its own successor."""
-    u = _first_completed(cols)
+def _step_one_cycle(d, cols, matched):
+    """The first row the dual step matched becomes its own successor."""
+    u = matched[0]
     cols[u] = u
 
 
@@ -408,14 +401,15 @@ def _refused_before_a_report(monkeypatch, d, problem, message):
     ],
 )
 def test_factor_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
-    # each fault the factor's own checks must catch on the assignment route:
-    # a bad assignment at _decompose or the finite-cell test, and a cost
+    # each fault the factor's own checks must catch on the dual-step route:
+    # a bad final matching at _decompose or the cell test, and a cost
     # shifted by one at the sigma check of the certificate walk the solver
     # builds from the factor, which has exactly the factor's cost in forward
     # steps on mfahop and on mfahoc with a cost-0 arc in the factor.  Each
-    # input has no cost-1 completion of its factor's maximum cost-0
-    # matching, so the factor takes the assignment: a cycle factor of cost
-    # 5, and a 1-path-cycle factor of cost 4
+    # input has no cost-1 completion of its factor's maximum cost-0 matching
+    # inside the free rows and columns, so the factor takes one dual step,
+    # which re-matches every row: a cycle factor of cost 5, and a
+    # 1-path-cycle factor of cost 4
     sizes, seed, bias, expected = {
         "mfahoc": ((2, 2, 2), 33, 0.8, "cycle-below-max"),
         "mfahop": ((2, 2, 2), 291, 0.9, "path-factor"),
@@ -425,15 +419,16 @@ def test_factor_faults_are_refused_before_a_report_exists(monkeypatch, problem, 
     assert (report.branch, report.sigma) == (expected, {"mfahoc": 5, "mfahop": 4}[problem])
     calls = []
     if callable(fault):
-        solve = factor_flow.min_cost_assignment
+        match, h = factor_flow._max_matching, symmetric_01(d)
 
-        def faulty(c):
-            cols = solve(c)
-            calls.append(len(c))
-            fault(lambda i, j: np.isfinite(c[i, j]), cols)
-            return cols
+        def faulty(rows, pivots, start=None):
+            cols, cover_rows, cover_cols = match(rows, pivots, start)
+            if start is not None:
+                calls.append(len(rows))
+                fault(lambda i, j: np.isfinite(h[i, j]), cols)
+            return cols, cover_rows, cover_cols
 
-        monkeypatch.setattr(factor_flow, "min_cost_assignment", faulty)
+        monkeypatch.setattr(factor_flow, "_max_matching", faulty)
     else:
         for name in ("max_cost_cycle_factor", "max_cost_one_path_cycle_factor"):
 
@@ -457,17 +452,18 @@ def test_factor_faults_are_refused_before_a_report_exists(monkeypatch, problem, 
 )
 def test_matching_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
     # the same faults in a cost-0 perfect matching: a non-permutation is
-    # refused at _decompose, and a cell outside its row (a missing arc, or a
-    # 1-cycle, as no row holds its own index) at the row test
+    # refused at _decompose, and a cell that is no arc of the symmetric
+    # (0,1)-digraph (a missing arc, or a 1-cycle, as no row holds its own
+    # index) at the cell test
     d, _ = gen_smd((3, 2, 2), seed=1)
     assert harness.solve(d, problem).branch in ("cycle-hamiltonian-merged", "path-factor")
-    match = factor_flow._max_matching
+    match, h = factor_flow._max_matching, symmetric_01(d)
     calls = []
 
-    def faulty(rows, pivots):
-        cols, cover_rows, cover_cols = match(rows, pivots)
+    def faulty(rows, pivots, start=None):
+        cols, cover_rows, cover_cols = match(rows, pivots, start)
         calls.append(-1 not in cols)
-        fault(lambda i, j: rows[i] >> j & 1 == 1, cols)
+        fault(lambda i, j: np.isfinite(h[i, j]), cols)
         return cols, cover_rows, cover_cols
 
     monkeypatch.setattr(factor_flow, "_max_matching", faulty)
@@ -479,40 +475,40 @@ def test_matching_faults_are_refused_before_a_report_exists(monkeypatch, problem
 @pytest.mark.parametrize(
     "fault, message",
     [
-        (_completion_duplicate, "not a permutation"),
-        (_completion_own_part, "forbidden cell"),
-        (_completion_one_cycle, "forbidden cell"),
-        ("matched rows", "Konig cover"),
-        ("one column short", "Konig cover"),
+        (_step_duplicate, "not a permutation"),
+        (_step_own_part, "forbidden cell"),
+        (_step_one_cycle, "forbidden cell"),
+        (1, "potentials are infeasible"),
+        (-1, "potentials do not bound the matching"),
     ],
 )
-def test_completion_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
-    # the same faults in a cost-1 completion, and a forged Konig cover of the
-    # maximum cost-0 matching: the matched rows alone, which have its size
-    # but miss the cells of the free rows, or the true cover less a column.
-    # The acyclic input leaves free rows in both factors' cost-0 matchings,
-    # and each completion succeeds
+def test_dual_step_faults_are_refused_before_a_report_exists(monkeypatch, problem, fault, message):
+    # the same faults in the rows a dual step matched, and forged potentials:
+    # row 0's u one higher, past the cost of its matched cell, which is
+    # tight, or one lower, which stays feasible but sums one short of the
+    # matching's cost.  The acyclic input leaves free rows in both factors'
+    # cost-0 matchings, and one dual step matches them all
     d, _ = gen_smd((3, 2, 2), seed=3, digon_prob=0.0, bias=1.0)
     assert harness.solve(d, problem).branch == {"mfahoc": "cycle-below-max", "mfahop": "path-factor"}[problem]
-    match = factor_flow._max_matching
+    match, check = factor_flow._max_matching, factor_flow._check_potentials
     calls = []
 
-    def faulty(rows, pivots):
-        cols, cover_rows, cover_cols = match(rows, pivots)
+    def faulty(rows, pivots, start=None):
+        cols, cover_rows, cover_cols = match(rows, pivots, start)
         calls.append(cols.count(-1))
-        if len(calls) == 1 and fault == "matched rows":
-            cover_rows, cover_cols = sum(1 << u for u, c in enumerate(cols) if c >= 0), 0
-        elif len(calls) == 1 and fault == "one column short":
-            cover_cols &= cover_cols - 1
-        elif len(calls) == 2 and callable(fault):
-            fault(d, cols)
+        if start is not None and callable(fault):
+            fault(d, cols, [u for u, c in enumerate(start) if c < 0])
         return cols, cover_rows, cover_cols
 
+    def forged(zeros, ins, u, vs, cost):
+        return check(zeros, ins, [u[0] + fault, *u[1:]], vs, cost)
+
     monkeypatch.setattr(factor_flow, "_max_matching", faulty)
+    if not callable(fault):
+        monkeypatch.setattr(factor_flow, "_check_potentials", forged)
     _refused_before_a_report(monkeypatch, d, problem, message)
-    # the cost-0 matching left free rows, and the completion matched them all
-    size = d.n + (problem == "mfahop")
-    assert len(calls) == 2 and 0 < calls[0] == size - calls[1], calls
+    # the cost-0 matching left free rows, and the dual step matched them all
+    assert len(calls) == 2 and calls[0] > 0 == calls[1], calls
 
 
 @pytest.mark.parametrize("k", [2, 5, 60])
@@ -541,6 +537,16 @@ def _greedy_free_rows(rows):
         taken.update(cols[:1])
         free += not cols
     return free
+
+
+def _scipy_optimum(c):
+    """scipy's minimum over the perfect matchings of c, None when there is
+    none."""
+    try:
+        r, k = linear_sum_assignment(c)
+    except ValueError:
+        return None
+    return c[r, k].sum()
 
 
 def _scipy_size(rows):
@@ -638,18 +644,41 @@ def _semicomplete_nonstrong(rng):
     return build_digraph(n, [(perm[u], perm[v]) for u, v in arcs])
 
 
+# each needs a second dual step: after the first, the re-matching on the
+# tight cells is still not perfect
+SECOND_STEP_REPRODUCERS = [
+    (((3, 5, 1), 375733562, 0.007879938538740073, 0.9550091224213253), "1pcf", 4),
+    (((2, 5, 3), 189331226, 0.06814163176270518, 0.9875881870635703), "cycle-factor", 6),
+]
+
+
+@pytest.mark.parametrize("args, kind, cost", SECOND_STEP_REPRODUCERS)
+def test_second_dual_step_reproducers_match_the_oracle(monkeypatch, args, kind, cost):
+    d, _ = gen_smd(*args)
+    calls = []
+    match = factor_flow._max_matching
+    monkeypatch.setattr(
+        factor_flow, "_max_matching", lambda rows, pivots, start=None: calls.append(start is not None) or match(rows, pivots, start)
+    )
+    solver = max_cost_cycle_factor if kind == "cycle-factor" else max_cost_one_path_cycle_factor
+    f = solver(d)
+    assert calls == [False, True, True]  # the cost-0 matching, then two dual steps
+    assert f.cost == cost == oracle_factor_cost(d, kind).value
+    assert (f.path is None) == (kind == "cycle-factor")
+    check_factor(d, f)
+
+
 def test_factor_routes_against_scipy(monkeypatch):
     # the cost-0 rows are exactly the 0 cells of symmetric_01's blocks; a
-    # perfect matching exists exactly when scipy's swapped optimum is 0, a
-    # completion on cost-1 cells always reaches that optimum, and the factor
-    # costs equal scipy's optimum on all three routes: the perfect cost-0
-    # matching, its completion, and the assignment
+    # perfect matching exists exactly when scipy's swapped optimum is 0, and
+    # the factor costs equal scipy's optimum, or are None with it, after 0,
+    # 1 or at least 2 dual steps; the assignment is never called
     rng = random.Random(11)
     routes, calls = Counter(), []
     match, solve = factor_flow._max_matching, factor_flow.min_cost_assignment
     monkeypatch.setattr(factor_flow, "_max_matching", lambda *a: calls.append("matching") or match(*a))
     monkeypatch.setattr(factor_flow, "min_cost_assignment", lambda c: calls.append("assignment") or solve(c))
-    digraphs = []
+    digraphs = [gen_smd(*args)[0] for args, _, _ in SECOND_STEP_REPRODUCERS]
     for _ in range(120):
         sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 6)))
         bias = rng.choice((0.5, 0.8, 0.95, 1.0))
@@ -664,11 +693,7 @@ def test_factor_routes_against_scipy(monkeypatch):
             ("path", h, [r | sink for r in d.out_mask] + [sink - 1], max_cost_one_path_cycle_factor),
         ):
             assert rows == [sum(1 << j for j in np.flatnonzero(line == 0)) for line in c]
-            try:
-                r, k = linear_sum_assignment(c)
-                optimum = c[r, k].sum()
-            except ValueError:
-                optimum = None
+            optimum = _scipy_optimum(c)
             perfect = -1 not in match(rows, range(len(rows)))[0]
             assert perfect == (optimum == 0), (kind, sorted(d.arcs))
             calls.clear()
@@ -677,33 +702,27 @@ def test_factor_routes_against_scipy(monkeypatch):
             assert (None if f is None else f.cost) == (None if optimum is None else arcs - optimum)
             if f is not None:
                 check_factor(d, f)
-            route = {1: "cost-0", 2: "completion"}[len(calls)] if calls[-1] == "matching" else "assignment"
-            assert perfect == (route == "cost-0"), (kind, sorted(d.arcs))
-            routes[route] += 1
-    assert len(routes) == 3 and min(routes.values()) >= 20, routes
+            assert set(calls) == {"matching"}
+            steps = min(len(calls) - 1, 2)  # 2 stands for 2 or more
+            assert perfect == (steps == 0 and f is not None), (kind, sorted(d.arcs))
+            routes[steps] += 1
+    assert routes[0] >= 20 and routes[1] >= 20 and routes[2] >= 4, routes
 
 
-def test_solve_loads_scipy_only_when_the_matching_is_not_perfect():
-    # a strong tournament, as this one is, has a Hamilton cycle and a
-    # Hamilton path, cost-0 perfect matchings for both factors, so its solves
-    # leave scipy.optimize unloaded.  An acyclic SMD has no cycle factor of
-    # its own arcs, but its maximum cost-0 matching has a cost-1 completion,
-    # so mfahoc leaves it unloaded too; the (2,2,2) input has no such
-    # completion, so mfahoc loads it
+def test_solve_never_loads_scipy_optimize():
+    # the (2,2,2) inputs have no cost-1 completion of their factors' maximum
+    # cost-0 matchings, which once sent both solves to scipy's assignment;
+    # each now takes one dual step, and scipy.optimize stays unloaded
     src = str(Path(mfaho.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys\n"
         "from mfaho import harness\n"
         "from mfaho.generate import gen_smd\n"
-        "d, _ = gen_smd((1,) * 9, seed=4, digon_prob=0.0)\n"
-        "for problem in ('mfahoc', 'mfahop'):\n"
-        "    harness.solve(d, problem)\n"
-        "print('scipy.optimize' in sys.modules)\n"
-        "d, _ = gen_smd((3, 2, 2), seed=3, digon_prob=0.0, bias=1.0)\n"
-        "print(harness.solve(d, 'mfahoc').branch, 'scipy.optimize' in sys.modules)\n"
         "d, _ = gen_smd((2, 2, 2), seed=33, digon_prob=0.0, bias=0.8)\n"
         "print(harness.solve(d, 'mfahoc').branch, 'scipy.optimize' in sys.modules)\n"
+        "d, _ = gen_smd((2, 2, 2), seed=291, digon_prob=0.0, bias=0.9)\n"
+        "print(harness.solve(d, 'mfahop').branch, 'scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "cycle-below-max", "False", "cycle-below-max", "True"]
+    assert out.stdout.split() == ["cycle-below-max", "False", "path-factor", "False"]

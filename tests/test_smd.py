@@ -873,10 +873,12 @@ def test_mfahoc_acyclic_150_150_scale():
 
 
 def test_mfahoc_acyclic_500_500_scale():
-    # 500 2-cycles, so ordering merges 499 times; witnesses worked out per
-    # pair and kept across rounds keep this well inside the budget, where
-    # rebuilding them from every arc each round took about 3.5 s
-    mfahoc_smd(*gen_smd((3, 3), 1))  # warm-up, so that importing scipy is not timed
+    # the dual step links the 500 one-arc chains of the maximum cost-0
+    # matching into one cycle, so nothing merges.  When the factor was 500
+    # 2-cycles, witnesses worked out per pair and kept across rounds kept its
+    # 499 merges inside the budget, where rebuilding them from every arc each
+    # round took about 3.5 s.  No solve imports scipy, so nothing needs a
+    # warm-up before the timing
     d, parts = gen_smd((500, 500), 1, digon_prob=0.0, bias=1.0)
     start = time.perf_counter()
     sigma, walk, branch = mfahoc_smd(d, parts)
