@@ -355,30 +355,22 @@ def validate_walk(d: Digraph, seq, kind: WalkKind) -> OrientedHamWalk:
     """Classify a Hamilton vertex sequence against d.
 
     Raises NotAWalkError on the first consecutive pair that is nonadjacent in
-    the underlying graph, and InputError if seq is not a permutation of V.
-    Every step is read from the out-rows once, and only a step that is not
-    forward is read again, reversed, in step order.
+    the underlying graph, and InputError if seq is not a permutation of V,
+    which an entry whose type is not int (a bool, a float, a numpy integer)
+    never is.  Every step is read from the out-rows once, and only a step
+    that is not forward is read again, reversed, in step order.
     """
     seq = tuple(seq)
-    if sorted(seq) != list(range(d.n)):
+    if not set(map(type, seq)) <= {int} or sorted(seq) != list(range(d.n)):
         raise InputError("sequence is not a permutation of the vertex set")
     out = d.out_mask
     nxt = seq[1:] + seq[:1] if kind is WalkKind.CYCLE else seq[1:]
-    try:
-        forward = [True if out[u] >> v & 1 == 1 else False for u, v in zip(seq, nxt)]
-    except Exception:
-        # an entry that is not an int failed a test: test the steps again one
-        # at a time below, so that the first failing step raises
-        forward = [None] * len(nxt)
+    forward = [out[u] >> v & 1 == 1 for u, v in zip(seq, nxt)]
     if not all(forward):
         # a step that is not forward must be backward, tested in step order
-        for i, f in enumerate(forward):
-            if not f:
-                u, v = seq[i], nxt[i]
-                if f is None:
-                    f = forward[i] = True if out[u] >> v & 1 == 1 else False
-                if not f and not out[v] >> u & 1 == 1:
-                    raise NotAWalkError(u, v)
+        for u, v, f in zip(seq, nxt, forward):
+            if not f and not out[v] >> u & 1:
+                raise NotAWalkError(u, v)
     plus = sum(forward)
     steps = d.n if kind is WalkKind.CYCLE else d.n - 1
     return OrientedHamWalk(kind, seq, tuple(forward), plus, steps - plus)

@@ -12,23 +12,25 @@ predecessor lies in each partite set; from them a few big-int operations give
 a cycle pair's weak-domination witness, kept once a merge round first reaches
 the pair.  It merges pairs unwitnessed in both directions into one cycle
 (Yeo's lemma says their union is hamiltonian; _merge_pair builds the cycle in
-polynomial time and names the steps it adds, which update the masks) and reads
-the dominance order off the witnesses.  No witnessed pair can merge, so cyclic
-domination is reduced three or more cycles at once: a shortest ring of strict
-domination is absorbed into one path, cycle after cycle, which closes into one
-cycle on the ring's union.  Every cycle certificate comes from one
-construction, ham_path_distinct_ends: the maximum cycle factor is opened at
-one arc (a cost-0 arc if there is one), the resulting path is closed and
-merged once with the other cycles, and a Hamilton cycle there gives the path
-directly; otherwise the ordered factor is opened at that arc and the other
-cycles are absorbed into the path one at a time, right and then left, by two
-rules that provably keep its ends in different partite sets.  The closed path
-is the certificate.  The path certificate may end anywhere: each factor cycle
-is spliced whole into the factor's path, or the path comes from merging with a
-universal apex vertex.  No step depends on the size of the input except one:
-when a full-cost cycle factor yields a path that closes backward,
-_hamilton_cycle_by_dp decides Hamiltonicity by the subset DP of oracle_mfahoc,
-which refuses n above MAX_WALK_VERTICES.  Each solver walks its certificate
+polynomial time and names the steps it adds, which update the masks), then
+orders the cycles in one pass over masks of the pairs left unwitnessed
+(_order_or_ring).  No witnessed pair can merge, so cyclic domination is
+reduced three or more cycles at once: the pass returns a shortest ring of
+strict domination instead, which _absorb_ordered turns into one path that
+closes into one cycle on the ring's union.  Every certificate that merges
+comes from one construction, ham_path_distinct_ends: the maximum cycle factor
+is opened at one arc (a cost-0 arc if there is one), the resulting path is
+closed and merged once with the other cycles, and a Hamilton cycle there
+gives the path directly; otherwise _absorb_ordered opens the ordered factor
+at that arc and absorbs the other cycles into the path one at a time, right
+and then left, by two rules that provably keep its ends in different partite
+sets.  The closed path is the cycle certificate.  The path certificate may
+end anywhere: each factor cycle is spliced whole into the factor's path, or
+ham_path_distinct_ends runs on d plus a universal apex vertex that closes the
+factor's path.  No step depends on the size of the input except one: when a
+full-cost cycle factor yields a path that closes backward, the subset DP of
+oracle_mfahoc decides Hamiltonicity up to MAX_WALK_VERTICES vertices
+(_hamilton_cycle_by_dp).  Each solver walks its certificate
 once, through _certified_walk, which checks it against d and the optimum; no
 step inside the construction walks it again.
 """
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-
-import numpy as np
 
 from .digraph import (
     Digraph,
@@ -196,12 +196,12 @@ def irreducible_ordered_cycle_factor(
     and the steps the merge adds.  A witness depends only on the two cycles,
     so the witnesses are kept across rounds, keyed by an id given to each
     cycle when it is made.  When no unwitnessed pair merges, no pair can
-    (_merge_pair), and a dominant-first order is read off the witness matrix.
-    When domination is cyclic, no order exists: the cycles of a shortest
-    ring of strict domination (_domination_ring) are replaced by one cycle on
-    their union (_close_ring), under a fresh id, and the rounds go on; a ring
-    that does not close raises.  Every round removes a cycle, so a factor of
-    t cycles takes fewer than t rounds.
+    (_merge_pair), and _order_or_ring reads a dominant-first order off the
+    witnesses.  When domination is cyclic, no order exists: the cycles of
+    the shortest ring of strict domination that it returns instead are
+    replaced by one cycle on their union (_close_ring), under a fresh id,
+    and the rounds go on; a ring that does not close raises.  Every round
+    removes a cycle, so a factor of t cycles takes fewer than t rounds.
     """
     masks = _CycleMasks(d, parts, factor)
     cycles, witness = masks.cycles, masks.witness
@@ -213,12 +213,9 @@ def irreducible_ordered_cycle_factor(
         if merged is not None:
             masks.merge((a, b), *merged)
             continue
-        t = len(cycles)
-        wit = np.array([[witness(i, j) if i != j else 0 for j in range(t)] for i in range(t)])
-        order = _dominance_order(wit)
-        if order is not None:
+        order, ring = _order_or_ring(len(cycles), witness)
+        if ring is None:
             return OrderedCycleFactor(tuple(cycles[i] for i in order))
-        ring = _domination_ring(wit)
         closed = _close_ring(d, parts, [cycles[i] for i in ring])
         if closed is None:
             raise InternalVerificationError("cycle factor could neither be merged further nor ordered")
@@ -227,25 +224,38 @@ def irreducible_ordered_cycle_factor(
     return _rotate(cycles[0], min(cycles[0]))
 
 
-def _domination_ring(wit: np.ndarray) -> list[int]:
-    """A shortest cycle i0 => i1 => ... => i0 of strict weak domination (i
-    witnesses j and j does not witness i) in a witness matrix with no
-    dominance order; the first shortest one from a BFS out of each index.
-    _close_ring relies on its being shortest.
+def _order_or_ring(t: int, witness):
+    """(order, None), a dominant-first order of t cycles, or (None, ring), a
+    shortest ring of strict weak domination; witness(i, j) is i's over j.
 
-    One exists: with every pair witnessed one way at least, each index left
-    when _dominance_order stops is strictly dominated by another left, so
-    following those predecessors must repeat an index.
+    The order takes the smallest index left that witnesses every other index
+    left (miss[i] masks those i does not).  When it stops, each index left is
+    strictly dominated by another left, as every pair is witnessed one way,
+    so a ring exists; none passes through an index taken, which witnesses
+    all those left.  The ring is the first shortest one from a BFS out of
+    each index left on heads[u], the indices left that u strictly dominates.
+    _close_ring relies on its being shortest.
     """
-    heads = [np.flatnonzero(row).tolist() for row in (wit >= 0) & (wit.T < 0)]
+    miss = [sum([1 << j for j in range(t) if j != i and witness(i, j) < 0]) for i in range(t)]
+    rest, left, order = list(range(t)), (1 << t) - 1, []
+    while rest:
+        free = next((i for i in rest if not miss[i] & left), None)
+        if free is None:
+            break
+        order.append(free)
+        rest.remove(free)
+        left ^= 1 << free
+    if not rest:
+        return order, None
+    heads = {u: sum(1 << v for v in _mask_bits(left & ~miss[u]) if miss[v] >> u & 1) for u in rest}
     best: list[int] = []
-    for s in range(len(wit)):
+    for s in rest:
         pred, frontier, last = {s: s}, [s], None
         while frontier and last is None:
-            last = next((u for u in frontier if s in heads[u]), None)
+            last = next((u for u in frontier if heads[u] >> s & 1), None)
             reached = []
             for u in frontier:
-                for v in heads[u]:
+                for v in _mask_bits(heads[u]):
                     if v not in pred:
                         pred[v] = u
                         reached.append(v)
@@ -257,17 +267,17 @@ def _domination_ring(wit: np.ndarray) -> list[int]:
             ring.append(pred[ring[-1]])
         if not best or len(ring) < len(best):
             best = ring[::-1]
-    return best
+    return None, best
 
 
 def _close_ring(d: Digraph, parts: PartiteStructure, ring) -> tuple[int, ...] | None:
     """One cycle on the union of a ring of cycles, each strictly weakly
     dominating the next and the last the first, or None.
 
-    The first cycle is opened at each of its steps in turn, the other cycles
-    are absorbed in ring order by _absorb_after, and the path is kept once
-    its last vertex has an arc to its first.  In a shortest ring two cycles
-    that are not consecutive witness each other both ways: every pair is
+    _absorb_ordered opens the first cycle at each of its steps in turn and
+    absorbs the others after it in ring order, and the path is kept once its
+    last vertex has an arc to its first.  In a shortest ring two cycles that
+    are not consecutive witness each other both ways: every pair is
     witnessed one way, and a strict chord would close a shorter ring.  So
     every cycle on the path weakly dominates each cycle absorbed before the
     last, as _absorb_after's proof requires.  The first does not dominate
@@ -277,13 +287,11 @@ def _close_ring(d: Digraph, parts: PartiteStructure, ring) -> tuple[int, ...] | 
     step.  With s the ring's vertex count this is O(s) absorptions of
     O(s^2) arc tests each.
     """
-    first, rest = ring[0], ring[1:]
-    for i in range(len(first)):
-        path = list(first[i + 1 :] + first[: i + 1])
-        for cycle in rest:
-            path = path and _absorb_after(d, parts, path, cycle)
+    first = ring[0]
+    for arc in zip(first, first[1:] + first[:1]):
+        path = _absorb_ordered(d, parts, ring, arc)
         if path and d.has_arc(path[-1], path[0]):
-            return tuple(path)
+            return path
     return None
 
 
@@ -376,27 +384,6 @@ def _insert_blocks(d: Digraph, c: tuple[int, ...], other: tuple[int, ...]):
     return None
 
 
-def _dominance_order(wit: np.ndarray) -> list[int] | None:
-    """Dominant-first order of a witness matrix, or None if domination is cyclic.
-
-    Repeatedly takes the smallest remaining index whose row is witnessed
-    against every other remaining index.
-    """
-    missing = wit < 0
-    blocked = missing.sum(axis=1)  # unwitnessed entries among remaining columns
-    remaining = np.ones(len(wit), dtype=bool)
-    order: list[int] = []
-    for _ in range(len(wit)):
-        free = np.flatnonzero(remaining & (blocked == 0))
-        if free.size == 0:
-            return None
-        c = int(free[0])
-        order.append(c)
-        remaining[c] = False
-        blocked -= missing[:, c]
-    return order
-
-
 # ---------------------------------------------------------------------------
 # distinct-ends Hamilton path assembly
 
@@ -412,9 +399,10 @@ def ham_path_distinct_ends(
     irreducible_ordered_cycle_factor, which checks the closed factor.  A
     Hamilton cycle is opened at the added arc if it kept it, else before its
     smallest vertex; an ordered factor is opened at that arc and absorbed
-    by _absorb_ordered.  This is the one construction behind every cycle
-    certificate of mfahoc_smd.  Only the ends' partite sets are checked
-    here; the caller checks the path, as a walk of its certificate.
+    by _absorb_ordered, and a cycle that does not absorb raises.  Every
+    certificate that merges comes from here: each of mfahoc_smd's and
+    mfahop_smd's apex route.  Only the ends' partite sets are checked here;
+    the caller checks the path, as a walk of its certificate.
     """
     path = tuple(factor.path or ())
     if len(path) < 2 or not (0 <= path[0] < d.n and 0 <= path[-1] < d.n):
@@ -428,6 +416,8 @@ def ham_path_distinct_ends(
     res = irreducible_ordered_cycle_factor(d2, parts, cyc_factor)
     if isinstance(res, OrderedCycleFactor):
         seq = _absorb_ordered(d, parts, res.cycles, (pl, p1))
+        if seq is None:
+            raise InternalVerificationError("could not absorb a cycle into the working path")
     else:
         # open at the added arc if it was kept; else every step is a d-arc
         # and the cycle breaks before its smallest vertex
@@ -437,20 +427,18 @@ def ham_path_distinct_ends(
     return seq
 
 
-def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...]:
+def _absorb_ordered(d, parts, cycles, arc) -> tuple[int, ...] | None:
     """A Hamilton path of d, its ends in different parts, from the cycles of
-    an ordered factor: the cycle holding the step arc is opened there (the
-    first cycle at its closing step when no cycle holds it), the later
-    cycles are absorbed after it and the earlier ones before it."""
+    an ordered factor, or None when a cycle does not absorb: the cycle
+    holding the step arc is opened there (the first cycle at its closing
+    step when no cycle holds it), the later cycles are absorbed after it and
+    the earlier ones before it.  Every absorption, a ring's too, runs here."""
     opened = ((i, p) for i, c in enumerate(cycles) if (p := _opened_at(c, *arc)))
     r, cur = next(opened, (0, cycles[0]))
     cur = list(cur)
     for k in chain(range(r + 1, len(cycles)), range(r - 1, -1, -1)):
-        cur = (_absorb_after if k > r else _absorb_before)(d, parts, cur, cycles[k])
-        if cur is None:
-            size = len(cycles[k])
-            raise InternalVerificationError(f"could not absorb a {size}-cycle into the working path")
-    return tuple(cur)
+        cur = cur and (_absorb_after if k > r else _absorb_before)(d, parts, cur, cycles[k])
+    return cur and tuple(cur)
 
 
 def _absorb_after(d, parts, path: list[int], cycle: tuple[int, ...]) -> list[int] | None:
@@ -518,45 +506,27 @@ def _absorb_generic(d, path, cycle):
 # path solver)
 
 
-def _assemble_ham_path(
-    d: Digraph, parts: PartiteStructure, factor: SpanningFactor
-) -> tuple[int, ...]:
-    """A directed Hamilton path of d from any 1-path-cycle factor of d: each
-    cycle spliced whole into the path, wherever its ends lie, else the apex
-    route."""
-    path = list(factor.path)
-    for cyc in sorted(factor.cycles, key=min):
-        path = _absorb_generic(d, path, cyc)
-        if path is None:
-            return _apex_ham_path(d, parts, factor)
-    return tuple(path)
-
-
 def _apex_ham_path(
     d: Digraph, parts: PartiteStructure, factor: SpanningFactor
 ) -> tuple[int, ...]:
-    """Hamilton path via a universal apex vertex closing the factor's path.
+    """A Hamilton path of d from a universal apex vertex x closing the
+    factor's path.
 
-    The apex forms digons with every vertex, and every cycle of an SMD meets
-    two partite sets, so the apex's cycle has no weak-domination witness
-    against any other cycle in either direction.  Merging therefore never
-    stops before a Hamilton cycle of the extended digraph appears, which
-    turns into a Hamilton path of d when the apex is removed.
+    ham_path_distinct_ends runs on d plus x, a part of its own with digons
+    to every vertex, and the factor's path with x appended, whose closing
+    arc x -> p1 is then already there.  Every cycle of an SMD meets two
+    partite sets, so x's cycle has no weak-domination witness against any
+    other cycle in either direction, and merging does not stop before a
+    Hamilton cycle appears.  The result is refused unless it closes in d
+    plus x; rotated to start at x, it is a Hamilton path of d once x goes.
     """
-    n = d.n
-    x = n
-    d_plus = d.with_arcs(chain.from_iterable(((x, v), (v, x)) for v in range(n)))
-    parts_plus = PartiteStructure.from_parts(
-        n + 1, [*(set(p) for p in parts.parts), {x}]
-    )
-    closed = tuple(factor.path) + (x,)
-    f_plus = SpanningFactor(None, tuple(factor.cycles) + (closed,), 0)
-    res = irreducible_ordered_cycle_factor(d_plus, parts_plus, f_plus)
-    if isinstance(res, OrderedCycleFactor):
-        raise InternalVerificationError(
-            "apex reduction stalled before reaching a Hamilton cycle"
-        )
-    return _rotate(res, x)[1:]
+    x = d.n
+    d_plus = d.with_arcs(chain.from_iterable(((x, v), (v, x)) for v in range(x)))
+    parts_plus = PartiteStructure((*parts.parts, frozenset({x})), (*parts.part_index, parts.p))
+    seq = ham_path_distinct_ends(d_plus, parts_plus, SpanningFactor((*factor.path, x), factor.cycles, 0))
+    if not d_plus.has_arc(seq[-1], seq[0]):
+        raise InternalVerificationError("apex reduction stalled before reaching a Hamilton cycle")
+    return _rotate(seq, x)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +552,11 @@ def mfahop_smd(d: Digraph, parts: PartiteStructure):
     sigma = factor.cost
     zero = [a for a in factor.arcs() if not d.has_arc(*a)]
     df = d.with_arcs(zero) if zero else d
-    seq = _assemble_ham_path(df, parts, factor)
+    # each cycle spliced whole into the path, wherever its ends lie, else the apex route
+    path = list(factor.path)
+    for cyc in sorted(factor.cycles, key=min):
+        path = path and _absorb_generic(df, path, cyc)
+    seq = tuple(path) if path else _apex_ham_path(df, parts, factor)
     return sigma, _certified_walk(d, seq, WalkKind.PATH, sigma), "path-factor"
 
 

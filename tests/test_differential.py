@@ -10,6 +10,9 @@ The instance count is fixed, so a run checks the same instances every time.
 import random
 from collections import Counter
 
+import pytest
+
+import mfaho.smd as smd_mod
 from mfaho.generate import gen_smd
 from mfaho.harness import solve
 from mfaho.oracle import oracle_mfahoc, oracle_mfahop
@@ -76,3 +79,37 @@ def test_solve_matches_the_oracle_on_many_small_parts():
             assert got == oracle(d).value, (problem, d.n, sorted(d.arcs))
             branches[report.branch.removeprefix("both:")] += 1
     assert branches["cycle-below-max"] > 0 and branches["path-factor"] > 0, branches
+
+
+# (problem, gen_smd arguments, the oracle's optimum, the routes the solve
+# must take): mfahop's apex route, which also inserts blocks, block
+# insertion in mfahoc's merge, and _absorb_before on an ordered factor
+ROUTE_REPRODUCERS = [
+    ("mfahop", ((2, 2, 2, 1), 782369515, 0, 0.8), 6, {"apex", "blocks"}),
+    ("mfahop", ((3, 2, 2), 230721651, 0, 0.5), 6, {"apex", "blocks"}),
+    ("mfahop", ((2, 2, 2), 596705242, 0.1, 0.8), 5, {"apex", "blocks"}),
+    ("mfahoc", ((2, 2, 2), 660550973, 0.3, 0.5), 6, {"blocks"}),
+    ("mfahoc", ((2, 2, 1, 1), 635475166, 0.1, 0.5), 6, {"blocks"}),
+    ("mfahoc", ((2, 2, 2), 261337114, 0.1, 0.8), 5, {"blocks"}),
+    ("mfahoc", ((2, 2, 2), 459224379, 0, 0.8), 5, {"absorb-before"}),
+    ("mfahoc", ((2, 2, 2), 269317727, 0, 0.5), 4, {"absorb-before"}),
+]
+
+
+@pytest.mark.parametrize("problem, args, sigma, routes", ROUTE_REPRODUCERS)
+def test_rare_routes_match_the_oracle(monkeypatch, problem, args, sigma, routes):
+    # a route counts when its function returns a result inside the solve
+    runs = Counter()
+    for name, route in (("_apex_ham_path", "apex"), ("_insert_blocks", "blocks"),
+                        ("_absorb_before", "absorb-before")):
+        def counted(*a, _fn=getattr(smd_mod, name), _route=route):
+            out = _fn(*a)
+            runs[_route] += out is not None
+            return out
+
+        monkeypatch.setattr(smd_mod, name, counted)
+    d, parts = gen_smd(*args)
+    report = solve(d, problem, parts)
+    oracle = oracle_mfahoc if problem == "mfahoc" else oracle_mfahop
+    assert report.sigma == sigma == oracle(d).value
+    assert all(runs[route] > 0 for route in routes), runs

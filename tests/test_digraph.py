@@ -162,7 +162,7 @@ def test_validate_walk_rejects_non_permutation():
 def walk_step_by_step(d, seq, kind):
     """validate_walk as one test per step, in order: the reference."""
     seq = tuple(seq)
-    if sorted(seq) != list(range(d.n)):
+    if any(type(v) is not int for v in seq) or sorted(seq) != list(range(d.n)):
         raise InputError("sequence is not a permutation of the vertex set")
     n = d.n
     steps = n if kind is WalkKind.CYCLE else n - 1
@@ -194,8 +194,8 @@ ENTRY_TYPES = [float, Fraction, np.int64, np.uint8, lambda v: v == 1 if v < 2 el
 
 def test_validate_walk_matches_a_step_by_step_walk():
     # entries that equal ints without being ints (floats, fractions, numpy
-    # integers, which overflow against rows of 64 bits or more) pass the
-    # permutation check and must fail at the same step, with the same error
+    # integers, bools) would pass a permutation check by value; they are
+    # refused as not a permutation, before any step is read
     rng = random.Random(97)
     seen = Counter()
     for _ in range(2500):
@@ -213,7 +213,7 @@ def test_validate_walk_matches_a_step_by_step_walk():
             got = walk_outcome(validate_walk, d, seq, kind)
             assert got == walk_outcome(walk_step_by_step, d, seq, kind), (n, seq, kind)
             seen[got[0] if isinstance(got[0], type) else "walk"] += 1
-    assert seen.keys() == {"walk", NotAWalkError, InputError, TypeError, OverflowError}, seen
+    assert seen.keys() == {"walk", NotAWalkError, InputError}, seen
 
 
 def test_2connected_triangle():

@@ -26,9 +26,8 @@ from mfaho.smd import (
     OrderedCycleFactor,
     _apex_ham_path,
     _close_ring,
-    _domination_ring,
-    _dominance_order,
     _merge_pair,
+    _order_or_ring,
     ham_path_distinct_ends,
     hc_majority,
     hp_majority,
@@ -193,6 +192,18 @@ def test_witness_matches_definition():
     assert min(seen.values()) > 0, seen
 
 
+def _order_of(wit):
+    """_order_or_ring on a witness matrix: the order, or None when cyclic."""
+    return _order_or_ring(len(wit), lambda i, j: wit[i][j])[0]
+
+
+def _ring_of(wit):
+    """_order_or_ring's ring on a witness matrix with no dominance order."""
+    order, ring = _order_or_ring(len(wit), lambda i, j: wit[i][j])
+    assert order is None
+    return ring
+
+
 def test_dominance_order_linear():
     # cycle order[k] is witnessed against every later one, never an earlier one
     order = [2, 0, 3, 1]
@@ -202,11 +213,11 @@ def test_dominance_order_linear():
         wit[order[a], order[a]] = 0
         for b in range(a + 1, t):
             wit[order[a], order[b]] = 1
-    assert _dominance_order(wit) == order
+    assert _order_of(wit) == order
 
 
 def test_dominance_order_smallest_index_wins_ties():
-    assert _dominance_order(np.zeros((4, 4), dtype=int)) == [0, 1, 2, 3]
+    assert _order_of(np.zeros((4, 4), dtype=int)) == [0, 1, 2, 3]
     # 3 dominates everything; 0 and 1 witness each other both ways
     wit = np.array(
         [
@@ -216,7 +227,7 @@ def test_dominance_order_smallest_index_wins_ties():
             [0, 0, 0, 0],
         ]
     )
-    assert _dominance_order(wit) == [3, 0, 1, 2]
+    assert _order_of(wit) == [3, 0, 1, 2]
 
 
 def test_dominance_order_cyclic_domination_is_none():
@@ -228,12 +239,25 @@ def test_dominance_order_cyclic_domination_is_none():
             [1, -1, 0],
         ]
     )
-    assert _dominance_order(wit) is None
+    assert _order_of(wit) is None
     # a dominant cycle first does not rescue the cyclic rest
     wit4 = np.zeros((4, 4), dtype=int)
     wit4[1:, 1:] = wit
     wit4[1:, 0] = -1
-    assert _dominance_order(wit4) is None
+    assert _order_of(wit4) is None
+
+
+def test_domination_ring_after_a_dominant_prefix():
+    # 0 and then 1 strictly dominate every later cycle, and 2 => 3 => 4 => 2
+    # is the cyclic rest: the order takes 0 and 1, then stops, and the ring
+    # is searched for among 2, 3 and 4 only
+    wit = np.zeros((5, 5), dtype=int)
+    wit[2:, :2] = -1
+    wit[1, 0] = -1
+    for u, v in ((2, 3), (3, 4), (4, 2)):
+        wit[v, u] = -1
+    assert _order_of(wit[:2, :2]) == [0, 1]
+    assert _ring_of(wit) == [2, 3, 4]
 
 
 def _strict_cycle_lengths(wit):
@@ -260,9 +284,9 @@ def test_domination_ring_is_a_shortest_strict_cycle():
         for i, j in combinations(range(t), 2):
             way = rng.choice(((0, -1), (-1, 0), (0, -1), (-1, 0), (1, 1)))
             wit[i, j], wit[j, i] = way
-        if _dominance_order(wit) is not None:
+        if _order_of(wit) is not None:
             continue
-        ring = _domination_ring(wit)
+        ring = _ring_of(wit)
         assert len(set(ring)) == len(ring) >= 3
         assert all(wit[u, v] >= 0 > wit[v, u] for u, v in zip(ring, ring[1:] + ring[:1]))
         assert len(ring) == min(_strict_cycle_lengths(wit))
@@ -353,10 +377,9 @@ def _reference_merge(d, parts, factor):
         merges = (((a, b), m) for a, b in pairs if (m := _merge_pair(d, cycles[a], cycles[b])))
         gone, (merged, _) = next(merges, ((), (None, None)))
         if merged is None:
-            order = _dominance_order(wit)
-            if order is not None:
+            order, gone = _order_or_ring(t, lambda i, j: wit[i, j])
+            if gone is None:
                 return OrderedCycleFactor(tuple(cycles[i] for i in order)), wit
-            gone = _domination_ring(wit)
             merged = _close_ring(d, parts, [cycles[i] for i in gone])
             if merged is None:
                 raise InternalVerificationError("the ring does not close")
@@ -420,13 +443,13 @@ def test_irreducible_merges_in_the_reference_order(monkeypatch):
     # the same order, as witnesses rebuilt from every arc each round, and
     # fail where the reference fails
     matrices = []
-    dominance_order = smd_mod._dominance_order
+    order_or_ring = smd_mod._order_or_ring
 
-    def recorded(wit):
-        matrices.append(wit)
-        return dominance_order(wit)
+    def recorded(t, witness):
+        matrices.append(np.array([[witness(i, j) if i != j else 0 for j in range(t)] for i in range(t)]))
+        return order_or_ring(t, witness)
 
-    monkeypatch.setattr(smd_mod, "_dominance_order", recorded)
+    monkeypatch.setattr(smd_mod, "_order_or_ring", recorded)
     kinds = {"cycle": 0, "ordered": 0, "merged": 0}
     for d, parts, factor in _merge_cases(random.Random(7)):
         matrices.clear()
@@ -439,7 +462,7 @@ def test_irreducible_merges_in_the_reference_order(monkeypatch):
         got = irreducible_ordered_cycle_factor(d, parts, factor)
         assert got == expected, sorted(d.arcs)
         if wit is not None:
-            assert np.array_equal(matrices[-1], wit)  # the zero diagonal too
+            assert np.array_equal(matrices[-1], wit)
         kinds["ordered" if wit is not None else "cycle"] += 1
         kinds["merged"] += len(factor.cycles) > (1 if wit is None else len(got.cycles))
     assert min(kinds.values()) > 0, kinds
@@ -466,8 +489,7 @@ def test_irreducible_closes_a_ring_of_cyclic_domination(monkeypatch):
         assert len(cycles) == 3
         assert all(wit[i][j] is not None or wit[j][i] is not None for i, j in combinations(range(3), 2))
         wit = np.array([[-1 if w is None else w for w in row] for row in wit])
-        assert _dominance_order(wit) is None
-        assert sorted(_domination_ring(wit)) == [0, 1, 2]
+        assert sorted(_ring_of(wit)) == [0, 1, 2]
         with monkeypatch.context() as patch:
             patch.setattr(smd_mod, "_merge_pair", counted)
             got = irreducible_ordered_cycle_factor(d, parts, factor)
@@ -528,7 +550,7 @@ def test_cost0_factor_of_the_reproducers_is_a_domination_ring(arcs):
     masks = smd_mod._CycleMasks(d, parts, factor)
     wit = np.array([[masks.witness(i, j) if i != j else 0 for j in range(3)] for i in range(3)])
     assert [len(c) for c in factor.cycles] == [2, 2, 2]
-    assert _dominance_order(wit) is None
+    assert _order_of(wit) is None
     got = irreducible_ordered_cycle_factor(d, parts, factor)
     assert validate_walk(d, got, WalkKind.CYCLE).sigma_minus == 0
 
@@ -548,7 +570,7 @@ def test_close_ring_tries_each_step_of_the_first_cycle():
     parts = recognize_smd(d)
     masks = smd_mod._CycleMasks(d, parts, SpanningFactor(None, ring, 6))
     wit = np.array([[masks.witness(i, j) if i != j else 0 for j in range(3)] for i in range(3)])
-    assert [masks.cycles[i] for i in _domination_ring(wit)] == list(ring)
+    assert [masks.cycles[i] for i in _ring_of(wit)] == list(ring)
     path = list(ring[0][1:] + ring[0][:1])  # opened at its first step
     for cycle in ring[1:]:
         path = smd_mod._absorb_after(d, parts, path, cycle)
