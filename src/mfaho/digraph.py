@@ -402,33 +402,24 @@ def strong_components(d: Digraph) -> ComponentDecomposition:
 
     Where several such orders exist (only when the condensation is not a
     path, so never for a connected LSD), which one comes back is unspecified.
-    Computed once per digraph; later calls return the stored decomposition.
+    One Tarjan pass per digraph, stored: the one source of strongness too.
     """
     if d._components is None:
-        d._components = _ordered_components(d)
+        components = induced_components(d, (1 << d.n) - 1)
+        cn = [0] * d.n
+        for i, comp in enumerate(components):
+            for v in comp:
+                cn[v] = i
+        d._components = ComponentDecomposition(components, tuple(cn))
     return d._components
 
 
-def _ordered_components(d: Digraph) -> ComponentDecomposition:
-    # Tarjan emits a component only after every component it reaches, so the
-    # reversed emission order sends every inter-component arc forward.
-    components = tuple(reversed(_tarjan(d)))
-    cn = [0] * d.n
-    for i, comp in enumerate(components):
-        for v in comp:
-            cn[v] = i
-    return ComponentDecomposition(components, tuple(cn))
-
-
 def induced_components(d: Digraph, keep: int) -> tuple[tuple[int, ...], ...]:
-    """Strong components of d restricted to the vertex mask keep, ordered
-    as strong_components orders those of the induced subdigraph; not stored."""
+    """Strong components of d restricted to the vertex mask keep, in
+    strong_components' order; not stored.  Tarjan emits a component only
+    after every component it reaches, so the reversed emission order sends
+    every inter-component arc forward."""
     return tuple(reversed(_sccs(d.out_mask, keep)))
-
-
-def _tarjan(d: Digraph) -> list[tuple[int, ...]]:
-    """Tarjan on all of d."""
-    return _sccs(d.out_mask, (1 << d.n) - 1)
 
 
 def _sccs(rows: tuple[int, ...], keep: int) -> list[tuple[int, ...]]:
@@ -481,16 +472,10 @@ def _sccs(rows: tuple[int, ...], keep: int) -> list[tuple[int, ...]]:
 
 
 def is_strong(d: Digraph) -> bool:
-    """True iff every vertex is reachable from vertex 0 and reaches it.
-
-    Read from the strong components when they are stored (at most one: the
-    empty digraph is strong), else two walks over the rows, with no
-    component decomposition.
-    """
-    if d._components is not None:
-        return d._components.count <= 1
-    full = (1 << d.n) - 1
-    return _reach_mask(d.out_mask, 1, full) == full and _reach_mask(d.in_mask, 1, full) == full
+    """True iff every vertex reaches every other (the empty digraph is
+    strong): U(d) is connected and d has at most one strong component, both
+    stored.  A disconnected d never reaches Tarjan."""
+    return underlying_is_connected(d) and strong_components(d).count <= 1
 
 
 def _out_of(rows: tuple[int, ...], mask: int) -> int:

@@ -1,4 +1,5 @@
-"""Solvers for locally semicomplete digraphs.
+"""Solvers for locally semicomplete digraphs, read off the strong
+decomposition stored on the digraph (Tarjan, 1972).
 
 A connected LSD has a directed Hamilton path, so the path optimum is n - 1.
 For the cycle, a strong input is all-forward; otherwise the deficit equals
@@ -61,7 +62,8 @@ def ham_cycle_strong_semicomplete(d: Digraph) -> tuple[int, ...]:
 
 
 def ham_path_lsd(d: Digraph) -> tuple[int, ...]:
-    """Hamilton path of a connected LSD: per-component cycles, concatenated.
+    """Hamilton path of a connected LSD: the cycles of its stored strong
+    components, concatenated (a strong input is one component).
 
     The path is not walked here; mfahop_lsd, the caller, checks it as its
     certificate.
@@ -72,10 +74,6 @@ def ham_path_lsd(d: Digraph) -> tuple[int, ...]:
         raise InputError("digraph is not locally semicomplete")
     if not underlying_is_connected(d):
         raise InputError("digraph is disconnected")
-    if d.n == 1:
-        return (0,)
-    if is_strong(d):
-        return ham_cycle_strong_lsd(d)
     return _component_path(d, strong_components(d).components)
 
 
@@ -235,9 +233,9 @@ def mfahoc_lsd(d: Digraph):
     keep = (1 << d.n) - 1 - _mask_of(p[1:-1])
     if _reach_mask(d.adj_mask, keep & -keep, keep) != keep:
         raise InternalVerificationError("interior removal disconnected the digraph")
-    q = _component_path(
-        d, induced_components(d, keep), first_vertex=p[0], last_vertex=p[-1]
-    )
+    # with no interior (dist 1) the components are d's own, already stored
+    comps = dec.components if dist == 1 else induced_components(d, keep)
+    q = _component_path(d, comps, first_vertex=p[0], last_vertex=p[-1])
     if q[0] != p[0] or q[-1] != p[-1]:
         raise InternalVerificationError("forward path misses the anchor vertices")
     seq = tuple(q) + tuple(p[i] for i in range(dist - 1, 0, -1))

@@ -634,10 +634,10 @@ def test_2connected_matches_vertex_deletion_definition():
 
 
 def test_generator_strongness_test_matches_is_strong():
-    """is_strong's two reach-mask walks, and its reading of the stored
-    components, decide strongness exactly as the strong component
-    decomposition does, on candidates drawn the way the generator draws
-    them."""
+    """is_strong, which reads the stored connectivity and strong
+    components, decides strongness exactly as the strong component count
+    does, on first and repeated calls, on candidates drawn the way the
+    generator draws them."""
     rng = random.Random(909)
     verdicts = []
     for _ in range(1000):

@@ -390,6 +390,13 @@ def count_calls(monkeypatch, calls, module, name, key):
     monkeypatch.setattr(module, name, wrapper)
 
 
+def tarjan_on(d):
+    """count_calls key for digraph._sccs: "tarjan on d" when the search
+    covers all of d, else "tarjan on a subdigraph"."""
+    full = (1 << d.n) - 1
+    return lambda args: "tarjan on d" if args[0] is d.out_mask and args[1] == full else "tarjan on a subdigraph"
+
+
 @pytest.mark.parametrize(
     "problem, branch", [("mfahoc", "lsd-nonstrong-2connected"), ("mfahop", "lsd-path")]
 )
@@ -397,7 +404,7 @@ def test_solve_classifies_a_nonstrong_lsd_once(problem, branch, monkeypatch):
     g = gen_lsd_nonstrong((4, 5, 3, 4), seed=1, reach_prob=0.2)
     d = Digraph(g.n, g.arcs)  # the generator's recognizer calls filled g's caches
     calls = Counter()
-    count_calls(monkeypatch, calls, digraph, "_tarjan", lambda args: "tarjan on d" if args[0] is d else "tarjan on a subdigraph")
+    count_calls(monkeypatch, calls, digraph, "_sccs", tarjan_on(d))
     count_calls(monkeypatch, calls, digraph, "_locally_semicomplete", lambda args: "lsd check")
     count_calls(monkeypatch, calls, harness, "instance_digest", lambda args: "digest")
     report = harness.solve(d, problem)
@@ -415,7 +422,7 @@ def test_solve_classifies_an_acyclic_smd_once(monkeypatch):
     perm = random.Random(5).sample(range(g.n), g.n)
     d = Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs])
     calls = Counter()
-    count_calls(monkeypatch, calls, digraph, "_tarjan", lambda args: "tarjan")
+    count_calls(monkeypatch, calls, digraph, "_sccs", tarjan_on(d))
     count_calls(monkeypatch, calls, digraph, "_locally_semicomplete", lambda args: "lsd check")
     count_calls(monkeypatch, calls, digraph, "_partite_sets", lambda args: "partition")
     report = harness.solve(d, "mfahoc")
@@ -464,6 +471,46 @@ def test_nonstrong_lsd_solve_walks_for_connectivity_once(problem, branch, walks,
     assert calls["walk"] == walks
 
 
+@pytest.mark.parametrize(
+    "g, branch, walks",
+    [
+        (gen_smd((1,) * 12, 3, 0.15, 0.5)[0], "both:cycle-hamiltonian-merged", 1),
+        (gen_lsd_nonstrong((4, 5, 3, 4), 1, reach_prob=1.0), "both:cycle-nonhamiltonian", 2),
+    ],
+    ids=["strong", "nonstrong"],
+)
+def test_both_class_cycle_solve_walks_for_connectivity_once(g, branch, walks, monkeypatch):
+    # recognition goes through the partite sets, so the strong components are
+    # not stored until strongness is first asked for; from then on both
+    # solvers read the stored connectivity and components.  Recognition's
+    # connectivity walk, plus, when not strong, the LSD solver's check that
+    # removing the shortest path's interior leaves the rest connected.  One
+    # Tarjan pass over d, also when that path has no interior and the rest
+    # is all of d
+    d = Digraph(g.n, g.arcs)
+    calls = count_walks(monkeypatch)
+    count_calls(monkeypatch, calls, digraph, "_sccs", tarjan_on(d))
+    report = harness.solve(d, "mfahoc")
+    assert (report.detected_class, report.branch) == ("both", branch)
+    assert calls["walk"] == walks
+    assert calls["tarjan on d"] == 1
+
+
+def test_narrow_strong_lsds_are_round_in_their_own_labelling():
+    # with 2 * spread < n, the out-row of v is the next outdeg(v) vertices
+    # cyclically and its in-row the previous indeg(v).  Wider spreads, and
+    # no spread, break the in-rows (ROADMAP item 6), so they are not drawn
+    rng = random.Random(3)
+    draws = [(n, rng.randint(1, min(20, (n - 1) // 2))) for n in (rng.randint(3, 80) for _ in range(600))]
+    draws += [(200, 10), (200, 20)] * 5
+    for n, spread in draws:
+        d = gen_lsd_strong(n, rng.randrange(10**6), spread=spread)
+        for v in range(n):
+            out, inn = d.out_mask[v].bit_count(), d.in_mask[v].bit_count()
+            assert d.out_mask[v] == _mask_of((v + s) % n for s in range(1, out + 1)), (n, spread, v)
+            assert d.in_mask[v] == _mask_of((v - s) % n for s in range(1, inn + 1)), (n, spread, v)
+
+
 def test_path_solve_checks_the_optimum(monkeypatch):
     # a connected LSD has a directed Hamilton path, so a path certificate
     # with a backward step is refused, not reported
@@ -498,13 +545,13 @@ def test_component_cycles_match_the_relabelled_subdigraph():
 def test_ham_path_lsd_builds_no_subdigraph(monkeypatch):
     d = gen_lsd_nonstrong((4, 5, 3, 4), seed=1, reach_prob=0.2)
     strong_components(d)
-    built, tarjan = [], []
-    init, full_tarjan = Digraph.__init__, digraph._tarjan
+    built, tarjan = [], Counter()
+    init = Digraph.__init__
     monkeypatch.setattr(Digraph, "__init__", lambda self, *args: built.append(args) or init(self, *args))
-    monkeypatch.setattr(digraph, "_tarjan", lambda g: tarjan.append(g) or full_tarjan(g))
+    count_calls(monkeypatch, tarjan, digraph, "_sccs", tarjan_on(d))
     seq = ham_path_lsd(d)
     assert validate_walk(d, seq, WalkKind.PATH).sigma_minus == 0
-    assert built == [] and tarjan == []
+    assert built == [] and tarjan["tarjan on d"] == 0
 
 
 def test_strong_cycle_unpacks_no_frontier_per_round(monkeypatch):
@@ -528,14 +575,14 @@ def test_mfahoc_lsd_builds_no_subdigraph(monkeypatch):
     # the path around the shortest path's interior is cut from d's own rows
     d = gen_lsd_nonstrong((4, 5, 3, 4), seed=1, reach_prob=0.2)
     strong_components(d)
-    built, tarjan = [], []
-    init, full_tarjan = Digraph.__init__, digraph._tarjan
+    built, tarjan = [], Counter()
+    init = Digraph.__init__
     monkeypatch.setattr(Digraph, "__init__", lambda self, *args: built.append(args) or init(self, *args))
-    monkeypatch.setattr(digraph, "_tarjan", lambda g: tarjan.append(g) or full_tarjan(g))
+    count_calls(monkeypatch, tarjan, digraph, "_sccs", tarjan_on(d))
     sigma, walk, branch = mfahoc_lsd(d)
     assert branch == "lsd-nonstrong-2connected"
     assert walk.sigma_plus == sigma < d.n
-    assert built == [] and tarjan == []
+    assert built == [] and tarjan["tarjan on d"] == 0
 
 
 def test_lsd_certificates_match_the_pinned_digest():
