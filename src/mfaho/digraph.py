@@ -15,7 +15,10 @@ text.
 
 The searches (strong components, 2-connectivity, reachability) walk the
 rows as masks, not arc lists: a depth-first step takes the lowest unvisited
-bit of a row, and the unvisited and on-stack vertices are masks too.
+bit of a row, and the unvisited and on-stack vertices are masks too.  The
+general local semicompleteness check is the one reader that goes the other
+way: it tests each arc in numpy, on the rows of the vertices a block of the
+arc arrays touches, packed into uint64 words.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from operator import or_
+from operator import or_, rshift
 
 import numpy as np
 
@@ -33,7 +36,8 @@ from .errors import InputError, InternalVerificationError, NotAWalkError
 _bit = (1).__lshift__
 
 # Cap, in bytes, on the packed rows and unpacked words charged to one block
-# of a bit-row scan (see _row_blocks).
+# of a bit-row scan (see _row_blocks), and on the packed rows, the gathered
+# rows and the lookahead of one block of arcs (see _arc_blocks).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -94,11 +98,6 @@ class Digraph:
         """Iterator over the sorted out-neighbour lists of 0..n-1."""
         tails, heads = self.arc_arrays()
         return _grouped(tails, heads, self.n)
-
-    def in_lists(self):
-        """Iterator over the sorted in-neighbour lists of 0..n-1."""
-        tails, heads = self.arc_arrays()
-        return _grouped(heads, tails[np.argsort(heads, kind="stable")], self.n)
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -207,9 +206,7 @@ def _packed(masks: list[int], n: int) -> np.ndarray:
     """Bitmask rows as a (rows, ceil(n/64)) uint64 array; bit v of a row is
     bit v % 64 of word v // 64."""
     width = 8 * ((n + 63) // 64)
-    buf = bytearray(width * len(masks))
-    for i, mask in enumerate(masks):
-        buf[i * width:(i + 1) * width] = mask.to_bytes(width, "little")
+    buf = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), width // 8)
 
 
@@ -597,8 +594,9 @@ def recognize_lsd(d: Digraph) -> bool:
 
     The check is picked from the input: _smd_is_lsd for an SMD (which every
     semicomplete digraph on two or more vertices is), _nonstrong_is_lsd for
-    a connected digraph that is not strong, else _locally_semicomplete.
-    Computed once per digraph; later calls return the stored flag.
+    a connected digraph that is not strong, else _locally_semicomplete, one
+    numpy test per arc on packed rows, which packs nothing when d has no
+    arc.  Computed once per digraph; later calls return the stored flag.
     """
     if d._lsd is None:
         parts = recognize_smd(d)
@@ -651,19 +649,91 @@ def _nonstrong_is_lsd(d: Digraph, comps) -> bool:
 
 
 def _locally_semicomplete(d: Digraph) -> bool:
-    """Check on the bitmask rows, one vertex u at a time.
+    """One test per arc, in numpy, over blocks of the arc arrays.
 
     N+(v) is semicomplete iff out_mask[v] & ~(adj_mask[u] | bit u) == 0 for
-    every arc v->u.  Grouping those arcs by their head u, that is: the union
-    of out_mask[v] over v in N-(u) lies inside adj_mask[u] | bit u; and N-(v)
-    likewise with the union of in_mask[v] over v in N+(u).  That is m
-    whole-row ORs, and the check stops at the first union reaching outside.
+    every arc v->u, and N-(u) iff in_mask[u] & ~(adj_mask[v] | bit v) == 0.
+    A block (see _arc_blocks) packs the out- and in-rows of the vertices its
+    arcs touch, each once, over a window of bits that holds all of their
+    neighbours and themselves; their outside rows ~(adj_mask | bit) follow,
+    and each direction is a gather, AND and any over the block's arcs.  A
+    digraph with no arc packs no row.
     """
-    for rows, lists in ((d.in_mask, d.out_lists), (d.out_mask, d.in_lists)):
-        for u, nbrs in enumerate(lists()):
-            if reduce(or_, map(rows.__getitem__, nbrs), 0) & ~(d.adj_mask[u] | 1 << u):
-                return False
+    tails, heads = d.arc_arrays()
+    if not len(tails):
+        return True
+    # the lowest and the highest neighbour of each vertex
+    low, high = np.full(d.n, d.n), np.zeros(d.n, dtype=np.intp)
+    for ends, others in ((tails, heads), (heads, tails)):
+        np.minimum.at(low, ends, others)
+        np.maximum.at(high, ends, others)
+    slot = np.empty(d.n, dtype=np.intp)
+    for t, h, vs, lo, width in _arc_blocks(tails, heads, low, high):
+        slot[vs] = np.arange(len(vs))
+        listed = vs.tolist()
+        out, inn = (
+            _packed(list(map(rshift, map(rows.__getitem__, listed), repeat(lo))), width)
+            for rows in (d.out_mask, d.in_mask)
+        )
+        outside = ~(out | inn)
+        own = vs - lo
+        outside[np.arange(len(vs)), own >> 6] &= ~(np.uint64(1) << (own & 63).astype(np.uint64))
+        rt, rh = slot[t], slot[h]
+        # the two rows gathered per arc fit in _BLOCK_BYTES
+        chunk = max(1, _BLOCK_BYTES // (16 * out.shape[1]))
+        for tested, pick, cover in ((out, rt, rh), (inn, rh, rt)):
+            for c in range(0, len(t), chunk):
+                miss = tested.take(pick[c:c + chunk], axis=0)
+                miss &= outside.take(cover[c:c + chunk], axis=0)
+                if miss.any():
+                    return False
     return True
+
+
+def _arc_blocks(tails: np.ndarray, heads: np.ndarray, low: np.ndarray, high: np.ndarray):
+    """Cut the arcs (tails[i], heads[i]) into blocks for _locally_semicomplete.
+
+    Yields (t, h, vs, lo, width): the block's tails and heads, the vertices
+    they touch, each once, and the window [lo, lo + width) of bits from the
+    lowest to the highest neighbour (low, high) of those vertices, which
+    holds every bit of their rows and the vertices themselves.  A block
+    takes the most arcs (at least one) whose touched vertices, charged five
+    rows of the window each (out-, in- and outside rows, and two while they
+    are packed), fit in _BLOCK_BYTES.
+
+    The arcs go in tiles of c by c vertices, c so that the 2c vertices a
+    tile touches fit at full width, so a dense digraph packs each row a few
+    times, not once per arc; a sparse one with short windows takes many
+    tiles per block.  A block looks at most twice as far as the last one
+    took, and no further than its lookahead arrays fit in _BLOCK_BYTES.
+    """
+    n = len(low)
+    c = max(1, _BLOCK_BYTES // (80 * ((n + 63) // 64)))
+    if c < n:
+        order = np.argsort(tails // c * ((n + c - 1) // c) + heads // c, kind="stable")
+        tails, heads = tails[order], heads[order]
+    first = np.empty(n, dtype=np.intp)
+    reach = max(1, _BLOCK_BYTES // 128)
+    a, size = 0, reach
+    while a < len(tails):
+        t, h = tails[a:a + min(2 * size, reach)], heads[a:a + min(2 * size, reach)]
+        # the window of the first j arcs, and the bytes per vertex they touch
+        lo = np.minimum.accumulate(np.minimum(low[t], low[h]))
+        width = np.maximum.accumulate(np.maximum(high[t], high[h])) + 1 - lo
+        cost = (width + 63) // 64 * 40
+        ends = np.column_stack((t, h)).ravel()
+        at = np.arange(len(ends))
+        if min(len(ends), n) * int(cost[-1]) > _BLOCK_BYTES:
+            # each vertex at its first position, to count those of the first j
+            first[ends] = len(ends)
+            np.minimum.at(first, ends, at)
+        else:
+            # all of them fit: each vertex at one of its positions, whichever
+            first[ends] = at
+        new = first[ends] == at
+        size = max(1, int((np.cumsum(new)[1::2] * cost).searchsorted(_BLOCK_BYTES, side="right")))
+        yield t[:size], h[:size], ends[:2 * size][new[:2 * size]], int(lo[size - 1]), int(width[size - 1])
+        a += size
 
 
 def is_semicomplete(d: Digraph) -> bool:

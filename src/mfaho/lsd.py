@@ -230,11 +230,14 @@ def mfahoc_lsd(d: Digraph):
     dist = len(p) - 1
     if dist != _component_distance(d, dec):
         raise InternalVerificationError("greedy path is not a shortest one")
-    keep = (1 << d.n) - 1 - _mask_of(p[1:-1])
-    if _reach_mask(d.adj_mask, keep & -keep, keep) != keep:
-        raise InternalVerificationError("interior removal disconnected the digraph")
-    # with no interior (dist 1) the components are d's own, already stored
-    comps = dec.components if dist == 1 else induced_components(d, keep)
+    if dist == 1:
+        # no interior: the rest is d, connected and with its components stored
+        comps = dec.components
+    else:
+        keep = (1 << d.n) - 1 - _mask_of(p[1:-1])
+        if _reach_mask(d.adj_mask, keep & -keep, keep) != keep:
+            raise InternalVerificationError("interior removal disconnected the digraph")
+        comps = induced_components(d, keep)
     q = _component_path(d, comps, first_vertex=p[0], last_vertex=p[-1])
     if q[0] != p[0] or q[-1] != p[-1]:
         raise InternalVerificationError("forward path misses the anchor vertices")

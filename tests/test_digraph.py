@@ -2,6 +2,9 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 import tracemalloc
 
 import numpy as np
@@ -26,7 +29,7 @@ from mfaho.digraph import (
 )
 from mfaho.errors import InputError, NotAWalkError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
-from mfaho.harness import instance_digest
+from mfaho.harness import classify, instance_digest
 from mfaho.instance_io import MAX_VERTICES, parse_instance, serialize_instance
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -397,7 +400,34 @@ def test_recognize_lsd_takes_a_semicomplete_digraph_without_the_row_unions(monke
         assert recognize_lsd(random_semicomplete(rng, 14))
 
 
-def test_recognize_lsd_agrees_with_the_row_union_check(monkeypatch):
+def lsd_by_shared_neighbours(d):
+    """No two distinct nonadjacent vertices share an out- or an in-neighbour,
+    read from the arc pairs alone."""
+    arcs = d.arcs
+    outs, ins = [set() for _ in range(d.n)], [set() for _ in range(d.n)]
+    for u, v in arcs:
+        outs[u].add(v)
+        ins[v].add(u)
+    return not any(
+        (a, b) not in arcs and (b, a) not in arcs and (outs[a] & outs[b] or ins[a] & ins[b])
+        for a, b in combinations(range(d.n), 2)
+    )
+
+
+def lsd_by_row_unions(d):
+    """For each u, the OR of the in-rows of N+(u) and the OR of the out-rows
+    of N-(u) lie inside adj_mask[u] | bit u: m whole-row ORs, grouped by the
+    vertex they meet."""
+    for rows, nbrs in ((d.in_mask, d.out_neighbors), (d.out_mask, d.in_neighbors)):
+        for u in range(d.n):
+            if reduce(or_, map(rows.__getitem__, nbrs(u)), 0) & ~(d.adj_mask[u] | 1 << u):
+                return False
+    return True
+
+
+def lsd_corpus():
+    """Semicomplete, random, SMD, non-strong LSD, near-miss and disconnected
+    digraphs, with no stored facts."""
     rng = random.Random(101)
     cases = [random_semicomplete(rng, 14) for _ in range(300)]
     cases += [random_digraph(rng, 14) for _ in range(700)]
@@ -416,8 +446,25 @@ def test_recognize_lsd_agrees_with_the_row_union_check(monkeypatch):
         a, b = random_digraph(rng, 7, min_n=1), random_digraph(rng, 7, min_n=1)
         cases.append(Digraph(a.n + b.n, [*a.arcs, *((u + a.n, v + a.n) for u, v in b.arcs)]))
     cases += [build_digraph(0, []), build_digraph(1, [])]
-    cases = [Digraph(d.n, d.arcs) for d in cases]  # no stored facts yet
-    expected = [digraph._locally_semicomplete(d) for d in cases]
+    # round digraphs v -> v+1..v+k whose windows end at word boundaries, and
+    # each with one arc removed
+    for n in (64, 65, 128, 129):
+        for k in (1, 2, 3):
+            arcs = {(v, (v + s) % n) for v in range(n) for s in range(1, k + 1)}
+            cases += [Digraph(n, arcs), Digraph(n, arcs - {(n - 1, k - 1)})]
+    return [Digraph(d.n, d.arcs) for d in cases]
+
+
+# the default cap checks each of these small digraphs in one block, 400
+# bytes a few arcs at a time, and 1 byte one arc per block
+@pytest.mark.parametrize("block_bytes", [digraph._BLOCK_BYTES, 400, 1])
+def test_recognize_lsd_agrees_with_the_definition_and_the_row_unions(block_bytes, monkeypatch):
+    monkeypatch.setattr(digraph, "_BLOCK_BYTES", block_bytes)
+    cases = lsd_corpus()
+    expected = [lsd_by_shared_neighbours(d) for d in cases]
+    assert [lsd_by_row_unions(d) for d in cases] == expected
+    # the general check answers for every digraph, whichever route recognition takes
+    assert [digraph._locally_semicomplete(Digraph(d.n, d.arcs)) for d in cases] == expected
 
     routes = []
     for name in ("_smd_is_lsd", "_nonstrong_is_lsd", "_locally_semicomplete"):
@@ -463,6 +510,19 @@ def test_arc_arrays_and_induced_components_match_arc_filter(block_bytes, monkeyp
         assert induced_components(d, sum(1 << v for v in keep)) == expected
 
 
+def test_locally_semicomplete_finds_a_violation_in_any_gather_chunk():
+    # a round digraph, v -> v+1..v+20 cyclically, is an LSD; without the arc
+    # v -> v+10 only the arcs with tails v-10..v+10 see that v and v+10 are
+    # nonadjacent with shared neighbours.  At n = 520 the rows are 9 words
+    # wide, so a block of the default cap gathers its arcs in more than one
+    # chunk, and some of these violations lie past the first
+    n = 520
+    arcs = {(v, (v + s) % n) for v in range(n) for s in range(1, 21)}
+    assert digraph._locally_semicomplete(Digraph(n, arcs))
+    for v in range(0, n, 8):
+        assert not digraph._locally_semicomplete(Digraph(n, arcs - {(v, (v + 10) % n)})), v
+
+
 def test_queries_read_from_the_rows_agree_with_the_pairs():
     rng = random.Random(53)
     for _ in range(200):
@@ -484,7 +544,7 @@ def test_queries_read_from_the_rows_agree_with_the_pairs():
         outs = [sorted(v for u, v in pairs if u == w) for w in range(n)]
         ins = [sorted(u for u, v in pairs if v == w) for w in range(n)]
         assert list(d.out_lists()) == outs == [d.out_neighbors(w) for w in range(n)]
-        assert list(d.in_lists()) == ins == [d.in_neighbors(w) for w in range(n)]
+        assert ins == [d.in_neighbors(w) for w in range(n)]
 
 
 def test_with_arcs_equals_a_fresh_build():
@@ -576,9 +636,16 @@ def lone_digon():
     return Digraph(3000, frozenset({(0, 1), (1, 0)}))
 
 
+def long_cycle():
+    return Digraph(3000, frozenset((v, (v + 1) % 3000) for v in range(3000)))
+
+
 @pytest.mark.parametrize(
     "make, is_lsd",
-    [(edgeless_max, True), (long_path, True), (in_star, False), (out_star, False), (lone_digon, True)],
+    [
+        (edgeless_max, True), (long_path, True), (in_star, False), (out_star, False), (lone_digon, True),
+        (long_cycle, True),
+    ],
 )
 def test_bit_row_readers_stay_within_the_mask_rows(make, is_lsd, monkeypatch):
     # Packing every row at its full width would take n*n/8 bytes: 1.25 GB
@@ -591,6 +658,18 @@ def test_bit_row_readers_stay_within_the_mask_rows(make, is_lsd, monkeypatch):
     assert traced_peak(d.arc_arrays) < budget
     assert recognize_lsd(d) == is_lsd
     assert list(zip(*(a.tolist() for a in d.arc_arrays()))) == sorted(d.arcs)
+
+
+def test_classify_packs_no_row_of_an_edgeless_digraph(monkeypatch):
+    # disconnected and not an SMD, so recognition reaches the general check,
+    # which has no arc to test
+    calls = Counter()
+    for name in ("_locally_semicomplete", "_packed", "_bit_rows"):
+        check = getattr(digraph, name)
+        monkeypatch.setattr(digraph, name, lambda *args, name=name, check=check: calls.update([name]) or check(*args))
+    report = classify(Digraph(100_000, ()))
+    assert report.is_lsd and not report.connected and not report.is_smd
+    assert calls == {"_locally_semicomplete": 1}
 
 
 def two_connected_by_definition(d):

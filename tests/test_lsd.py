@@ -472,27 +472,27 @@ def test_nonstrong_lsd_solve_walks_for_connectivity_once(problem, branch, walks,
 
 
 @pytest.mark.parametrize(
-    "g, branch, walks",
+    "g, branch",
     [
-        (gen_smd((1,) * 12, 3, 0.15, 0.5)[0], "both:cycle-hamiltonian-merged", 1),
-        (gen_lsd_nonstrong((4, 5, 3, 4), 1, reach_prob=1.0), "both:cycle-nonhamiltonian", 2),
+        (gen_smd((1,) * 12, 3, 0.15, 0.5)[0], "both:cycle-hamiltonian-merged"),
+        (gen_lsd_nonstrong((4, 5, 3, 4), 1, reach_prob=1.0), "both:cycle-nonhamiltonian"),
     ],
     ids=["strong", "nonstrong"],
 )
-def test_both_class_cycle_solve_walks_for_connectivity_once(g, branch, walks, monkeypatch):
+def test_both_class_cycle_solve_walks_for_connectivity_once(g, branch, monkeypatch):
     # recognition goes through the partite sets, so the strong components are
     # not stored until strongness is first asked for; from then on both
     # solvers read the stored connectivity and components.  Recognition's
-    # connectivity walk, plus, when not strong, the LSD solver's check that
-    # removing the shortest path's interior leaves the rest connected.  One
-    # Tarjan pass over d, also when that path has no interior and the rest
-    # is all of d
+    # connectivity walk is the only one: when not strong, the shortest
+    # first-to-last path of a semicomplete d has no interior, so the rest is
+    # all of d and the LSD solver walks it no second time.  One Tarjan pass
+    # over d
     d = Digraph(g.n, g.arcs)
     calls = count_walks(monkeypatch)
     count_calls(monkeypatch, calls, digraph, "_sccs", tarjan_on(d))
     report = harness.solve(d, "mfahoc")
     assert (report.detected_class, report.branch) == ("both", branch)
-    assert calls["walk"] == walks
+    assert calls["walk"] == 1
     assert calls["tarjan on d"] == 1
 
 
