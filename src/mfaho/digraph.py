@@ -704,14 +704,16 @@ def _arc_blocks(tails: np.ndarray, heads: np.ndarray, low: np.ndarray, high: np.
     The arcs go in tiles of c by c vertices, c so that the 2c vertices a
     tile touches fit at full width, so a dense digraph packs each row a few
     times, not once per arc; a sparse one with short windows takes many
-    tiles per block.  A block looks at most twice as far as the last one
-    took, and no further than its lookahead arrays fit in _BLOCK_BYTES.
+    tiles per block.  With c >= n there is one tile, and the stable sort
+    keeps the arcs in order.  A block looks at most twice as far as the
+    last one took, so that blocks of a few wide rows do not each scan a
+    full lookahead, and no further than its lookahead arrays fit in
+    _BLOCK_BYTES.
     """
     n = len(low)
     c = max(1, _BLOCK_BYTES // (80 * ((n + 63) // 64)))
-    if c < n:
-        order = np.argsort(tails // c * ((n + c - 1) // c) + heads // c, kind="stable")
-        tails, heads = tails[order], heads[order]
+    order = np.argsort(tails // c * ((n + c - 1) // c) + heads // c, kind="stable")
+    tails, heads = tails[order], heads[order]
     first = np.empty(n, dtype=np.intp)
     reach = max(1, _BLOCK_BYTES // 128)
     a, size = 0, reach
@@ -723,13 +725,9 @@ def _arc_blocks(tails: np.ndarray, heads: np.ndarray, low: np.ndarray, high: np.
         cost = (width + 63) // 64 * 40
         ends = np.column_stack((t, h)).ravel()
         at = np.arange(len(ends))
-        if min(len(ends), n) * int(cost[-1]) > _BLOCK_BYTES:
-            # each vertex at its first position, to count those of the first j
-            first[ends] = len(ends)
-            np.minimum.at(first, ends, at)
-        else:
-            # all of them fit: each vertex at one of its positions, whichever
-            first[ends] = at
+        # each vertex at its first position, to count those of the first j
+        first[ends] = len(ends)
+        np.minimum.at(first, ends, at)
         new = first[ends] == at
         size = max(1, int((np.cumsum(new)[1::2] * cost).searchsorted(_BLOCK_BYTES, side="right")))
         yield t[:size], h[:size], ends[:2 * size][new[:2 * size]], int(lo[size - 1]), int(width[size - 1])
