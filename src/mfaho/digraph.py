@@ -16,9 +16,10 @@ text.
 The searches (strong components, 2-connectivity, reachability) walk the
 rows as masks, not arc lists: a depth-first step takes the lowest unvisited
 bit of a row, and the unvisited and on-stack vertices are masks too.  The
-general local semicompleteness check is the one reader that goes the other
-way: it tests each arc in numpy, on the rows of the vertices a block of the
-arc arrays touches, packed into uint64 words.
+partite sets take one pass that compares each row of the underlying graph
+with the row of the lowest vertex outside it.  The general local
+semicompleteness check tests each arc in numpy, on the rows of the vertices
+a block of the arc arrays touches, packed into uint64 words.
 """
 
 from __future__ import annotations
@@ -354,12 +355,15 @@ def validate_walk(d: Digraph, seq, kind: WalkKind) -> OrientedHamWalk:
     Raises NotAWalkError on the first consecutive pair that is nonadjacent in
     the underlying graph, and InputError if seq is not a permutation of V,
     which an entry whose type is not int (a bool, a float, a numpy integer)
-    never is.  Every step is read from the out-rows once, and only a step
-    that is not forward is read again, reversed, in step order.
+    never is, if V is empty, or if seq is a 2-vertex cycle but no digon (both
+    steps would use one arc).  Every step is read from the out-rows once,
+    and only a step that is not forward is read again, reversed, in step order.
     """
     seq = tuple(seq)
     if not set(map(type, seq)) <= {int} or sorted(seq) != list(range(d.n)):
         raise InputError("sequence is not a permutation of the vertex set")
+    if not seq:
+        raise InputError("the digraph on no vertices has no Hamilton walk")
     out = d.out_mask
     nxt = seq[1:] + seq[:1] if kind is WalkKind.CYCLE else seq[1:]
     forward = [out[u] >> v & 1 == 1 for u, v in zip(seq, nxt)]
@@ -368,6 +372,8 @@ def validate_walk(d: Digraph, seq, kind: WalkKind) -> OrientedHamWalk:
         for u, v, f in zip(seq, nxt, forward):
             if not f and not out[v] >> u & 1:
                 raise NotAWalkError(u, v)
+        if kind is WalkKind.CYCLE and d.n == 2:
+            raise InputError("a Hamilton cycle on two vertices needs both arcs of the digon")
     plus = sum(forward)
     steps = d.n if kind is WalkKind.CYCLE else d.n - 1
     return OrientedHamWalk(kind, seq, tuple(forward), plus, steps - plus)
@@ -543,49 +549,42 @@ def underlying_is_2connected(d: Digraph) -> bool:
 
 
 def recognize_smd(d: Digraph) -> PartiteStructure | None:
-    """The partition into maximal independent sets of U(d), if d is an SMD.
-
-    Candidate classes come from the non-adjacency relation of U(d); the
-    candidate partition is then verified directly (same part: nonadjacent,
-    different parts: adjacent).  Returns None when d is not semicomplete
-    multipartite.  Parts come back sorted by (size desc, smallest vertex).
-    Computed once per digraph and stored, False standing for None.
-    """
+    """The partition into maximal independent sets of U(d) if d is an SMD,
+    else None, with parts sorted by (size desc, smallest vertex): one pass
+    over the rows of U(d) (_partite_sets), stored, False standing for None."""
     if d._parts is None:
         d._parts = _partite_sets(d) or False
     return d._parts or None
 
 
 def _partite_sets(d: Digraph) -> PartiteStructure | None:
-    n = d.n
-    if n < 2:
+    """With f(v) the lowest vertex outside adj_mask[v] (at most v, which is
+    never in its own row), d is an SMD iff n >= 2, vertex 0 has a neighbour
+    and adj_mask[f(v)] == adj_mask[v] for every v; its parts are the groups
+    of equal f, each led by its f.
+
+    (=>) In an SMD f(v) lies in v's part, whose members all have the row V
+    minus the part.  (<=) Let u != v be nonadjacent.  If f(u) < f(v), f(u)
+    is adjacent to v and has u's row; if f(u) > f(v), u is adjacent to f(v),
+    which has v's row.  Either way u and v would be adjacent, so f(u) = f(v).
+    The members of a group share a row that misses them all: an independent
+    set joined to every vertex outside it."""
+    n, adj = d.n, d.adj_mask
+    if n < 2 or not adj[0]:
         return None
-    full = (1 << n) - 1
-    assigned = 0
-    parts: list[frozenset[int]] = []
-    for v in range(n):
-        if assigned >> v & 1:
-            continue
-        cls = full & ~d.adj_mask[v] & ~assigned
-        cls |= 1 << v
-        if cls == full:
-            return None  # vertex 0 is adjacent to none: a single part
-        members = _mask_bits(cls)
-        # verify: mutually nonadjacent inside, all adjacent across
-        for u in members:
-            if d.adj_mask[u] & cls:
-                return None
-            if (d.adj_mask[u] | cls) != full:
-                return None
-        assigned |= cls
-        parts.append(frozenset(members))
-    parts.sort(key=lambda p: (-len(p), min(p)))
-    # the loop above has verified the partition: index it without a re-check
+    groups: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        f = (~row & (row + 1)).bit_length() - 1
+        if adj[f] != row:
+            return None
+        groups.setdefault(f, []).append(v)
+    # groups come in increasing f, an order the stable sort keeps per size
+    parts = sorted(groups.values(), key=len, reverse=True)
     idx = [0] * n
     for i, p in enumerate(parts):
         for v in p:
             idx[v] = i
-    return PartiteStructure(tuple(parts), tuple(idx))
+    return PartiteStructure(tuple(map(frozenset, parts)), tuple(idx))
 
 
 def recognize_lsd(d: Digraph) -> bool:
@@ -735,8 +734,8 @@ def _arc_blocks(tails: np.ndarray, heads: np.ndarray, low: np.ndarray, high: np.
 
 
 def is_semicomplete(d: Digraph) -> bool:
-    full = (1 << d.n) - 1
-    return all(d.adj_mask[v] == full & ~(1 << v) for v in range(d.n))
+    """Every two vertices adjacent: n < 2, or every stored part is one vertex."""
+    return d.n < 2 or (parts := recognize_smd(d)) is not None and parts.p == d.n
 
 
 def _mask_bits(mask: int) -> list[int]:

@@ -12,7 +12,7 @@ from mfaho.cli import build_parser, main
 from mfaho.digraph import PartiteStructure, WalkKind, build_digraph, validate_walk
 from mfaho.errors import InputError, InternalVerificationError, NotAWalkError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
-from mfaho.harness import SolveReport, classify, solve, verify_report
+from mfaho.harness import SolveReport, classify, instance_digest, solve, verify_report
 from mfaho.instance_io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
 from mfaho.oracle import DEFAULT_WALK_BOUND
 
@@ -516,6 +516,34 @@ def test_cli_verify_refuses_a_sigma_on_a_none_report(tmp_path, capsys):
         code, verdict, _ = run_cli(capsys, "verify", str(inst), str(rep))
         assert code == expected, sigma
         assert json.loads(verdict)["verified"] is (expected == 0)
+
+
+@pytest.mark.parametrize(
+    "text, problem, walk, sigma, expected",
+    [
+        # the digraph on no vertices has no Hamilton walk of either kind
+        ("0 0\n", "mfahoc", [], 0, 4),
+        ("0 0\n", "mfahop", [], 0, 4),
+        # a 2-vertex cycle steps along its pair twice, so it needs the digon
+        ("2 1\n0 1\n", "mfahoc", [0, 1], 1, 4),
+        ("2 2\n0 1\n1 0\n", "mfahoc", [0, 1], 2, 0),
+    ],
+)
+def test_cli_verify_agrees_with_the_oracle_on_the_smallest_walks(tmp_path, capsys, text, problem, walk, sigma, expected):
+    # solve refuses all of these instances, so the reports are written by hand
+    inst = tmp_path / "t.dg"
+    inst.write_text(text)
+    rep = tmp_path / "r.json"
+    rep.write_text(json.dumps({
+        "digest": instance_digest(parse_instance(text).digraph), "problem": problem,
+        "detected_class": "smd", "status": "ok", "sigma": sigma, "walk": walk,
+        "forward_mask": None, "branch": "by hand",
+    }))
+    code, verdict, _ = run_cli(capsys, "verify", str(inst), str(rep))
+    assert code == expected
+    assert json.loads(verdict)["verified"] is (expected == 0)
+    code, out, _ = run_cli(capsys, "oracle", str(inst), "--problem", problem)
+    assert (code, json.loads(out)["value"]) == ((0, sigma) if expected == 0 else (2, None))
 
 
 def test_cli_stdin_instance(capsys, monkeypatch):

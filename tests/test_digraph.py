@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mfaho import digraph
 from mfaho.digraph import (
     Digraph,
+    PartiteStructure,
     WalkKind,
     build_digraph,
     induced_components,
@@ -162,12 +163,33 @@ def test_validate_walk_rejects_non_permutation():
         validate_walk(d, (0, 1, 1), WalkKind.PATH)
 
 
+def test_validate_walk_refuses_the_empty_walk():
+    # the empty sequence is a permutation of no vertices, but no walk
+    for kind in WalkKind:
+        with pytest.raises(InputError, match="no vertices"):
+            validate_walk(build_digraph(0, []), (), kind)
+
+
+def test_validate_walk_cycle_on_two_vertices_needs_the_digon():
+    # the cycle (u, v) steps u -> v and back v -> u; one arc cannot be both
+    for arcs in ([(0, 1)], [(1, 0)]):
+        d = build_digraph(2, arcs)
+        for seq in ((0, 1), (1, 0)):
+            with pytest.raises(InputError, match="digon"):
+                validate_walk(d, seq, WalkKind.CYCLE)
+            assert validate_walk(d, seq, WalkKind.PATH).sigma_plus == (seq in arcs)
+    w = validate_walk(build_digraph(2, [(0, 1), (1, 0)]), (0, 1), WalkKind.CYCLE)
+    assert (w.forward_mask, w.sigma_plus, w.sigma_minus) == ((True, True), 2, 0)
+
+
 def walk_step_by_step(d, seq, kind):
     """validate_walk as one test per step, in order: the reference."""
     seq = tuple(seq)
     if any(type(v) is not int for v in seq) or sorted(seq) != list(range(d.n)):
         raise InputError("sequence is not a permutation of the vertex set")
     n = d.n
+    if n == 0:
+        raise InputError("the digraph on no vertices has no Hamilton walk")
     steps = n if kind is WalkKind.CYCLE else n - 1
     mask = []
     for i in range(steps):
@@ -178,6 +200,8 @@ def walk_step_by_step(d, seq, kind):
             mask.append(False)
         else:
             raise NotAWalkError(u, v)
+    if steps == 2 == n and not all(mask):
+        raise InputError("a Hamilton cycle on two vertices needs both arcs of the digon")
     return kind, seq, tuple(mask), sum(mask), steps - sum(mask)
 
 
@@ -398,6 +422,105 @@ def test_recognize_lsd_takes_a_semicomplete_digraph_without_the_row_unions(monke
     rng = random.Random(97)
     for _ in range(200):
         assert recognize_lsd(random_semicomplete(rng, 14))
+
+
+def smd_by_definition(d):
+    """The classes of non-adjacency of U(d), read pair by pair, if there are
+    two or more, each is an independent set and every two are joined by arcs
+    between all of their cross pairs; parts by (size desc, smallest vertex)."""
+    classes = []
+    for v in range(d.n):
+        cls = frozenset(u for u in range(d.n) if u == v or not d.adjacent(u, v))
+        if cls not in classes:
+            classes.append(cls)
+    if len(classes) < 2:
+        return None
+    if any(d.adjacent(u, w) for cls in classes for u, w in combinations(cls, 2)):
+        return None
+    if not all(d.adjacent(u, w) for a, b in combinations(classes, 2) for u in a for w in b):
+        return None
+    return PartiteStructure.from_parts(d.n, sorted(classes, key=lambda p: (-len(p), min(p))))
+
+
+def smd_near_misses(rng, d, parts):
+    """d without both arcs of one cross pair, and d with one arc added
+    inside a part, when a part has two vertices."""
+    cross = [(u, v) for u, v in combinations(range(d.n), 2) if not parts.same_part(u, v)]
+    u, v = rng.choice(cross)
+    yield Digraph(d.n, d.arcs - {(u, v), (v, u)})
+    inside = [(u, v) for p in parts.parts for u in p for v in p if u != v]
+    if inside:
+        yield Digraph(d.n, d.arcs | {rng.choice(inside)})
+
+
+def relabelled_smd(rng, max_parts, max_size):
+    sizes = [rng.randint(1, max_size) for _ in range(rng.randint(2, max_parts))]
+    g, _ = gen_smd(sizes, seed=rng.randrange(10**6), digon_prob=rng.random() / 2, bias=rng.random())
+    perm = rng.sample(range(g.n), g.n)
+    return Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs])
+
+
+def test_recognize_smd_matches_the_definition():
+    rng = random.Random(67)
+    cases = [random_digraph(rng, 8) for _ in range(3000)]
+    cases += [relabelled_smd(rng, 5, 4) for _ in range(500)]
+    for d in list(cases):
+        parts = smd_by_definition(d)
+        if parts is not None:
+            cases += smd_near_misses(rng, d, parts)
+    outcomes = Counter()
+    for d in cases:
+        expected = smd_by_definition(d)
+        assert recognize_smd(Digraph(d.n, d.arcs)) == expected, sorted(d.arcs)
+        outcomes[expected is not None] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_recognize_smd_lists_no_mask_bits(monkeypatch):
+    # each vertex's row is compared with one other row, so no part is
+    # listed; the directed cycle is refused at its third vertex, whose row
+    # differs from that of vertex 0, the lowest vertex outside it
+    calls, full_bits = [], digraph._mask_bits
+
+    def counted(mask):
+        calls.append(mask)
+        return full_bits(mask)
+
+    monkeypatch.setattr(digraph, "_mask_bits", counted)
+    rng = random.Random(71)
+    for _ in range(100):
+        d = relabelled_smd(rng, 6, 8)
+        assert recognize_smd(d) is not None
+        assert recognize_smd(next(smd_near_misses(rng, d, recognize_smd(d)))) is None
+    n = 20_000
+    cycle = Digraph(n, [(v, (v + 1) % n) for v in range(n)])
+    assert recognize_smd(cycle) is None
+    unread = Digraph(n, [(v, (v + 1) % n) for v in range(n)])
+    unread.adj_mask = unread.adj_mask[:3] + (None,) * (n - 3)
+    assert recognize_smd(unread) is None
+    assert calls == []
+
+
+def test_is_semicomplete_matches_the_pairwise_definition(monkeypatch):
+    assert is_semicomplete(build_digraph(0, [])) and is_semicomplete(build_digraph(1, []))
+    assert is_semicomplete(build_digraph(2, [(1, 0)])) and not is_semicomplete(build_digraph(2, []))
+    rng = random.Random(73)
+    cases = [random_digraph(rng, 7) for _ in range(2000)] + [random_semicomplete(rng, 7) for _ in range(500)]
+    outcomes = Counter()
+    for d in cases:
+        expected = all(d.adjacent(u, v) for u, v in combinations(range(d.n), 2))
+        assert is_semicomplete(d) is expected, sorted(d.arcs)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 500, outcomes
+    # read from the stored partite sets: none is computed again
+    calls, partite_sets = [], digraph._partite_sets
+    monkeypatch.setattr(digraph, "_partite_sets", lambda g: calls.append(g) or partite_sets(g))
+    for d in cases[:200]:
+        d = Digraph(d.n, d.arcs)
+        recognize_smd(d)
+        calls.clear()
+        is_semicomplete(d)
+        assert calls == []
 
 
 def lsd_by_shared_neighbours(d):
