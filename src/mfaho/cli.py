@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Reports go to stdout as JSON; a short human-readable summary goes to stderr.
-Exit codes: 0 solved, 2 no Hamilton oriented structure exists, 3 input or
-class error (also argument and time-limit errors), 4 internal verification
-failure.  Environment variables are never consulted.
+Every command that reads an instance (classify, solve and each --batch file,
+verify, oracle) reads it, runs its work under --time-limit and writes the
+parser's warnings to stderr through one function, _on_instance.  Exit codes:
+0 solved, 2 no Hamilton oriented structure exists, 3 input or class error
+(also argument and time-limit errors), 4 internal verification failure.
+Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _read_instance(path: str, fmt: str):
-    return parse_instance(_read_text(path), fmt)
-
-
 def _emit(payload: dict, summary: str) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
     sys.stderr.write(summary + "\n")
@@ -62,33 +61,35 @@ def _check_time_limit(seconds) -> None:
         )
 
 
-def _with_time_limit(seconds, fn):
-    if seconds is None:
-        return fn()
+def _on_alarm(signum, frame):
+    raise TimeLimitExceeded("time limit exceeded")
 
-    def on_alarm(signum, frame):
-        raise TimeLimitExceeded("time limit exceeded")
 
-    old = signal.signal(signal.SIGALRM, on_alarm)
+def _on_instance(args, work, path=None):
+    """Read the instance at path (args.instance when None), return work(inst)
+    run under --time-limit (no timer without one), and write each parse
+    warning to stderr whether work returns or raises; given a batch file's
+    path, each warning line starts with its name."""
+    inst = parse_instance(_read_text(path or args.instance), args.format)
+    old = signal.signal(signal.SIGALRM, _on_alarm)
     try:
         try:
-            signal.setitimer(signal.ITIMER_REAL, seconds)
+            signal.setitimer(signal.ITIMER_REAL, args.time_limit or 0)
         except OverflowError:
             raise InputError(
-                f"--time-limit {seconds} is too large for the system timer"
+                f"--time-limit {args.time_limit} is too large for the system timer"
             ) from None
-        return fn()
+        return work(inst)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+        for w in inst.warnings:
+            sys.stderr.write(f"{path.name + ': ' if path else ''}warning: {w}\n")
 
 
 def cmd_classify(args) -> int:
-    inst = _read_instance(args.instance, args.format)
-    report = _with_time_limit(args.time_limit, lambda: classify(inst.digraph))
+    report = _on_instance(args, lambda inst: classify(inst.digraph))
     _emit(report.to_dict(), f"classified: n={report.n} m={report.m}")
-    for w in inst.warnings:
-        sys.stderr.write(f"warning: {w}\n")
     return EXIT_OK
 
 
@@ -107,13 +108,10 @@ def _solve_one(d: Digraph, problem: str, parts: PartiteStructure | None):
 def cmd_solve(args) -> int:
     if args.batch:
         return _solve_batch(args)
-    inst = _read_instance(args.instance, args.format)
-    report, summary, code = _with_time_limit(
-        args.time_limit, lambda: _solve_one(inst.digraph, args.problem, inst.parts)
+    report, summary, code = _on_instance(
+        args, lambda inst: _solve_one(inst.digraph, args.problem, inst.parts)
     )
     _emit(report.to_dict(), summary)
-    for w in inst.warnings:
-        sys.stderr.write(f"warning: {w}\n")
     return code
 
 
@@ -124,10 +122,8 @@ def _solve_batch(args) -> int:
     worst = EXIT_OK
     for path in sorted(directory.glob("*.dg")):
         try:
-            inst = _read_instance(str(path), args.format)
-            report, summary, code = _with_time_limit(
-                args.time_limit,
-                lambda: _solve_one(inst.digraph, args.problem, inst.parts),
+            report, summary, code = _on_instance(
+                args, lambda inst: _solve_one(inst.digraph, args.problem, inst.parts), path
             )
             payload = {"file": path.name, **report.to_dict()}
         except (InputError, TimeLimitExceeded, InternalVerificationError) as exc:
@@ -171,15 +167,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _read_instance(args.instance, args.format)
-    try:
-        payload = json.loads(_read_text(args.report))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"report is not valid JSON: {exc.msg}") from None
-    report = SolveReport.from_dict(payload)
-    problems = _with_time_limit(
-        args.time_limit, lambda: verify_report(inst.digraph, report)
-    )
+    def check(inst):
+        try:
+            payload = json.loads(_read_text(args.report))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"report is not valid JSON: {exc.msg}") from None
+        return verify_report(inst.digraph, SolveReport.from_dict(payload))
+
+    problems = _on_instance(args, check)
     if problems:
         _emit({"verified": False, "problems": problems}, "verify: FAIL")
         return EXIT_VERIFY
@@ -188,11 +183,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _read_instance(args.instance, args.format)
     fn = oracle_mfahoc if args.problem == "mfahoc" else oracle_mfahop
-    res = _with_time_limit(
-        args.time_limit, lambda: fn(inst.digraph, bound=args.oracle_bound)
-    )
+    res = _on_instance(args, lambda inst: fn(inst.digraph, bound=args.oracle_bound))
     payload = {
         "problem": args.problem,
         "value": res.value,
@@ -282,7 +274,7 @@ def main(argv=None) -> int:
     except TimeLimitExceeded:
         sys.stderr.write("error: time limit exceeded\n")
         return EXIT_INPUT
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except InternalVerificationError as exc:

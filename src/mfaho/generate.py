@@ -3,7 +3,9 @@
 Generation is a pure function of (kind, parameters, seed): iteration order is
 fixed and no global randomness is consulted, so serialized output is
 reproducible byte for byte.  Every generated instance is re-checked against
-the corresponding recognizer before being returned.
+the corresponding recognizer before being returned.  A total vertex count
+above instance_io.MAX_VERTICES, which no parser would read back, is refused
+with InputError before the first random draw.
 """
 
 from __future__ import annotations
@@ -20,8 +22,14 @@ from .digraph import (
     underlying_is_connected,
 )
 from .errors import InputError, InternalVerificationError
+from .instance_io import MAX_VERTICES
 
 _MAX_ATTEMPTS = 300
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def gen_smd(
@@ -31,6 +39,7 @@ def gen_smd(
 
     Each cross pair becomes a digon with probability digon_prob, otherwise a
     single arc oriented from the lower-indexed part with probability bias.
+    Sizes summing to more than MAX_VERTICES raise InputError.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2:
@@ -39,6 +48,7 @@ def gen_smd(
         raise InputError("partite sizes must be positive")
     if not (0.0 <= digon_prob <= 1.0 and 0.0 <= bias <= 1.0):
         raise InputError("probabilities must lie in [0, 1]")
+    _check_vertex_count(sum(sizes))
     rng = random.Random(seed)
     blocks = []
     v = 0
@@ -101,7 +111,7 @@ def gen_lsd_nonstrong(
     out_mask[x] | P_i == P_reach(i): an LSD by _nonstrong_is_lsd's interval
     condition, with no candidate to reject.  The recognizer still checks
     it, raising InternalVerificationError on failure.  Probabilities outside
-    [0, 1] raise InputError.
+    [0, 1] and sizes summing to more than MAX_VERTICES raise InputError.
     """
     comp_sizes = tuple(int(s) for s in component_sizes)
     if len(comp_sizes) < 2:
@@ -110,6 +120,7 @@ def gen_lsd_nonstrong(
         raise InputError("component sizes must be positive")
     if not (0.0 <= digon_prob <= 1.0 and 0.0 <= reach_prob <= 1.0):
         raise InputError("probabilities must lie in [0, 1]")
+    _check_vertex_count(sum(comp_sizes))
     rng = random.Random(seed)
     ell = len(comp_sizes)
     blocks = []
@@ -142,12 +153,14 @@ def gen_lsd_strong(n: int, seed: int, spread: int | None = None) -> Digraph:
     and leave a candidate that is not locally semicomplete.  Candidates are
     redrawn until the recognizer accepts one: at n = 200, about 4 per call
     with spread 10 and 7 with spread 20, each paying build_digraph and
-    recognize_lsd.  spread, when given, caps k_v and must be at least 1.
+    recognize_lsd.  spread, when given, caps k_v and must be at least 1;
+    n must be at most MAX_VERTICES.
     """
     if n < 2:
         raise InputError("a strong LSD needs at least 2 vertices")
     if spread is not None and spread < 1:
         raise InputError(f"spread must be at least 1, got {spread}")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     cap = n - 1 if spread is None else min(spread, n - 1)
     for _ in range(_MAX_ATTEMPTS):

@@ -31,7 +31,7 @@ from .digraph import (
 from .errors import InputError, InternalVerificationError, NotAWalkError
 from .instance_io import serialize_instance
 from .lsd import mfahoc_lsd, mfahop_lsd
-from .smd import hc_majority, hp_majority, mfahoc_smd, mfahop_smd
+from .smd import check_smd, hc_majority, hp_majority, mfahoc_smd, mfahop_smd
 
 
 class UnsupportedClassError(InputError):
@@ -158,7 +158,9 @@ def solve(
 ) -> SolveReport:
     """Dispatch to the solver for the detected class and verify the result.
 
-    problem is "mfahoc" or "mfahop".  A digraph that is both semicomplete
+    problem is "mfahoc" or "mfahop".  Given parts are checked against the
+    recognised partite sets whatever the class (check_smd), and the SMD
+    solvers get the recognised ones.  A digraph that is both semicomplete
     multipartite and locally semicomplete runs both cycle solvers, which must
     agree on the optimum.
     """
@@ -170,7 +172,9 @@ def solve(
         raise UnsupportedClassError(
             "input is neither semicomplete multipartite nor locally semicomplete"
         )
-    parts = parts or found_parts
+    if parts is not None:
+        check_smd(d, parts)
+    parts = found_parts
     none_sigma = None  # 0 by convention for an LSD with no oriented cycle
     if problem == "mfahop":
         outcome = mfahop_lsd(d) if detected == "lsd" else mfahop_smd(d, parts)
@@ -213,9 +217,11 @@ def verify_report(d: Digraph, report: SolveReport) -> list[str]:
     returns failure descriptions, and an empty list means the report verifies.
 
     Nothing from the solvers is reused: the forward mask and sigma are
-    rebuilt from the walk alone.  The digest is the one kept on d, computed
-    only when d has none, so in solve(), which has just computed it, its
-    check is a comparison.
+    rebuilt from the walk alone.  A 'none' report verifies only when d has
+    no Hamilton oriented cycle (mfahoc) or path (mfahop), as _none_problem
+    decides.  The digest is the one kept on d, computed only when d has
+    none, so in solve(), which has just computed it, its check is a
+    comparison.
     """
     problems: list[str] = []
     if report.digest != (d._digest or instance_digest(d)):
@@ -225,6 +231,8 @@ def verify_report(d: Digraph, report: SolveReport) -> list[str]:
             problems.append("a 'none' report must not carry a walk")
         elif report.sigma not in (None, 0):
             problems.append(f"a 'none' report must have sigma null or 0, not {report.sigma}")
+        elif (wrong := _none_problem(d, report.problem)) is not None:
+            problems.append(wrong)
         return problems
     if report.walk is None or report.sigma is None:
         return problems + ["an 'ok' report needs a walk and a sigma"]
@@ -245,3 +253,30 @@ def verify_report(d: Digraph, report: SolveReport) -> list[str]:
     ):
         problems.append("forward mask does not match a fresh classification")
     return problems
+
+
+def _none_problem(d: Digraph, problem: str) -> str | None:
+    """Why a 'none' report of problem on d is wrong, or None when d has no
+    Hamilton oriented cycle (mfahoc) or path (mfahop).
+
+    The criteria are the solvers', read from the stored recognition: a cycle
+    on fewer than 3 vertices needs n = 2 and a digon, and no digraph on 0
+    vertices has a path; otherwise an SMD (class smd or both) has one iff its
+    partite sizes pass hc_majority or hp_majority, and an LSD iff its
+    underlying graph is 2-connected (cycle) or connected (path).  A digraph
+    in neither class is refused, as solve refuses it.
+    """
+    cycle = problem == "mfahoc"
+    if d.n < (3 if cycle else 1):
+        exists = cycle and d.n == 2 and d.has_arc(0, 1) and d.has_arc(1, 0)
+    else:
+        detected, parts = _detect(d)
+        if detected == "neither":
+            return "a 'none' report needs a semicomplete multipartite or locally semicomplete input"
+        if parts is not None:
+            exists = (hc_majority if cycle else hp_majority)(parts.sizes)
+        else:
+            exists = (underlying_is_2connected if cycle else underlying_is_connected)(d)
+    if exists:
+        return f"a Hamilton oriented {'cycle' if cycle else 'path'} exists, so 'none' is wrong"
+    return None

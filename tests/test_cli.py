@@ -1,7 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -9,12 +12,19 @@ import mfaho.digraph as digraph_mod
 import mfaho.lsd as lsd_mod
 import mfaho.smd as smd_mod
 from mfaho.cli import build_parser, main
-from mfaho.digraph import PartiteStructure, WalkKind, build_digraph, validate_walk
+from mfaho.digraph import (
+    PartiteStructure,
+    WalkKind,
+    build_digraph,
+    recognize_lsd,
+    recognize_smd,
+    validate_walk,
+)
 from mfaho.errors import InputError, InternalVerificationError, NotAWalkError
 from mfaho.generate import gen_lsd_nonstrong, gen_lsd_strong, gen_smd
 from mfaho.harness import SolveReport, classify, instance_digest, solve, verify_report
 from mfaho.instance_io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
-from mfaho.oracle import DEFAULT_WALK_BOUND
+from mfaho.oracle import DEFAULT_WALK_BOUND, oracle_mfahoc, oracle_mfahop
 
 
 def test_parse_text_triangle():
@@ -170,6 +180,19 @@ def test_solve_refuses_a_partition_with_a_part_split_in_two(problem):
     split = PartiteStructure.from_parts(d.n, [first[:1], first[1:], *parts.parts[1:]])
     with pytest.raises(InputError):
         solve(d, problem, split)
+
+
+@pytest.mark.parametrize("problem", ["mfahoc", "mfahop"])
+def test_solve_checks_given_parts_on_an_input_that_is_no_smd(tmp_path, capsys, problem):
+    # the directed 5-cycle is an LSD and no SMD, so no part lines fit it
+    text = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\npart 0 2\npart 1 3\npart 4\n"
+    inst = parse_instance(text)
+    with pytest.raises(InputError, match="not semicomplete multipartite"):
+        solve(inst.digraph, problem, inst.parts)
+    path = tmp_path / "c5.dg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", str(path), "--problem", problem)
+    assert code == 3 and out == "" and "not semicomplete multipartite" in err
 
 
 def test_verify_detects_tampered_sigma():
@@ -518,6 +541,53 @@ def test_cli_verify_refuses_a_sigma_on_a_none_report(tmp_path, capsys):
         assert json.loads(verdict)["verified"] is (expected == 0)
 
 
+def test_cli_verify_refuses_none_where_a_hamilton_cycle_exists(tmp_path, capsys):
+    inst = tmp_path / "inst.dg"
+    code, _, _ = run_cli(capsys, "gen", "smd", "--sizes", "3,2,2", "--seed", "7", "-o", str(inst))
+    code, out, _ = run_cli(capsys, "solve", str(inst), "--problem", "mfahoc")
+    assert code == 0 and json.loads(out)["sigma"] == 7
+    rep = tmp_path / "none.json"
+    none = {"status": "none", "sigma": None, "walk": None, "forward_mask": None}
+    rep.write_text(json.dumps({**json.loads(out), **none}))
+    code, verdict, _ = run_cli(capsys, "verify", str(inst), str(rep))
+    assert code == 4
+    assert json.loads(verdict)["problems"] == ["a Hamilton oriented cycle exists, so 'none' is wrong"]
+
+
+def test_a_none_report_verifies_iff_the_oracle_finds_no_walk():
+    # random digraphs with n <= 7 in a supported class, each pair absent with
+    # a per-digraph probability, else a digon or one arc either way
+    rng = random.Random(32)
+    seen = Counter()
+    while sum(seen.values()) < 40_000:
+        n, absent, digon = rng.randint(0, 7), rng.random(), rng.random() / 2
+        arcs = []
+        for u, v in combinations(range(n), 2):
+            if rng.random() < absent:
+                continue
+            if rng.random() < digon:
+                arcs += [(u, v), (v, u)]
+            else:
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        d = build_digraph(n, arcs)
+        smd, lsd = recognize_smd(d) is not None, recognize_lsd(d)
+        if not (smd or lsd):
+            continue
+        seen[smd, lsd] += 1
+        for problem, oracle in (("mfahoc", oracle_mfahoc), ("mfahop", oracle_mfahop)):
+            rep = SolveReport(instance_digest(d), problem, "lsd", "none", None, None, None, "by hand")
+            assert (verify_report(d, rep) == []) == (oracle(d).value is None), (n, arcs, problem)
+    assert min(seen.values()) > 4_000, seen
+
+
+def test_a_none_report_on_an_input_in_neither_class_does_not_verify():
+    d = build_digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 3)])
+    rep = SolveReport(instance_digest(d), "mfahop", "lsd", "none", None, None, None, "by hand")
+    assert verify_report(d, rep) == [
+        "a 'none' report needs a semicomplete multipartite or locally semicomplete input"
+    ]
+
+
 @pytest.mark.parametrize(
     "text, problem, walk, sigma, expected",
     [
@@ -544,6 +614,28 @@ def test_cli_verify_agrees_with_the_oracle_on_the_smallest_walks(tmp_path, capsy
     assert json.loads(verdict)["verified"] is (expected == 0)
     code, out, _ = run_cli(capsys, "oracle", str(inst), "--problem", problem)
     assert (code, json.loads(out)["value"]) == ((0, sigma) if expected == 0 else (2, None))
+
+
+def test_every_instance_command_prints_each_parse_warning_once(tmp_path, capsys):
+    warning = "warning: line 5: duplicate arc (0, 1)\n"
+    inst = tmp_path / "dup.dg"
+    inst.write_text("3 4\n0 1\n1 2\n2 0\n0 1\n")
+    code, out, err = run_cli(capsys, "solve", str(inst), "--problem", "mfahoc")
+    assert code == 0 and err.count(warning) == 1
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    for argv, expected in (
+        (["classify", str(inst)], 0),
+        (["verify", str(inst), str(report)], 0),
+        (["oracle", str(inst), "--problem", "mfahop"], 0),
+        # printed also when the command fails
+        (["oracle", str(inst), "--problem", "mfahop", "--oracle-bound", "2"], 3),
+        (["verify", str(inst), str(tmp_path)], 3),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected and err.count(warning) == 1, argv
+    code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path), "--problem", "mfahop")
+    assert code == 0 and err.count(warning) == 1 and err.count("dup.dg: " + warning) == 1
 
 
 def test_cli_stdin_instance(capsys, monkeypatch):
@@ -712,3 +804,31 @@ def test_generators_accept_the_edges_of_their_ranges():
     for p in (0.0, 1.0):
         assert gen_lsd_nonstrong((2, 1, 2), 3, digon_prob=p, reach_prob=p).n == 5
     assert gen_lsd_strong(6, 3, spread=1).m == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lsd", "--strong", "--n", "100001"],
+        ["lsd", "--strong", "--n", "1000000000"],
+        ["smd", "--sizes", "100000,100000"],
+        ["smd", "--sizes", "99999,1,1"],
+        ["lsd", "--components", "50001,50000"],
+    ],
+)
+def test_cli_gen_refuses_more_vertices_than_a_parser_reads_before_drawing(capsys, monkeypatch, argv):
+    def no_draws(*args):
+        raise AssertionError("a random draw before the vertex count was checked")
+
+    monkeypatch.setattr("mfaho.generate.random.Random", no_draws)
+    code, out, err = run_cli(capsys, "gen", *argv, "--seed", "1")
+    assert code == 3 and out == ""
+    assert f"exceeds the limit of {MAX_VERTICES}" in err
+    # the limit itself passes the check and reaches the first draw
+    for gen in (
+        lambda: gen_lsd_strong(MAX_VERTICES, 1),
+        lambda: gen_smd((MAX_VERTICES - 1, 1), 1),
+        lambda: gen_lsd_nonstrong((MAX_VERTICES - 1, 1), 1),
+    ):
+        with pytest.raises(AssertionError, match="random draw"):
+            gen()
